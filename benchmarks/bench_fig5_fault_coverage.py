@@ -35,7 +35,6 @@ from repro.anafault import (
     CampaignSettings,
     FaultSimulator,
     PoolExecutor,
-    ShardExecutor,
     ToleranceSettings,
     WaveformComparator,
     calibrate_tolerance,
@@ -123,21 +122,21 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     # A checkpointed-then-resumed campaign reproduces the coverage number
     # without re-simulating a single fault.
     resumed = FaultSimulator(circuit, faults, streaming_settings).run(
-        workers=2, checkpoint=checkpoint)
+        executor=PoolExecutor(2), checkpoint=checkpoint)
     assert resumed.checkpoint_skipped == len(result.records)
     assert resumed.fault_coverage() == result.fault_coverage()
 
     # ------------------------------------------------------------------
-    # Cross-host sharding: the same campaign split across two
-    # ShardExecutor runs (as two cluster hosts would execute it) and
+    # Cross-host sharding: the same campaign split across two shard runs
+    # (as two cluster hosts would execute them, each over a pool) and
     # merged from the JSONL shards must be record-for-record identical to
     # the single-host run — fixed-step campaigns are bit-reproducible.
     shard_paths = []
     for index in range(2):
         shard_paths.append(tmp_path / f"fig5_shard{index}.jsonl")
         FaultSimulator(circuit, faults, streaming_settings).run(
-            executor=ShardExecutor(shard_index=index, shard_count=2,
-                                   path=shard_paths[index], workers=2))
+            executor=PoolExecutor(2), checkpoint=shard_paths[index],
+            shard_index=index, shard_count=2)
     merged = merge_shards(circuit, faults, streaming_settings, shard_paths,
                           require_complete=True)
     assert ([r.fault.fault_id for r in merged.records]
@@ -420,7 +419,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         f"checkpoint resume: {resumed.checkpoint_skipped} records reloaded, "
         f"0 re-simulated, coverage {resumed.fault_coverage():.1%} "
         "(identical to the straight-through run)",
-        f"cross-host shards: 2-way ShardExecutor split merged to "
+        f"cross-host shards: 2-way shard split merged to "
         f"{len([r for r in merged.records if r is not None])} records, "
         "record-for-record identical to the single-host run",
         f"batched executor : width 8 + early abort, "

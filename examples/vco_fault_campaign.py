@@ -18,7 +18,8 @@ Run with:  python examples/vco_fault_campaign.py --faults 20
 
 import argparse
 
-from repro.anafault import CampaignSettings, ToleranceSettings, full_report
+from repro.anafault import (CampaignSettings, PoolExecutor, ToleranceSettings,
+                            full_report)
 from repro.cat import CATFlow, CATOptions
 from repro.circuits import OUTPUT_NODE, build_vco_layout
 from repro.lift import format_ranking
@@ -65,8 +66,9 @@ def main() -> None:
     print(f"\nrunning AnaFAULT campaign "
           f"({'all' if fault_limit is None else fault_limit} faults, "
           f"{args.workers} workers) ...")
-    result = flow.run(workers=args.workers, fault_limit=fault_limit,
-                      fault_list=extraction.realistic_faults)
+    executor = PoolExecutor(args.workers) if args.workers > 1 else None
+    result = flow.run(fault_limit=fault_limit,
+                      fault_list=extraction.realistic_faults, executor=executor)
     print()
     print(full_report(result.campaign))
 

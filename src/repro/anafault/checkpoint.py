@@ -118,24 +118,52 @@ def campaign_fingerprint(circuit: Circuit, fault_list: FaultList,
     return digest.hexdigest()[:32]
 
 
-def _iter_entries(handle, on_skip=None):
-    """Yield the decodable JSON entries of a checkpoint file, skipping
-    blank and torn lines (``on_skip()`` is called once per skipped line).
+def _iter_entries(handle, path, on_skip=None):
+    """Yield the decodable JSON entries of checkpoint file ``path``,
+    skipping blank and torn lines (``on_skip()`` is called once per
+    skipped line).
 
     The one line-scan both :meth:`CampaignCheckpoint.load` and
     :func:`read_header` go through, so their tolerance for crash debris
-    cannot drift apart.
+    cannot drift apart.  A line that decodes to something other than a
+    JSON object is not crash debris (a torn line never decodes) and
+    raises :class:`~repro.errors.CampaignError`.
     """
     for line in handle:
         line = line.strip()
         if not line:
             continue
         try:
-            yield json.loads(line)
+            entry = json.loads(line)
         except json.JSONDecodeError:
             # A torn tail from a hard kill; count it and move on.
             if on_skip is not None:
                 on_skip()
+            continue
+        if not isinstance(entry, dict):
+            raise CampaignError(
+                f"checkpoint {path} has a line that is not a JSON object: "
+                f"{line[:80]!r}")
+        yield entry
+
+
+def _int_field(path, entry: dict, name: str, default=None) -> int:
+    """Integer field ``name`` of a checkpoint entry (``default`` when
+    absent); anything else raises :class:`~repro.errors.CampaignError`
+    naming the file."""
+    value = entry.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CampaignError(
+            f"checkpoint {path} has a {entry.get('kind', '?')} line whose "
+            f"{name} is {value!r}, not an integer")
+    return value
+
+
+def header_slice(path, header: dict) -> tuple[int, int]:
+    """The ``(shard_index, shard_count)`` a checkpoint header of ``path``
+    declares; ``(0, 1)`` for a plain, unsharded campaign checkpoint."""
+    return (_int_field(path, header, "shard_index", 0),
+            _int_field(path, header, "shard_count", 1))
 
 
 def read_header(path) -> dict | None:
@@ -150,7 +178,7 @@ def read_header(path) -> dict | None:
     if not path.exists():
         return None
     with open(path, "r", encoding="utf-8") as handle:
-        for entry in _iter_entries(handle):
+        for entry in _iter_entries(handle, path):
             if entry.get("kind") == "header":
                 return entry
     return None
@@ -220,7 +248,7 @@ class CampaignCheckpoint:
             self.skipped_lines += 1
 
         with open(self.path, "r", encoding="utf-8") as handle:
-            for entry in _iter_entries(handle, on_skip=count_skip):
+            for entry in _iter_entries(handle, self.path, on_skip=count_skip):
                 kind = entry.get("kind")
                 if kind == "header":
                     if entry.get("version") != CHECKPOINT_VERSION:
@@ -251,7 +279,7 @@ class CampaignCheckpoint:
                             "the file to start over")
                     header_seen = True
                 elif kind == "record":
-                    completed[int(entry["fault_id"])] = entry
+                    completed[_int_field(self.path, entry, "fault_id")] = entry
         if completed and not header_seen:
             raise CampaignError(
                 f"checkpoint {self.path} has records but no readable "

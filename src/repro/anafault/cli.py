@@ -74,8 +74,7 @@ from ..units import parse_value
 from .calibration import calibrate_tolerance
 from .checkpoint import CampaignCheckpoint, campaign_fingerprint, read_header
 from .comparator import ToleranceSettings
-from .executors import (BatchedExecutor, PoolExecutor, ShardExecutor,
-                        merge_shards)
+from .executors import BatchedExecutor, PoolExecutor, merge_shards
 from .models import RESISTOR_MODEL, SOURCE_MODEL, FaultModelOptions
 from .remote import (RemoteExecutor, ServiceClient, WorkerClient,
                      chaos_crash_after, chaos_hang_after)
@@ -324,8 +323,7 @@ def _cmd_run(args, out) -> int:
         raise ReproError("--early-abort needs --batch-width: only the "
                          "batched executor streams verdicts")
     else:
-        # None keeps the defaultable serial path (REPRO_FORCE_BATCHED);
-        # the deprecated run(workers=) spelling is for external callers.
+        # None keeps the defaultable serial path (REPRO_FORCE_BATCHED).
         executor = PoolExecutor(args.workers) if args.workers > 1 else None
         result = simulator.run(executor=executor,
                                checkpoint=args.checkpoint)
@@ -340,10 +338,11 @@ def _cmd_shard(args, out) -> int:
     simulator = _load_campaign(args)
     if args.calibrate and _calibrate_or_refuse(simulator, out) is None:
         return 1
-    executor = ShardExecutor(shard_index=args.shard_index,
-                             shard_count=args.shard_count,
-                             path=args.out, workers=args.workers)
-    result = simulator.run(executor=executor)
+    # None keeps the defaultable serial path (REPRO_FORCE_BATCHED).
+    executor = PoolExecutor(args.workers) if args.workers > 1 else None
+    result = simulator.run(executor=executor, checkpoint=args.out,
+                           shard_index=args.shard_index,
+                           shard_count=args.shard_count)
     _print_preflight(result, out)
     counts = ", ".join(f"{status}={count}" for status, count
                        in sorted(result.count_by_status().items()))

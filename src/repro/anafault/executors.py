@@ -8,23 +8,25 @@ those concerns a seam:
 * **plan** — :class:`CampaignPlan` captures *what* one run will simulate:
   the ordered fault list, this run's (possibly sharded) slice of it, the
   skipped/pending partition derived from a checkpoint, and the campaign
-  fingerprint that keys every persisted record.
+  fingerprint that keys every persisted record.  A shard — one
+  deterministic ``shard_index/shard_count`` slice persisted as a
+  fingerprint-keyed JSONL checkpoint — is the unit of cross-host
+  distribution (section II of the paper: AnaFAULT was extended to run
+  campaigns on a workstation cluster); ``FaultSimulator.run`` takes the
+  slice as two arguments.
 * **execute** — a :class:`CampaignExecutor` decides *how* the pending
-  faults are simulated.  :class:`SerialExecutor` runs them in-process,
-  :class:`PoolExecutor` distributes them over a local process pool (the
-  shared-memory nominal + chunked ``ProcessPoolExecutor.map`` wiring of
-  :mod:`repro.anafault.parallel` and :mod:`repro.anafault.streaming`), and
-  :class:`ShardExecutor` runs one deterministic ``shard_index/shard_count``
-  slice and persists it as a fingerprint-keyed JSONL shard — the unit of
-  cross-host distribution (section II of the paper: AnaFAULT was extended
-  to run campaigns on a workstation cluster).
+  faults are simulated.  :class:`SerialExecutor` runs them in-process one
+  at a time, :class:`BatchedExecutor` in lockstep batches, and
+  :class:`PoolExecutor` distributes them over a local process pool (with
+  the shared-memory nominal of :mod:`repro.anafault.streaming`).  Every
+  executor runs any slice.
 * **collect** — :func:`merge_shards` assembles N shard files back into one
   :class:`~repro.anafault.simulator.CampaignResult`, record for record
   identical to the unsharded run; it refuses fingerprint mismatches and
   overlapping shards, and reports missing-id holes.
 
-``FaultSimulator.run`` is now a thin pipeline over these three stages, and
-any future executor (async, GPU-batched, remote) only has to implement
+``FaultSimulator.run`` is a thin pipeline over these three stages, and
+any future executor only has to implement
 :meth:`CampaignExecutor.execute`.  The command-line front end that drives
 two-host campaigns with nothing but a shared netlist and an rsync'd
 directory lives in :mod:`repro.anafault.cli`.
@@ -33,20 +35,17 @@ directory lives in :mod:`repro.anafault.cli`.
 from __future__ import annotations
 
 import pathlib
-import time as _time
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from ..errors import CampaignError
 from ..lift.faults import Fault
 from .simulator import (
-    STATUS_DETECTED,
-    STATUS_INJECTION_FAILED,
     STATUS_SIM_FAILED,
     CampaignResult,
     CampaignSettings,
     FaultSimulationRecord,
-    record_from_comparison,
 )
 
 #: Callback an executor invokes for every newly simulated record:
@@ -55,15 +54,6 @@ from .simulator import (
 #: the record into the result, append it to the checkpoint and fire the
 #: user's progress callback — executors never touch those concerns.
 EmitCallback = Callable[[int, FaultSimulationRecord], None]
-
-
-def validate_shard_spec(shard_index: int, shard_count: int) -> None:
-    """Reject malformed shard specifications (the one rule every entry
-    point — executors and :meth:`FaultSimulator.plan` — shares)."""
-    if shard_count < 1 or not 0 <= shard_index < shard_count:
-        raise CampaignError(
-            f"invalid shard specification {shard_index}/{shard_count}: "
-            "need 0 <= shard_index < shard_count")
 
 
 def record_from_payload(fault: Fault, payload: dict,
@@ -165,7 +155,7 @@ class CampaignPlan:
 class ExecutionInfo:
     """How an executor ran a plan (collected into the campaign telemetry)."""
 
-    #: Executor label (``"serial"``, ``"pool"``, ``"shard"``, ...).
+    #: Executor label (``"serial"``, ``"pool"``, ``"batched"``, ...).
     executor: str = "serial"
     #: Worker processes actually used (1 = in-process).
     workers: int = 1
@@ -193,14 +183,8 @@ class CampaignExecutor(Protocol):
     order, as soon as it is available, so the campaign manager can
     checkpoint incrementally.  It returns an :class:`ExecutionInfo`
     describing how the work was performed.  Executors never build results,
-    open checkpoints or fire progress callbacks; those stay with
-    ``FaultSimulator.run``.
-
-    Three attribute names are **reserved**: ``FaultSimulator.run`` reads
-    ``shard_index``/``shard_count`` (the plan slice this executor wants)
-    and ``checkpoint`` (a path-like JSONL output the run should append
-    to) off the executor when present, as :class:`ShardExecutor` relies
-    on.  A custom executor must only define them with those meanings.
+    open checkpoints, choose the shard slice or fire progress callbacks;
+    those stay with ``FaultSimulator.run``.
     """
 
     #: Short label reported in the campaign telemetry.
@@ -213,7 +197,9 @@ class CampaignExecutor(Protocol):
 
 
 class SerialExecutor:
-    """Simulate every pending fault in-process, one after the other."""
+    """Simulate every pending fault in-process, one after the other
+    (each a one-variant lockstep run, see
+    :meth:`~repro.anafault.FaultSimulator.simulate_fault`)."""
 
     name = "serial"
 
@@ -225,18 +211,58 @@ class SerialExecutor:
         return ExecutionInfo(executor=self.name)
 
 
+#: Target number of map batches handed to each pool worker over a
+#: campaign.  Larger values improve tail load-balancing, smaller values
+#: cut IPC.
+BATCHES_PER_WORKER = 4
+
+#: Per-process state of a pool worker, set once by :func:`_init_worker`.
+_WORKER_STATE: dict[str, object] = {}
+
+
+def campaign_chunksize(num_faults: int, workers: int) -> int:
+    """Chunk size for ``ProcessPoolExecutor.map`` over a fault list."""
+    if workers <= 0:
+        return 1
+    return max(1, num_faults // (workers * BATCHES_PER_WORKER))
+
+
+def _init_worker(circuit, settings, store) -> None:
+    """Pool initialiser: build one simulator per worker process.
+
+    ``store`` is the published nominal (:mod:`repro.anafault.streaming`);
+    keeping it in the worker state keeps a shared-memory mapping alive as
+    long as the waveform views over it.
+    """
+    from .simulator import FaultSimulator
+
+    _WORKER_STATE["simulator"] = FaultSimulator.for_worker(circuit, settings)
+    _WORKER_STATE["store"] = store
+    _WORKER_STATE["nominal"] = store.waveforms()
+
+
+def _simulate_in_worker(fault: Fault) -> FaultSimulationRecord:
+    """Pool task: simulate one fault and stamp its IPC cost."""
+    simulator = _WORKER_STATE["simulator"]
+    record = simulator.simulate_fault(fault, _WORKER_STATE["nominal"])
+    # What this record costs to send home.  Setting the field afterwards
+    # perturbs the measured size by a few bytes at most; it is telemetry,
+    # not an invariant.
+    record.payload_bytes = len(pickle.dumps(record))
+    return record
+
+
 class PoolExecutor:
     """Distribute the pending faults over a local process pool.
 
-    Behaviour-preserving absorption of the old parallel branch of
-    ``FaultSimulator.run``: the nominal waveforms are published once
-    (shared memory with an inline fallback, honouring
-    ``CampaignSettings.use_shared_memory`` — see
-    :mod:`repro.anafault.streaming`), the faults travel in chunked batches
-    through :func:`repro.anafault.parallel.iter_faults_parallel`, and the
-    records come back in plan order as they complete.  With one worker —
-    or at most one pending fault — everything runs in-process and no pool
-    is started, exactly like :class:`SerialExecutor`.
+    The nominal waveforms are published once (shared memory with an
+    inline fallback, honouring ``CampaignSettings.use_shared_memory`` —
+    see :mod:`repro.anafault.streaming`), every worker builds its
+    simulator once in the pool initialiser, the faults travel through
+    ``ProcessPoolExecutor.map`` in :func:`campaign_chunksize` batches, and
+    the records come back in plan order as they complete.  With one
+    worker — or at most one pending fault — everything runs in-process
+    and no pool is started, exactly like :class:`SerialExecutor`.
     """
 
     name = "pool"
@@ -250,28 +276,28 @@ class PoolExecutor:
         pending = plan.pending
         if self.workers <= 1 or len(pending) <= 1:
             return SerialExecutor().execute(simulator, plan, nominal, emit)
-        from .parallel import iter_faults_parallel
+        from concurrent.futures import ProcessPoolExecutor
+
         from .streaming import publish_nominal
 
         settings = simulator.settings
-        info = ExecutionInfo(executor=self.name,
-                             workers=min(self.workers, len(pending)))
+        workers = min(self.workers, len(pending))
+        info = ExecutionInfo(executor=self.name, workers=workers)
         store = publish_nominal(
             nominal, shared=getattr(settings, "use_shared_memory", True))
         try:
             info.nominal_store = store.kind
             info.nominal_ipc_bytes = store.payload_bytes()
-            stream = iter_faults_parallel(
-                simulator.circuit, [plan.faults[i] for i in pending],
-                settings, store, self.workers)
-            try:
-                for index, record in zip(pending, stream):
+            # Leaving the pool context shuts the pool down before the
+            # shared segment is unlinked.
+            with ProcessPoolExecutor(
+                    max_workers=workers, initializer=_init_worker,
+                    initargs=(simulator.circuit, settings, store)) as pool:
+                records = pool.map(
+                    _simulate_in_worker, [plan.faults[i] for i in pending],
+                    chunksize=campaign_chunksize(len(pending), workers))
+                for index, record in zip(pending, records):
                     emit(index, record)
-            finally:
-                # zip() leaves the generator suspended inside its pool
-                # context; close it so the pool shuts down before the
-                # shared segment is unlinked.
-                stream.close()
         finally:
             store.dispose()
         return info
@@ -334,115 +360,12 @@ class BatchedExecutor:
     def _execute_batch(self, simulator, plan: CampaignPlan, nominal: dict,
                        emit: EmitCallback, chunk: list[int],
                        info: ExecutionInfo) -> None:
-        from ..spice.analysis.batched import BatchedTransient
-        from .comparator import StreamingDetector
-
-        records: dict[int, FaultSimulationRecord] = {}
-        variants: list[tuple[int, Fault, float]] = []
-        analyses = []
-        for index in chunk:
-            fault = plan.faults[index]
-            start = _time.perf_counter()
-            try:
-                circuit = simulator.injector.inject(fault)
-            except Exception as exc:
-                records[index] = FaultSimulationRecord(
-                    fault, STATUS_INJECTION_FAILED, message=str(exc),
-                    elapsed_seconds=_time.perf_counter() - start)
-                continue
-            analyses.append(simulator._make_transient(circuit))
-            variants.append((index, fault, _time.perf_counter() - start))
-
-        if variants:
-            kernel_start = _time.perf_counter()
-            batch = BatchedTransient(analyses)
-            batch.begin()
-            detectors: dict[int, StreamingDetector] = {}
-            columns: dict[int, dict] = {}
-            for position in range(len(variants)):
-                run = batch.runs[position]
-                if run is None:  # evicted during the initial solve
-                    continue
-                detectors[position] = StreamingDetector(
-                    simulator._comparator, nominal, run.times)
-                columns[position] = {signal: run.signal_column(signal)
-                                     for signal in nominal}
-
-            def observe(print_index: int, live: list[int]) -> list[int]:
-                stops = []
-                for position in live:
-                    row = batch.runs[position].data[print_index]
-                    detector = detectors[position]
-                    detector.feed({
-                        signal: (0.0 if column is None else row[column])
-                        for signal, column in columns[position].items()})
-                    if self.early_abort and detector.decided:
-                        stops.append(position)
-                return stops
-
-            batch.run(observe)
-            share = (_time.perf_counter() - kernel_start) / len(variants)
-            info.early_aborted += len(batch.aborted)
-
-            for position, (index, fault, injection_elapsed) in \
-                    enumerate(variants):
-                elapsed = injection_elapsed + share
-                error = batch.errors.get(position)
-                if error is not None:
-                    detected = simulator.settings.count_failed_as_detected
-                    records[index] = FaultSimulationRecord(
-                        fault,
-                        STATUS_DETECTED if detected else STATUS_SIM_FAILED,
-                        detection_time=0.0 if detected else None,
-                        message=str(error), elapsed_seconds=elapsed)
-                    continue
-                run = batch.runs[position]
-                stats = run.finish().stats
-                records[index] = record_from_comparison(
-                    fault, detectors[position].result(), stats, elapsed)
-
-        for index in chunk:
-            emit(index, records[index])
-
-
-class ShardExecutor:
-    """Run one deterministic shard of a campaign and persist it as JSONL.
-
-    The cross-host seam: ``ShardExecutor(shard_index=i, shard_count=n,
-    path=...)`` restricts the plan to the round-robin slice
-    ``faults[i::n]`` of the fault list and appends every finished record
-    to ``path`` through the existing
-    :class:`~repro.anafault.CampaignCheckpoint` machinery — the shard file
-    is a regular fingerprint-keyed campaign checkpoint, so an interrupted
-    shard resumes from its own file, and :func:`merge_shards` (or the
-    ``python -m repro.anafault merge`` CLI) can reassemble N shard files
-    into the unsharded result.  Every host must run the identical circuit,
-    fault list and settings; the shared fingerprint enforces that at merge
-    time.  The actual simulation is delegated to a :class:`PoolExecutor`
-    (``workers`` > 1) or :class:`SerialExecutor`.
-    """
-
-    name = "shard"
-
-    def __init__(self, shard_index: int, shard_count: int, path,
-                 workers: int = 1):
-        validate_shard_spec(shard_index, shard_count)
-        self.shard_index = int(shard_index)
-        self.shard_count = int(shard_count)
-        #: The shard's JSONL output file; ``FaultSimulator.run`` opens it
-        #: as the run's checkpoint (resume included) when the caller does
-        #: not pass an explicit one.
-        self.checkpoint = pathlib.Path(path)
-        self.workers = int(workers)
-
-    def execute(self, simulator, plan: CampaignPlan, nominal: dict,
-                emit: EmitCallback) -> ExecutionInfo:
-        """Run this shard's pending slice (serial or pooled) in-process."""
-        inner = (PoolExecutor(self.workers) if self.workers > 1
-                 else SerialExecutor())
-        info = inner.execute(simulator, plan, nominal, emit)
-        info.executor = self.name
-        return info
+        records, aborted = simulator._simulate_lockstep(
+            [plan.faults[index] for index in chunk], nominal,
+            early_abort=self.early_abort)
+        info.early_aborted += aborted
+        for index, record in zip(chunk, records):
+            emit(index, record)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +402,7 @@ def merge_shards(circuit, fault_list, settings: CampaignSettings | None,
       names the missing fault ids.
     """
     from .checkpoint import (CampaignCheckpoint, campaign_fingerprint,
-                             read_header)
+                             header_slice, read_header)
 
     settings = settings or CampaignSettings()
     faults = list(fault_list)
@@ -504,8 +427,7 @@ def merge_shards(circuit, fault_list, settings: CampaignSettings | None,
         if "shard_index" in header:
             # Drifted splits can produce disjoint fault ids (no overlap to
             # trip on) yet silent holes; the declared slices must agree.
-            index = int(header["shard_index"])
-            count = int(header.get("shard_count", 1))
+            index, count = header_slice(path, header)
             if declared_count is not None and count != declared_count[0]:
                 raise CampaignError(
                     f"shards disagree on the split: {declared_count[1]} was "

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import os
 import time as _time
-import warnings
 from dataclasses import dataclass, field, replace
 
-from ..errors import (CampaignError, ConvergenceError, PreflightError,
-                      SingularMatrixError)
+from ..errors import CampaignError, PreflightError
 from ..lift.faultlist import FaultList
 from ..lift.faults import Fault
 from ..spice import (Circuit, SimulationOptions, TransientAnalysis,
                      TransientOptions)
 from ..spice.waveform import Waveform
-from .comparator import DetectionResult, ToleranceSettings, WaveformComparator
+from .comparator import (DetectionResult, StreamingDetector,
+                         ToleranceSettings, WaveformComparator)
 from .coverage import FaultCoverage
 from .injection import FaultInjector
 from .models import FaultModelOptions
@@ -182,10 +181,9 @@ def record_from_comparison(fault: Fault, comparison: DetectionResult,
     """Build the success-path :class:`FaultSimulationRecord` from a
     comparator verdict and the transient's kernel statistics.
 
-    The one place campaign records are assembled from verdicts: both the
-    serial :meth:`FaultSimulator.simulate_fault` and the batched executor
-    (:class:`~repro.anafault.BatchedExecutor`) go through it, so their
-    records agree field for field by construction.
+    The one place campaign records are assembled from verdicts
+    (:meth:`FaultSimulator._simulate_lockstep`, which every executor
+    reaches); tests also use it to rebuild reference records.
     """
     iterations = int(stats.get("newton_iterations", 0))
     trace_bytes = int(stats.get("trace_bytes", 0))
@@ -240,8 +238,10 @@ class CampaignResult:
     nominal_ipc_bytes: int = 0
     #: Worker processes the campaign ran with (1 = serial).
     workers: int = 1
-    #: Executor that produced the records: ``"serial"``, ``"pool"``,
-    #: ``"shard"`` or ``"merge"`` (see :mod:`repro.anafault.executors`).
+    #: How the records were produced: ``"serial"``, ``"pool"``,
+    #: ``"batched"``, ``"remote"`` or ``"merge"`` (see
+    #: :mod:`repro.anafault.executors`); a shard reports the executor that
+    #: ran its slice.
     executor: str = "serial"
     #: Shard slice this result covers; ``(0, 1)`` for an unsharded run.  A
     #: shard result holds ``None`` placeholders for the faults of the
@@ -501,8 +501,8 @@ class FaultSimulator:
     # ------------------------------------------------------------------
     def _make_transient(self, circuit: Circuit) -> TransientAnalysis:
         """The campaign's transient analysis of ``circuit`` — one
-        construction path shared by serial execution and the batched
-        lockstep driver, so both simulate under identical knobs."""
+        construction path shared by the nominal run and every fault
+        variant, so all of them simulate under identical knobs."""
         settings = self.settings
         streaming = bool(getattr(settings, "stream_traces", False))
         return TransientAnalysis(
@@ -537,26 +537,97 @@ class FaultSimulator:
     def simulate_fault(self, fault: Fault,
                        nominal: dict[str, Waveform]) -> FaultSimulationRecord:
         """Inject, simulate and classify a single fault against ``nominal``
-        (the observed waveform dict from :meth:`run_nominal`)."""
-        start = _time.perf_counter()
-        try:
-            faulty_circuit = self.injector.inject(fault)
-        except Exception as exc:
-            return FaultSimulationRecord(
-                fault, STATUS_INJECTION_FAILED, message=str(exc),
-                elapsed_seconds=_time.perf_counter() - start)
-        try:
-            faulty, stats = self._run_transient(faulty_circuit)
-        except (ConvergenceError, SingularMatrixError) as exc:
-            status = (STATUS_DETECTED if self.settings.count_failed_as_detected
-                      else STATUS_SIM_FAILED)
-            detection = 0.0 if status == STATUS_DETECTED else None
-            return FaultSimulationRecord(
-                fault, status, detection_time=detection, message=str(exc),
-                elapsed_seconds=_time.perf_counter() - start)
-        comparison: DetectionResult = self._comparator.compare_many(nominal, faulty)
-        return record_from_comparison(fault, comparison, stats,
-                                      _time.perf_counter() - start)
+        (the observed waveform dict from :meth:`run_nominal`): a
+        one-variant :meth:`_simulate_lockstep`."""
+        records, _aborted = self._simulate_lockstep([fault], nominal)
+        return records[0]
+
+    def _simulate_lockstep(self, faults: list[Fault],
+                           nominal: dict[str, Waveform],
+                           early_abort: bool = False,
+                           ) -> tuple[list[FaultSimulationRecord], int]:
+        """Inject ``faults``, advance their transients in lockstep and
+        classify each variant as its print rows land.
+
+        The one fault-simulation path of the campaign layer (section V's
+        inject → simulate → compare cycle): every fault that injects
+        becomes a variant of one
+        :class:`~repro.spice.analysis.BatchedTransient`, watched by its own
+        :class:`~repro.anafault.StreamingDetector`.  A fault that fails to
+        inject, or a variant evicted for non-convergence, becomes its
+        failure record here; every other record goes through
+        :func:`record_from_comparison`.  ``early_abort`` stops a variant
+        once its verdict is decided (see :class:`~repro.anafault.\
+BatchedExecutor`).
+
+        Returns the records in ``faults`` order and the number of variants
+        stopped early.  A record's ``elapsed_seconds`` is its injection
+        time plus an equal share of the lockstep kernel time.
+        """
+        from ..spice.analysis.batched import BatchedTransient
+
+        records: list = [None] * len(faults)
+        variants: list[tuple[int, float]] = []  # (position, inject seconds)
+        analyses = []
+        for position, fault in enumerate(faults):
+            start = _time.perf_counter()
+            try:
+                circuit = self.injector.inject(fault)
+            except Exception as exc:
+                records[position] = FaultSimulationRecord(
+                    fault, STATUS_INJECTION_FAILED, message=str(exc),
+                    elapsed_seconds=_time.perf_counter() - start)
+                continue
+            analyses.append(self._make_transient(circuit))
+            variants.append((position, _time.perf_counter() - start))
+        if not variants:
+            return records, 0
+
+        kernel_start = _time.perf_counter()
+        batch = BatchedTransient(analyses)
+        batch.begin()
+        detectors: dict[int, StreamingDetector] = {}
+        columns: dict[int, dict] = {}
+        for variant, run in enumerate(batch.runs):
+            if run is None:  # evicted during the initial solve
+                continue
+            detectors[variant] = StreamingDetector(self._comparator, nominal,
+                                                   run.times)
+            columns[variant] = {signal: run.signal_column(signal)
+                                for signal in nominal}
+
+        def observe(print_index: int, live: list[int]) -> list[int]:
+            stops = []
+            for variant in live:
+                row = batch.runs[variant].data[print_index]
+                detector = detectors[variant]
+                detector.feed({
+                    signal: (0.0 if column is None else row[column])
+                    for signal, column in columns[variant].items()})
+                if early_abort and detector.decided:
+                    stops.append(variant)
+            return stops
+
+        batch.run(observe)
+        stats = {variant: run.finish().stats
+                 for variant, run in enumerate(batch.runs) if run is not None}
+        share = (_time.perf_counter() - kernel_start) / len(variants)
+
+        for variant, (position, inject_seconds) in enumerate(variants):
+            fault = faults[position]
+            elapsed = inject_seconds + share
+            error = batch.errors.get(variant)
+            if error is None:
+                records[position] = record_from_comparison(
+                    fault, detectors[variant].result(), stats[variant],
+                    elapsed)
+                continue
+            detected = self.settings.count_failed_as_detected
+            records[position] = FaultSimulationRecord(
+                fault, STATUS_DETECTED if detected else STATUS_SIM_FAILED,
+                detection_time=0.0 if detected else None,
+                message=str(error), elapsed_seconds=elapsed)
+        return records, len(batch.aborted)
 
     # ------------------------------------------------------------------
     # The campaign pipeline: plan -> execute -> collect
@@ -586,14 +657,19 @@ class FaultSimulator:
         ``faults[shard_index::shard_count]`` — probability-ranked fault
         lists spread their expensive early faults evenly across shards.
         Checkpointing and sharding both require unique fault ids (run
-        ``FaultList.merge_equivalent()`` first).
+        ``FaultList.merge_equivalent()`` first).  A checkpoint whose
+        header records another slice is refused: the fingerprint does not
+        cover the shard spec (all shards share one identity), so resuming
+        it would silently mix records from two shard layouts.
         """
-        from .executors import (CampaignPlan, record_from_payload,
-                                validate_shard_spec)
+        from .executors import CampaignPlan, record_from_payload
 
         if not len(self.fault_list):
             raise CampaignError("the fault list is empty")
-        validate_shard_spec(shard_index, shard_count)
+        if shard_count < 1 or not 0 <= shard_index < shard_count:
+            raise CampaignError(
+                f"invalid shard specification {shard_index}/{shard_count}: "
+                "need 0 <= shard_index < shard_count")
         if preflight is not None and preflight != self.settings.preflight:
             self.settings = replace(self.settings, preflight=preflight)
         mode = self.settings.preflight
@@ -632,9 +708,19 @@ class FaultSimulator:
             fingerprint = campaign_fingerprint(self.circuit, self.fault_list,
                                                self.settings)
         if checkpoint is not None:
-            from .checkpoint import CampaignCheckpoint
+            from .checkpoint import CampaignCheckpoint, header_slice, read_header
 
-            completed = CampaignCheckpoint.coerce(checkpoint).load(
+            store = CampaignCheckpoint.coerce(checkpoint)
+            header = read_header(store.path)
+            if header is not None:
+                recorded = header_slice(store.path, header)
+                if recorded != (shard_index, shard_count):
+                    raise CampaignError(
+                        f"checkpoint {store.path} was written by shard "
+                        f"{recorded[0]}/{recorded[1]} but this run is shard "
+                        f"{shard_index}/{shard_count}; use a fresh file per "
+                        "shard slice")
+            completed = store.load(
                 fingerprint,
                 timestep_mode=getattr(self.settings.timestep, "mode",
                                       "fixed"))
@@ -651,39 +737,32 @@ class FaultSimulator:
                             shard_index=shard_index, shard_count=shard_count,
                             preflight=mode, diagnostics=diagnostics)
 
-    def run(self, workers: int | None = None, progress_callback=None,
-            checkpoint=None, *, executor=None) -> CampaignResult:
+    def run(self, progress_callback=None, checkpoint=None, *, executor=None,
+            shard_index: int = 0, shard_count: int = 1) -> CampaignResult:
         """Run the whole campaign: plan, execute, collect.
 
-        The *plan* stage (:meth:`plan`) partitions the fault list against
-        ``checkpoint`` (a path or a
+        The *plan* stage (:meth:`plan`) takes this run's slice of the
+        fault list — everything, or with ``shard_index``/``shard_count``
+        the cross-host shard ``faults[shard_index::shard_count]`` — and
+        partitions it against ``checkpoint`` (a path or a
         :class:`~repro.anafault.checkpoint.CampaignCheckpoint`): every
         finished record is persisted as it completes and, on a restart
         with the same circuit + fault list + settings, the fault ids
         already on disk are skipped — the merged result is
         indistinguishable from an uninterrupted run (timing telemetry
-        aside).  A checkpoint written by a *different* campaign raises
-        :class:`~repro.errors.CampaignError` instead of mixing results.
+        aside).  A checkpoint written by a *different* campaign, or by
+        another shard slice, raises :class:`~repro.errors.CampaignError`
+        instead of mixing results.  A shard's checkpoint is its shard
+        file: :func:`~repro.anafault.merge_shards` reassembles them.
 
         The *execute* stage is pluggable, and ``executor`` is the single
         execution seam (:mod:`repro.anafault.executors`): pass
         ``PoolExecutor(N)`` for a process pool with the shared-memory
         nominal (section II mentions the workstation-cluster
         parallelisation of AnaFAULT; fault-level parallelism is
-        embarrassingly parallel), a ``ShardExecutor`` to run one
-        cross-host shard (its slice and JSONL output path — the reserved
-        ``shard_index``/``shard_count``/``checkpoint`` executor
-        attributes — are honoured automatically), a ``BatchedExecutor``
-        for lockstep SIMD batches, or nothing for the ``SerialExecutor``
-        default.
-
-        ``workers`` is the *deprecated* spelling of that choice: passing
-        it emits a :class:`DeprecationWarning` and constructs the exact
-        executor the old API did (``PoolExecutor(workers)`` for
-        ``workers > 1``, the serial default otherwise), so legacy calls
-        stay behaviorally identical record for record.  Combining it with
-        an explicit ``executor`` raises — parallelism belongs to the
-        executor (``PoolExecutor(N)``, ``ShardExecutor(..., workers=N)``).
+        embarrassingly parallel), a ``BatchedExecutor`` for lockstep
+        batches, or nothing for the ``SerialExecutor`` default.  Any
+        executor runs any slice.
 
         The *collect* stage assembles the ordered records, the executor's
         telemetry and the timings into the :class:`CampaignResult`.
@@ -694,67 +773,28 @@ class FaultSimulator:
         one — so a resumed campaign reports monotone ``done/total``
         progress from its very first event instead of starting mid-count.
         """
-        from .executors import BatchedExecutor, PoolExecutor, SerialExecutor
+        from .executors import BatchedExecutor, SerialExecutor
 
-        if workers is not None:
-            warnings.warn(
-                "FaultSimulator.run(workers=N) is deprecated; pass "
-                "executor=PoolExecutor(N) (or SerialExecutor()) instead",
-                DeprecationWarning, stacklevel=2)
-            if executor is not None and workers != 1:
-                raise CampaignError(
-                    "run(workers=..., executor=...) is ambiguous: give "
-                    "the worker count to the executor instead "
-                    "(PoolExecutor(N), ShardExecutor(..., workers=N))")
         if executor is None:
-            if workers is not None and workers > 1:
-                executor = PoolExecutor(workers)
-            else:
-                executor = SerialExecutor()
-                # CI leg: REPRO_FORCE_BATCHED=<width> substitutes the
-                # batched executor for the serial default, so the whole
-                # tier-1 suite doubles as a batched-vs-serial differential
-                # harness — for fixed *and* adaptive campaigns (lockstep
-                # synchronises adaptive variants on the shared print
-                # grid).  Only the defaultable case is forced (explicit
-                # executors keep their path).
-                forced = os.environ.get("REPRO_FORCE_BATCHED", "").strip()
-                if forced and forced != "0":
-                    width = int(forced) if forced.isdigit() else 4
-                    executor = BatchedExecutor(batch_width=max(1, width))
-        executor_checkpoint = getattr(executor, "checkpoint", None)
-        if checkpoint is None:
-            # A ShardExecutor brings its own JSONL output file.
-            checkpoint = executor_checkpoint
-        elif executor_checkpoint is not None:
-            raise CampaignError(
-                "run(checkpoint=..., executor=...) is ambiguous: the "
-                "executor already declares its own shard output file — "
-                "pass the path to the executor only")
-        shard_index = int(getattr(executor, "shard_index", 0))
-        shard_count = int(getattr(executor, "shard_count", 1))
+            executor = SerialExecutor()
+            # CI leg: REPRO_FORCE_BATCHED=<width> substitutes the batched
+            # executor for the serial default, so the whole tier-1 suite
+            # doubles as a batched-vs-serial differential harness — for
+            # fixed *and* adaptive campaigns (lockstep synchronises
+            # adaptive variants on the shared print grid).  Only the
+            # defaultable case is forced (explicit executors keep their
+            # path).
+            forced = os.environ.get("REPRO_FORCE_BATCHED", "").strip()
+            if forced and forced != "0":
+                width = int(forced) if forced.isdigit() else 4
+                executor = BatchedExecutor(batch_width=max(1, width))
 
         start = _time.perf_counter()
         checkpoint_store = None
         if checkpoint is not None:
-            from .checkpoint import CampaignCheckpoint, read_header
+            from .checkpoint import CampaignCheckpoint
 
             checkpoint_store = CampaignCheckpoint.coerce(checkpoint)
-            header = read_header(checkpoint_store.path)
-            if header is not None:
-                # The campaign fingerprint does not cover the shard spec
-                # (all shards share one identity), so an existing file run
-                # under a different slice would resume cleanly and then
-                # silently mix records from two shard layouts; refuse here
-                # instead of producing a confusing merge failure later.
-                recorded = (int(header.get("shard_index", 0)),
-                            int(header.get("shard_count", 1)))
-                if recorded != (shard_index, shard_count):
-                    raise CampaignError(
-                        f"checkpoint {checkpoint_store.path} was written by "
-                        f"shard {recorded[0]}/{recorded[1]} but this run is "
-                        f"shard {shard_index}/{shard_count}; use a fresh "
-                        "file per shard slice")
 
         plan = self.plan(checkpoint=checkpoint_store,
                          shard_index=shard_index, shard_count=shard_count)
@@ -828,16 +868,10 @@ class FaultSimulator:
 
 def run_campaign(circuit: Circuit, fault_list: FaultList,
                  settings: CampaignSettings | None = None,
-                 workers: int | None = None, checkpoint=None, *,
-                 executor=None) -> CampaignResult:
+                 checkpoint=None, *, executor=None) -> CampaignResult:
     """Convenience wrapper: build a :class:`FaultSimulator` and run it.
 
     ``executor``/``checkpoint`` are forwarded to
-    :meth:`FaultSimulator.run` — the same single execution seam —
-    including the deprecated ``workers`` spelling (and its
-    :class:`DeprecationWarning`)."""
-    simulator = FaultSimulator(circuit, fault_list, settings)
-    if workers is None:
-        return simulator.run(checkpoint=checkpoint, executor=executor)
-    return simulator.run(workers=workers, checkpoint=checkpoint,
-                         executor=executor)
+    :meth:`FaultSimulator.run` — the same single execution seam."""
+    return FaultSimulator(circuit, fault_list, settings).run(
+        checkpoint=checkpoint, executor=executor)

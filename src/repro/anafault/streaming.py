@@ -17,7 +17,7 @@ degrades cleanly: when shared memory is unavailable (platform without
 carries the waveform dict and pickles it the old way.  Both stores expose the
 same small interface (:meth:`~NominalStore.waveforms`,
 :meth:`~NominalStore.payload_bytes`, :meth:`~NominalStore.dispose`,
-:attr:`~NominalStore.kind`), so the parallel layer does not care which one it
+:attr:`~NominalStore.kind`), so the pool executor does not care which one it
 was handed.
 """
 
@@ -71,8 +71,9 @@ class NominalStore:
 
     The publisher owns the segment: call :meth:`dispose` (idempotent)
     when the pool is done to unmap and unlink it.  Workers keep their
-    attachment alive for the lifetime of their ``_WORKER_STATE`` and are
-    cleaned up by process exit.
+    attachment alive for the lifetime of the pool's worker state
+    (``repro.anafault.executors._WORKER_STATE``) and are cleaned up by
+    process exit.
     """
 
     kind = "shared_memory"

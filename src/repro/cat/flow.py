@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..anafault import (CampaignResult, CampaignSettings, FaultSimulator,
-                        PoolExecutor)
+from ..anafault import CampaignResult, CampaignSettings, FaultSimulator
 from ..defects import DefectSizeDistribution, DefectStatistics
 from ..extract import ExtractionResult, LVSReport, compare, extract_netlist
 from ..layout import Layout
@@ -103,21 +102,22 @@ class CATFlow:
         return CATResult(self.schematic, self.layout, extraction, lvs,
                          schematic_faults, l2rfm_faults, realistic)
 
-    def run(self, workers: int = 1, fault_limit: int | None = None,
-            fault_list: FaultList | None = None) -> CATResult:
+    def run(self, fault_limit: int | None = None,
+            fault_list: FaultList | None = None, *,
+            executor=None) -> CATResult:
         """Run the full flow including the AnaFAULT campaign.
 
         ``fault_limit`` truncates the realistic fault list (useful for quick
         runs); ``fault_list`` overrides LIFT's output entirely (e.g. to
-        simulate the schematic fault list instead).
+        simulate the schematic fault list instead).  ``executor`` is
+        forwarded to :meth:`~repro.anafault.FaultSimulator.run`
+        (``PoolExecutor(N)`` for a process pool, ``None`` for the serial
+        default).
         """
         result = self.extract_faults()
         faults = fault_list if fault_list is not None else result.realistic_faults
         if fault_limit is not None:
             faults = faults.top(fault_limit)
         simulator = FaultSimulator(self.schematic, faults, self.options.campaign)
-        # None keeps the defaultable serial path (REPRO_FORCE_BATCHED and
-        # friends) instead of pinning an explicit SerialExecutor.
-        executor = PoolExecutor(workers) if workers > 1 else None
         result.campaign = simulator.run(executor=executor)
         return result

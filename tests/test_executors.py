@@ -5,12 +5,14 @@ Covers the plan -> execute -> collect decomposition of the campaign layer
 
 * the :class:`~repro.anafault.CampaignPlan` partitioning (shard slices,
   checkpoint skipped/pending, validation),
-* the executor seam (serial, pool, shard, and a custom executor plugged in
-  through ``FaultSimulator.run(executor=...)``),
-* shard-identity guarantees: 2/3/uneven shard splits merge bit-identically
-  to the serial run, overlapping-slice and wrong-fingerprint merges
-  refuse, a missing shard surfaces as ``None`` holes the aggregates
-  tolerate,
+* the executor seam (serial, pool, batched, and a custom executor plugged
+  in through ``FaultSimulator.run(executor=...)``),
+* shard-identity guarantees: 2/3/uneven shard splits
+  (``run(shard_index=, shard_count=, checkpoint=)``) merge bit-identically
+  to the serial run under every executor, overlapping-slice and
+  wrong-fingerprint merges refuse, a missing shard surfaces as ``None``
+  holes the aggregates tolerate, malformed shard files refuse with the
+  file named,
 * the ``python -m repro.anafault`` CLI round-trip via ``subprocess``,
 
 plus the satellite fixes riding along (duplicate-id ``record_for``,
@@ -28,13 +30,14 @@ import sys
 import pytest
 
 from repro.anafault import (
+    BatchedExecutor,
     CampaignSettings,
     ExecutionInfo,
     FaultSimulator,
     PoolExecutor,
     SerialExecutor,
-    ShardExecutor,
     ToleranceSettings,
+    campaign_fingerprint,
     merge_shards,
 )
 from repro.errors import CampaignError
@@ -75,15 +78,18 @@ def _semantic(record) -> tuple:
             record.trace_bytes)
 
 
-def _run_shards(rc_circuit, tmp_path, shard_count, workers=1) -> list:
+def _run_shard(rc_circuit, index, count, path, **kwargs):
+    """Run shard ``index``/``count`` of the campaign into ``path``."""
+    return FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
+        checkpoint=path, shard_index=index, shard_count=count, **kwargs)
+
+
+def _run_shards(rc_circuit, tmp_path, shard_count, executor=None) -> list:
     """Run every shard of a ``shard_count``-way split; returns the paths."""
     paths = []
     for index in range(shard_count):
         path = tmp_path / f"shard{index}-of-{shard_count}.jsonl"
-        executor = ShardExecutor(shard_index=index, shard_count=shard_count,
-                                 path=path, workers=workers)
-        FaultSimulator(rc_circuit, _fault_list(),
-                       _settings()).run(executor=executor)
+        _run_shard(rc_circuit, index, shard_count, path, executor=executor)
         paths.append(path)
     return paths
 
@@ -114,7 +120,7 @@ class TestCampaignPlan:
             with pytest.raises(CampaignError, match="shard specification"):
                 simulator.plan(shard_index=index, shard_count=count)
         with pytest.raises(CampaignError, match="shard specification"):
-            ShardExecutor(shard_index=5, shard_count=2, path="x.jsonl")
+            simulator.run(shard_index=5, shard_count=2)
 
     def test_sharding_requires_unique_fault_ids(self, rc_circuit):
         faults = FaultList("dupes")
@@ -176,56 +182,17 @@ class TestExecutorSeam:
         assert result.workers == 1
         assert result.nominal_store == "local"
 
-    def test_workers_with_explicit_executor_is_ambiguous(self, rc_circuit):
-        """Parallelism belongs to the executor; a workers= request next to
-        an explicit executor would be silently dropped, so it raises."""
-        simulator = FaultSimulator(rc_circuit, _fault_list(), _settings())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(CampaignError, match="ambiguous"):
-                simulator.run(workers=8, executor=SerialExecutor())
-
-    def test_workers_kwarg_is_deprecated_but_identical(self, rc_circuit):
-        """The legacy run(workers=N) spelling warns and constructs the
-        matching executor: record-for-record identical to the executor=
-        path, for the serial and the pool case alike."""
-        def run(**kwargs):
-            return FaultSimulator(rc_circuit, _fault_list(),
-                                  _settings()).run(**kwargs)
-
-        with pytest.warns(DeprecationWarning, match="executor=PoolExecutor"):
-            legacy_serial = run(workers=1)
-        modern_serial = run(executor=SerialExecutor())
-        with pytest.warns(DeprecationWarning):
-            legacy_pool = run(workers=2)
-        modern_pool = run(executor=PoolExecutor(2))
-
-        for legacy, modern in ((legacy_serial, modern_serial),
-                               (legacy_pool, modern_pool)):
-            assert ([_semantic(r) for r in legacy.records]
-                    == [_semantic(r) for r in modern.records])
-        assert legacy_pool.workers == modern_pool.workers == 2
-
     def test_run_campaign_forwards_the_executor_seam(self, rc_circuit):
-        """run_campaign() exposes the same seam: executor= passes through,
-        and the deprecated workers= spelling warns there too."""
+        """run_campaign() exposes the same seam: executor= passes through."""
         from repro.anafault import run_campaign
 
-        modern = run_campaign(rc_circuit, _fault_list(), _settings(),
+        serial = run_campaign(rc_circuit, _fault_list(), _settings(),
                               executor=SerialExecutor())
-        with pytest.warns(DeprecationWarning):
-            legacy = run_campaign(rc_circuit, _fault_list(), _settings(),
-                                  workers=1)
-        assert ([_semantic(r) for r in legacy.records]
-                == [_semantic(r) for r in modern.records])
-
-    def test_checkpoint_with_shard_executor_is_ambiguous(self, rc_circuit,
-                                                         tmp_path):
-        """A checkpoint path next to a ShardExecutor's own output path
-        would silently drop one of the two files; it raises instead."""
-        simulator = FaultSimulator(rc_circuit, _fault_list(), _settings())
-        with pytest.raises(CampaignError, match="ambiguous"):
-            simulator.run(checkpoint=tmp_path / "other.jsonl",
-                          executor=ShardExecutor(0, 2, tmp_path / "s0.jsonl"))
+        pool = run_campaign(rc_circuit, _fault_list(), _settings(),
+                            executor=PoolExecutor(2))
+        assert ([_semantic(r) for r in pool.records]
+                == [_semantic(r) for r in serial.records])
+        assert (serial.executor, pool.executor) == ("serial", "pool")
 
 
 class TestShardIdentity:
@@ -246,11 +213,10 @@ class TestShardIdentity:
 
     def test_shard_run_result_has_holes_for_other_shards(self, rc_circuit,
                                                          tmp_path):
-        executor = ShardExecutor(shard_index=0, shard_count=2,
-                                 path=tmp_path / "s0.jsonl")
-        result = FaultSimulator(rc_circuit, _fault_list(),
-                                _settings()).run(executor=executor)
-        assert result.executor == "shard"
+        result = _run_shard(rc_circuit, 0, 2, tmp_path / "s0.jsonl",
+                            executor=SerialExecutor())
+        # The telemetry names how the slice ran; the slice is its own field.
+        assert result.executor == "serial"
         assert (result.shard_index, result.shard_count) == (0, 2)
         live = [r for r in result.records if r is not None]
         assert [r.fault.fault_id for r in live] == [1, 3, 5]
@@ -263,10 +229,8 @@ class TestShardIdentity:
     def test_shard_rerun_resumes_from_its_own_file(self, rc_circuit,
                                                    tmp_path):
         path = tmp_path / "s0.jsonl"
-        first = FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-            executor=ShardExecutor(0, 2, path))
-        again = FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-            executor=ShardExecutor(0, 2, path))
+        first = _run_shard(rc_circuit, 0, 2, path)
+        again = _run_shard(rc_circuit, 0, 2, path)
         assert again.checkpoint_skipped == 3
         assert list(map(_semantic, again.records)) == \
             list(map(_semantic, first.records))
@@ -277,11 +241,9 @@ class TestShardIdentity:
         the file header must gate resumes: re-running an existing shard
         file under a different slice would silently mix layouts."""
         path = tmp_path / "s0.jsonl"
-        FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-            executor=ShardExecutor(0, 2, path))
+        _run_shard(rc_circuit, 0, 2, path)
         with pytest.raises(CampaignError, match="shard 0/2.*shard 0/3"):
-            FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-                executor=ShardExecutor(0, 3, path))
+            _run_shard(rc_circuit, 0, 3, path)
         # An unsharded resume cannot reuse a shard file either ...
         with pytest.raises(CampaignError, match="shard 0/2"):
             FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
@@ -291,17 +253,38 @@ class TestShardIdentity:
         FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
             checkpoint=plain)
         with pytest.raises(CampaignError, match="shard 1/2"):
-            FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-                executor=ShardExecutor(1, 2, plain))
+            _run_shard(rc_circuit, 1, 2, plain)
 
     def test_pooled_shard_matches_serial_shard(self, rc_circuit, tmp_path):
-        serial = FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-            executor=ShardExecutor(0, 2, tmp_path / "a.jsonl"))
-        pooled = FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-            executor=ShardExecutor(0, 2, tmp_path / "b.jsonl", workers=2))
+        serial = _run_shard(rc_circuit, 0, 2, tmp_path / "a.jsonl",
+                            executor=SerialExecutor())
+        pooled = _run_shard(rc_circuit, 0, 2, tmp_path / "b.jsonl",
+                            executor=PoolExecutor(2))
         assert list(map(_semantic, pooled.records)) == \
             list(map(_semantic, serial.records))
-        assert pooled.executor == "shard"
+        assert pooled.executor == "pool"
+        assert (pooled.shard_index, pooled.shard_count) == (0, 2)
+
+    @pytest.mark.parametrize("executor", [
+        BatchedExecutor(3, early_abort=True), PoolExecutor(2)],
+        ids=["batched-early-abort", "pool"])
+    def test_every_executor_runs_a_shard(self, rc_circuit, tmp_path,
+                                         executor):
+        """Executors no longer own slices, so any of them runs a shard,
+        and the shards merge to the serial verdicts (early abort leaves
+        the verdict fields exact, not the deviation and step counters)."""
+        serial = FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
+            executor=SerialExecutor())
+        paths = _run_shards(rc_circuit, tmp_path, 2, executor=executor)
+        merged = merge_shards(rc_circuit, _fault_list(), _settings(), paths,
+                              require_complete=True)
+
+        def verdict(record):
+            return (record.fault.fault_id, record.status,
+                    record.detection_time, record.detected_on)
+
+        assert list(map(verdict, merged.records)) == \
+            list(map(verdict, serial.records))
 
     def test_shard_header_records_slice_identity(self, rc_circuit, tmp_path):
         from repro.anafault.checkpoint import read_header
@@ -319,8 +302,7 @@ class TestShardIdentity:
         # collide before a single record is compared.
         paths = _run_shards(rc_circuit, tmp_path, 2)
         twin = tmp_path / "twin.jsonl"
-        FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-            executor=ShardExecutor(0, 2, twin))
+        _run_shard(rc_circuit, 0, 2, twin)
         with pytest.raises(CampaignError, match="shard index 0"):
             merge_shards(rc_circuit, _fault_list(), _settings(),
                          [*paths, twin])
@@ -384,6 +366,47 @@ class TestShardIdentity:
                          [tmp_path / "never-written.jsonl"])
 
 
+#: Checkpoint lines no campaign writes ("HEADER" stands for a valid
+#: header), each with the part of the error that says what is wrong.
+MALFORMED_LINES = {
+    "non-object line": (["[1, 2]"], "not a JSON object"),
+    "record without fault_id": (
+        ["HEADER", '{"kind": "record", "status": "detected"}'],
+        "fault_id is None"),
+    "non-integer fault_id": (
+        ["HEADER", '{"kind": "record", "fault_id": "seven"}'],
+        "fault_id is 'seven'"),
+    "non-integer shard header": (
+        ['{"kind": "header", "version": 1, "shard_index": "zero", '
+         '"shard_count": 2}'],
+        "shard_index is 'zero'"),
+}
+
+
+class TestMalformedShardInput:
+    @pytest.mark.parametrize("entry_point", ["run", "merge"])
+    @pytest.mark.parametrize("case", list(MALFORMED_LINES))
+    def test_malformed_checkpoint_names_the_file(self, rc_circuit, tmp_path,
+                                                 case, entry_point):
+        """Every malformed line is a CampaignError naming the file, never
+        an AttributeError/KeyError/ValueError from the JSON plumbing."""
+        lines, reason = MALFORMED_LINES[case]
+        header = json.dumps({
+            "kind": "header", "version": 1,
+            "fingerprint": campaign_fingerprint(rc_circuit, _fault_list(),
+                                                _settings())})
+        path = tmp_path / "broken.jsonl"
+        path.write_text("".join((header if line == "HEADER" else line) + "\n"
+                                for line in lines))
+        with pytest.raises(CampaignError, match=reason) as excinfo:
+            if entry_point == "run":
+                FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
+                    checkpoint=path)
+            else:
+                merge_shards(rc_circuit, _fault_list(), _settings(), [path])
+        assert str(path) in str(excinfo.value)
+
+
 class TestSatelliteFixes:
     def test_record_for_refuses_duplicate_ids(self, rc_circuit):
         faults = FaultList("dupes")
@@ -414,9 +437,8 @@ class TestSatelliteFixes:
 
     def test_shard_progress_counts_the_slice(self, rc_circuit, tmp_path):
         events = []
-        FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-            executor=ShardExecutor(0, 2, tmp_path / "s0.jsonl"),
-            progress_callback=lambda d, t, r: events.append((d, t)))
+        _run_shard(rc_circuit, 0, 2, tmp_path / "s0.jsonl",
+                   progress_callback=lambda d, t, r: events.append((d, t)))
         assert events == [(1, 3), (2, 3), (3, 3)]
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.anafault import (CampaignSettings, FaultSimulator, PoolExecutor,
                             SerialExecutor, ToleranceSettings)
-from repro.anafault.parallel import campaign_chunksize
+from repro.anafault.executors import campaign_chunksize
 from repro.anafault.simulator import FaultSimulationRecord
 from repro.circuits import build_rc_lowpass, build_vco
 from repro.errors import AnalysisError, CampaignError

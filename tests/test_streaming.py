@@ -327,7 +327,7 @@ class TestCheckpointResume:
         monkeypatch.setattr(FaultSimulator, "simulate_fault", poisoned)
         with pytest.raises(RuntimeError, match="injected worker crash"):
             FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-                workers=2, checkpoint=path)
+                executor=PoolExecutor(2), checkpoint=path)
         monkeypatch.undo()
 
         resumed = FaultSimulator(rc_circuit, _fault_list(),
