@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke perf-smoke docs-check lint lint-static lint-examples
+.PHONY: test bench bench-smoke perf-smoke perf-diff docs-check lint lint-static lint-examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -25,6 +25,15 @@ bench-smoke:
 perf-smoke:
 	$(PYTHON) benchmarks/perf/run.py --smoke | tee /dev/stderr | tail -n 1 | \
 		$(PYTHON) -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
+
+## perf benchmark, three interleaved runs per workload, judged metric by
+## metric against BASE with diff.py (the result lands in PERF_OUT, under
+## the git-ignored benchmarks/perf/out/ unless overridden)
+BASE ?= benchmarks/perf/results/baseline.json
+PERF_OUT ?= benchmarks/perf/out/perf-diff.json
+perf-diff:
+	$(PYTHON) benchmarks/perf/run.py --repeats 3 --out $(PERF_OUT)
+	$(PYTHON) benchmarks/perf/diff.py $(BASE) $(PERF_OUT)
 
 ## docs-rot check only (links, paths, dotted names, doctests)
 docs-check:

@@ -170,7 +170,7 @@ class MNASystem:
             solution = np.linalg.solve(self.matrix, self.rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"MNA matrix is singular: {exc}") from exc
-        if not np.all(np.isfinite(solution)):
+        if not np.isfinite(solution).all():
             raise SingularMatrixError("MNA solution contains NaN/Inf")
         return solution
 

@@ -9,10 +9,13 @@ backward compatibility.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ...errors import AnalysisError
 from ...units import DEFAULT_TEMPERATURE_C
 from ..devices.base import CompanionCapacitorBank, Device as _Device
 from ..netlist import Circuit
@@ -54,6 +57,35 @@ class SimulationOptions:
     source_steps: int = 10
     #: Smallest internal transient step as a fraction of the print step.
     min_step_fraction: float = 1.0 / 256.0
+
+    def __post_init__(self) -> None:
+        def invalid(name: str, requirement: str):
+            return AnalysisError(
+                f"SimulationOptions.{name} must be {requirement}, got "
+                f"{getattr(self, name)!r}")
+
+        def real(value) -> bool:
+            return (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and math.isfinite(value))
+
+        for name in ("itl1", "itl4"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 1):
+                raise invalid(name, "an integer >= 1")
+        for name in ("reltol", "vntol", "abstol"):
+            value = getattr(self, name)
+            if not real(value) or value <= 0.0:
+                raise invalid(name, "finite and > 0")
+        for name in ("gmin", "max_voltage_step"):
+            value = getattr(self, name)
+            if not real(value) or value < 0.0:
+                raise invalid(name, "finite and >= 0")
+        method = self.integration
+        if not (isinstance(method, str)
+                and (method.lower().startswith("trap")
+                     or method.lower() in ("gear", "bdf", "be"))):
+            raise invalid("integration", 'one of "trap", "gear", "bdf" or "be"')
 
 
 class SimState:
@@ -168,6 +200,12 @@ class MNABuilder:
                 bank_groups.setdefault(bank_cls, []).append(device)
         self.iteration_banks = [cls(group)
                                 for cls, group in bank_groups.items()]
+        # Devices whose stamp_constant stamps something: nonlinear devices
+        # on the default stamp_constant contribute nothing there.
+        self._constant_devices = [
+            d for d in self.devices
+            if not d.is_nonlinear()
+            or type(d).stamp_constant is not _Device.stamp_constant]
         entries = []
         for device in self.devices:
             entries.extend(device.companion_entries())
@@ -209,7 +247,7 @@ class MNABuilder:
         """Assemble the iteration-constant base system for one Newton solve."""
         base = self._base
         base.clear()
-        for device in self.devices:
+        for device in self._constant_devices:
             device.stamp_constant(base, state)
         if state.mode == "tran":
             self.cap_bank.stamp_tran(base, state)
@@ -230,17 +268,23 @@ class MNABuilder:
             device.stamp_iteration(work, state)
         return work
 
-    def begin_iterations(self) -> None:
-        """Load per-device Newton history into the iteration banks; call
-        once before the build_iteration loop of a solve."""
-        for bank in self.iteration_banks:
-            bank.load_history()
+    def begin_iterations(self) -> np.ndarray:
+        """Per-solve setup of the build_iteration loop; call once before it.
+
+        Returns the absolute convergence tolerance of every unknown
+        (``vntol`` on node rows, ``abstol`` on branch rows).  The banks
+        keep their Newton state across solves, so nothing is loaded.
+        """
+        options = self.options
+        tolerance = np.full(self.size, options.abstol)
+        tolerance[:self.num_nodes] = options.vntol
+        return tolerance
 
     def end_iterations(self) -> None:
-        """Flush bank history and linearisations back to the devices; call
-        once after the build_iteration loop of a solve (also on failure)."""
-        for bank in self.iteration_banks:
-            bank.store_history()
+        """Per-solve teardown of the build_iteration loop; call once after
+        it (also on failure).  The banks own their Newton state, so the
+        last linearisation is already where AC analysis and reporting read
+        it and nothing is flushed."""
 
     def accept_timestep(self, state: SimState) -> None:
         """Commit the accepted transient sub-step to device history.

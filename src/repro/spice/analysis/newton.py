@@ -59,7 +59,7 @@ def solve_newton(builder: MNABuilder, state: SimState,
         state.last_newton_iterations = 1
         return state.x
 
-    builder.begin_iterations()
+    abs_tolerance = builder.begin_iterations()
     try:
         previous = state.x.copy()
         for iteration in range(1, limit + 1):
@@ -79,21 +79,18 @@ def solve_newton(builder: MNABuilder, state: SimState,
             # linearisations in a sane region.
             max_step = options.max_voltage_step
             if max_step > 0.0 and num_nodes > 0:
-                worst = np.max(np.abs(delta[:num_nodes])) if num_nodes else 0.0
+                worst = np.abs(delta[:num_nodes]).max()
                 if worst > max_step:
                     delta *= max_step / worst
                     solution = state.x + delta
 
-            tolerance = np.empty_like(solution)
             reference = np.maximum(np.abs(solution), np.abs(state.x))
-            tolerance[:num_nodes] = (options.reltol * reference[:num_nodes]
-                                     + options.vntol)
-            tolerance[num_nodes:] = (options.reltol * reference[num_nodes:]
-                                     + options.abstol)
-            converged = (bool(np.all(np.abs(delta) <= tolerance))
+            tolerance = options.reltol * reference + abs_tolerance
+            converged = (bool((np.abs(delta) <= tolerance).all())
                          and not state.limited)
 
-            previous = state.x.copy()
+            # state.x is rebound, never written in place: no copy needed.
+            previous = state.x
             state.x = solution
 
             if converged and iteration > 1:

@@ -53,9 +53,11 @@ class Device:
     #: of calling the device.
     companion_only_accept = False
     #: Optional class implementing vectorized per-iteration stamping for all
-    #: devices of this type at once (``bank_cls(devices)`` with
-    #: ``stamp_iteration(system, state)`` / ``load_history()`` /
-    #: ``store_history()``).  ``None`` keeps the scalar
+    #: devices of this type at once: ``bank_cls(devices)`` builds the bank
+    #: once per analysis and ``stamp_iteration(system, state)`` stamps every
+    #: member per Newton iteration.  The bank owns the members' Newton
+    #: state across solves; the devices keep views of it, so the scalar
+    #: path reads and writes the same numbers.  ``None`` keeps the scalar
     #: :meth:`stamp_iteration` path.
     ITERATION_BANK: type | None = None
 
@@ -196,6 +198,43 @@ def stamp_vccs(system, out_p: int, out_n: int, in_p: int, in_n: int,
     system.add(out_n, in_n, gm)
 
 
+def replaced_slot(values: np.ndarray, slot: int, value) -> np.ndarray:
+    """A copy of ``values`` with ``values[slot] = value``.
+
+    The state arrays a bank shares with its devices (a
+    :class:`CompanionHistory`, a ``MosfetState``) are copy-on-write: never
+    written in place, a bank rebinds freshly computed arrays and a device
+    rebinds this copy.  So a bank may share one array between several
+    fields, and a device write never reaches an array the bank still uses.
+    """
+    values = values.copy()
+    values[slot] = value
+    return values
+
+
+class CompanionHistory:
+    """Companion history ``v_prev``/``i_prev`` of a group of capacitances.
+
+    One array entry per capacitance, copy-on-write (see
+    :func:`replaced_slot`).  A :class:`CompanionCapacitor` reads and writes
+    its entry through ``(holder, slot)``; a :class:`CompanionCapacitorBank`
+    owns one holder for all its members and rebinds both arrays on every
+    accepted step.  The holder references no capacitor, so a bank and its
+    capacitors never form a reference cycle and a dropped circuit is freed
+    by reference counting alone.
+    """
+
+    __slots__ = ("v_prev", "i_prev")
+
+    def __init__(self, v_prev: np.ndarray, i_prev: np.ndarray):
+        self.v_prev = v_prev
+        self.i_prev = i_prev
+
+    @classmethod
+    def zeros(cls, count: int) -> "CompanionHistory":
+        return cls(np.zeros(count), np.zeros(count))
+
+
 class CompanionCapacitor:
     """A linear capacitance stamped via its companion model.
 
@@ -210,12 +249,35 @@ class CompanionCapacitor:
     ``v_prev``/``i_prev`` history, while ``geq`` stays
     ``integ_c0 * C`` — the matrix depends on the leading coefficient only,
     at every order.
+
+    ``v_prev``/``i_prev`` are views of one slot of a
+    :class:`CompanionHistory`: a private one-slot holder until a
+    :class:`CompanionCapacitorBank` adopts the capacitance and assigns it a
+    slot of its own holder.
     """
 
     def __init__(self, capacitance: float):
         self.capacitance = float(capacitance)
-        self.v_prev = 0.0
-        self.i_prev = 0.0
+        self._history = CompanionHistory.zeros(1)
+        self._slot = 0
+
+    @property
+    def v_prev(self) -> float:
+        return float(self._history.v_prev[self._slot])
+
+    @v_prev.setter
+    def v_prev(self, value: float) -> None:
+        history = self._history
+        history.v_prev = replaced_slot(history.v_prev, self._slot, value)
+
+    @property
+    def i_prev(self) -> float:
+        return float(self._history.i_prev[self._slot])
+
+    @i_prev.setter
+    def i_prev(self, value: float) -> None:
+        history = self._history
+        history.i_prev = replaced_slot(history.i_prev, self._slot, value)
 
     def init_state(self, v_initial: float) -> None:
         self.v_prev = v_initial
@@ -268,9 +330,16 @@ class CompanionCapacitorBank:
     RHS entries, with ground terminals dropped).  Each Newton solve then
     fills the shared MNA system with two vectorized ``system.scatter``
     calls (dense: ``np.add.at``; sparse: one appended COO chunk) instead of
-    hundreds of per-device Python calls.  The individual
-    :class:`CompanionCapacitor` objects remain the owners of the companion
-    history (``v_prev``/``i_prev``); the bank gathers it on every stamp.
+    hundreds of per-device Python calls.
+
+    The bank owns the companion history: one :class:`CompanionHistory`
+    holds ``v_prev``/``i_prev`` of every member as arrays, the stamp reads
+    them directly and :meth:`accept` rebinds them.  It starts from zero
+    history, as the devices' ``prepare`` leaves their freshly built
+    capacitances, and points every member's ``v_prev``/``i_prev`` views at
+    its slot of the shared holder, so the scalar path
+    (``CompanionCapacitor.stamp_tran``/``accept``, device ``init_state``)
+    keeps reading and writing the same numbers.
     """
 
     def __init__(self, entries):
@@ -278,6 +347,10 @@ class CompanionCapacitorBank:
                    if cap.capacitance > 0.0]
         self.caps = [cap for cap, _, _ in entries]
         self.capacitance = np.array([cap.capacitance for cap in self.caps])
+        self.history = CompanionHistory.zeros(len(self.caps))
+        for slot, cap in enumerate(self.caps):
+            cap._history = self.history
+            cap._slot = slot
         m_rows: list[int] = []
         m_cols: list[int] = []
         m_cap: list[int] = []
@@ -320,19 +393,13 @@ class CompanionCapacitorBank:
     def __len__(self) -> int:
         return len(self.caps)
 
-    def _history(self) -> tuple[np.ndarray, np.ndarray]:
-        count = len(self.caps)
-        v_prev = np.fromiter((cap.v_prev for cap in self.caps), float, count)
-        i_prev = np.fromiter((cap.i_prev for cap in self.caps), float, count)
-        return v_prev, i_prev
-
     def _ieq(self, state, geq: np.ndarray) -> np.ndarray:
         if state.integ_pred_x is not None:
             v_pred = self._gather(state.integ_pred_x)
             dv_pred = self._gather(state.integ_pred_dx)
             return self.capacitance * dv_pred - geq * v_pred
-        v_prev, i_prev = self._history()
-        return -(geq * v_prev + state.integ_c1 * i_prev)
+        history = self.history
+        return -(geq * history.v_prev + state.integ_c1 * history.i_prev)
 
     def stamp_tran(self, system, state) -> None:
         """Equivalent of calling ``CompanionCapacitor.stamp_tran`` on every
@@ -350,9 +417,6 @@ class CompanionCapacitorBank:
         v_neg = np.where(self._neg_grounded, 0.0, x[self._neg_clipped])
         return v_pos - v_neg
 
-    def _branch_voltages(self, state) -> np.ndarray:
-        return self._gather(state.x)
-
     def accept(self, state) -> None:
         """Equivalent of calling ``CompanionCapacitor.accept`` on every
         registered capacitance: commit the accepted timestep to history."""
@@ -360,8 +424,6 @@ class CompanionCapacitorBank:
             return
         geq = state.integ_c0 * self.capacitance
         ieq = self._ieq(state, geq)
-        v_now = self._branch_voltages(state)
-        i_now = geq * v_now + ieq
-        for cap, v, i in zip(self.caps, v_now.tolist(), i_now.tolist()):
-            cap.v_prev = v
-            cap.i_prev = i
+        v_now = self._gather(state.x)
+        self.history.i_prev = geq * v_now + ieq
+        self.history.v_prev = v_now

@@ -14,7 +14,8 @@ import numpy as np
 
 from ...errors import ModelError
 from ...units import EPS0, EPS_SIO2, parse_value
-from .base import CompanionCapacitor, Device, stamp_current_source
+from .base import (CompanionCapacitor, Device, replaced_slot,
+                   stamp_current_source)
 from .limits import fetlim, limvds
 
 #: Default model parameters for the level-1 model (SPICE defaults).
@@ -32,6 +33,38 @@ DEFAULT_MOS_PARAMS = {
     "cjsw": 2.5e-10,   # F/m of junction perimeter
     "is": 1e-14,
 }
+
+
+#: Field order of a linearisation record (``Mosfet.operating_point``).
+OP_KEYS = ("ids", "gm", "gds", "gmbs", "vgs", "vds", "vbs", "reverse")
+
+
+class MosfetState:
+    """Newton state of a group of MOSFETs, one array entry per device.
+
+    ``vgs_last``/``vds_last`` are the limiting history and ``op`` is the
+    last linearisation as arrays in :data:`OP_KEYS` order, copy-on-write
+    (see :func:`~repro.spice.devices.base.replaced_slot`; the bank shares
+    the limited voltages between ``op`` and the limiting history).  A
+    :class:`MosfetBank` owns one holder for all its members and rebinds
+    the arrays on every Newton iteration; each :class:`Mosfet` reads and
+    writes its slot through ``(holder, slot)``.  The holder references no
+    device: banks and devices never form a reference cycle.
+    """
+
+    __slots__ = ("vgs_last", "vds_last", "op")
+
+    def __init__(self, vgs_last: np.ndarray, vds_last: np.ndarray,
+                 op: tuple):
+        self.vgs_last = vgs_last
+        self.vds_last = vds_last
+        self.op = op
+
+    @classmethod
+    def zeros(cls, count: int) -> "MosfetState":
+        op = tuple(np.zeros(count) for _ in OP_KEYS[:-1])
+        return cls(np.zeros(count), np.zeros(count),
+                   op + (np.zeros(count, dtype=bool),))
 
 
 class Mosfet(Device):
@@ -60,13 +93,45 @@ class Mosfet(Device):
         # Resolved model parameters (filled in by prepare()).
         self.polarity = 1.0
         self.params = dict(DEFAULT_MOS_PARAMS)
-        # Newton history for voltage limiting.
-        self._vgs_last = 0.0
-        self._vds_last = 0.0
-        # Last linearisation (for AC analysis).
-        self._op = {"ids": 0.0, "gm": 0.0, "gds": 0.0, "gmbs": 0.0,
-                    "vgs": 0.0, "vds": 0.0, "vbs": 0.0, "reverse": False}
+        # Newton history for voltage limiting and the last linearisation
+        # (for AC analysis): one slot of a MosfetState, private until a
+        # MosfetBank adopts the device.
+        self._newton = MosfetState.zeros(1)
+        self._slot = 0
         self._caps: dict[str, CompanionCapacitor] = {}
+
+    # ------------------------------------------------------------------
+    # Newton state (views of this device's MosfetState slot)
+    # ------------------------------------------------------------------
+    @property
+    def _vgs_last(self) -> float:
+        return float(self._newton.vgs_last[self._slot])
+
+    @_vgs_last.setter
+    def _vgs_last(self, value: float) -> None:
+        newton = self._newton
+        newton.vgs_last = replaced_slot(newton.vgs_last, self._slot, value)
+
+    @property
+    def _vds_last(self) -> float:
+        return float(self._newton.vds_last[self._slot])
+
+    @_vds_last.setter
+    def _vds_last(self, value: float) -> None:
+        newton = self._newton
+        newton.vds_last = replaced_slot(newton.vds_last, self._slot, value)
+
+    @property
+    def _op(self) -> dict:
+        slot = self._slot
+        return {key: values[slot].item()
+                for key, values in zip(OP_KEYS, self._newton.op)}
+
+    @_op.setter
+    def _op(self, op: dict) -> None:
+        newton = self._newton
+        newton.op = tuple(replaced_slot(values, self._slot, op[key])
+                          for key, values in zip(OP_KEYS, newton.op))
 
     # ------------------------------------------------------------------
     # Preparation
@@ -118,7 +183,6 @@ class Mosfet(Device):
     def _threshold(self, vbs: float) -> tuple[float, float]:
         """Return (von, dvon_dvbs) including body effect."""
         p = self.params
-        vto = float(p["vto"]) * (1.0 if self.polarity > 0 else -1.0)
         # Normalise so that vto is positive in the evaluation frame.
         vto = abs(float(p["vto"]))
         gamma = float(p["gamma"])
@@ -277,8 +341,9 @@ class Mosfet(Device):
     # ------------------------------------------------------------------
     @property
     def operating_point(self) -> dict:
-        """Last linearisation values (ids, gm, gds, gmbs ...)."""
-        return dict(self._op)
+        """Last linearisation values (ids, gm, gds, gmbs ...), as a fresh
+        dict."""
+        return self._op
 
     def drain_current(self, state) -> float:
         """Drain current at the present solution (positive into the drain for
@@ -297,31 +362,48 @@ class Mosfet(Device):
         return -pol * ids
 
 
-def _fetlim_vec(v_new: np.ndarray, v_old: np.ndarray,
-                vto: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.spice.devices.limits.fetlim` (identical
-    piecewise arithmetic, evaluated elementwise)."""
+def _fetlim_vec(v_new: np.ndarray, v_old: np.ndarray, vto: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`~repro.spice.devices.limits.fetlim`, written to
+    ``out``.
+
+    Each branch of the scalar function clamps ``vt_new = v_new - vto`` on
+    one side at most, and every bound is a float the scalar branch would
+    return, so ``minimum``/``maximum`` select exactly its result: above by
+    ``2*vt_old + 2`` in inversion and ``2`` outside it (whichever is
+    larger), below by ``-0.5`` when leaving inversion and by ``vt_old/2``
+    when both voltages are in inversion beyond ``vt_old > 2``.
+    """
     vt_old = v_old - vto
     vt_new = v_new - vto
-    upper = 2.0 * vt_old + 2.0
-    both = np.where(vt_new > upper, upper,
-                    np.where((vt_old > 2.0) & (vt_new < 0.5 * vt_old),
-                             0.5 * vt_old, vt_new))
-    leaving = np.maximum(vt_new, -0.5)
-    entering = np.minimum(vt_new, 2.0)
-    result = np.where(vt_old >= 0.0,
-                      np.where(vt_new >= 0.0, both, leaving),
-                      np.where(vt_new >= 0.0, entering, vt_new))
-    return result + vto
+    np.minimum(vt_new, np.maximum(2.0 * vt_old + 2.0, 2.0), out=out)
+    below = vt_new < 0.0
+    leaving = below & (vt_old >= 0.0)
+    if np.count_nonzero(leaving):
+        np.maximum(out, -0.5, out=out, where=leaving)
+    halving = (vt_old > 2.0) & ~below
+    if np.count_nonzero(halving):
+        np.maximum(out, 0.5 * vt_old, out=out, where=halving)
+    return np.add(out, vto, out=out)
 
 
-def _limvds_vec(v_new: np.ndarray, v_old: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.spice.devices.limits.limvds`."""
-    rising = v_new > v_old
-    high = np.where(rising, np.minimum(v_new, 3.0 * v_old + 2.0),
-                    np.where(v_new < 3.5, np.maximum(v_new, 2.0), v_new))
-    low = np.where(rising, np.minimum(v_new, 4.0), np.maximum(v_new, -0.5))
-    return np.where(v_old >= 3.5, high, low)
+def _limvds_vec(v_new: np.ndarray, v_old: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`~repro.spice.devices.limits.limvds` for
+    ``v_new >= 0`` (an evaluation-frame drain-source voltage), written to
+    ``out``.
+
+    Below ``v_old = 3.5`` the step is capped at 4 V (the scalar function's
+    other lane, ``max(v_new, -0.5)``, never binds for ``v_new >= 0``);
+    from 3.5 V up ``v_new`` is clipped to ``[2, 3*v_old + 2]`` (a rising
+    value can only meet the upper bound, a falling one the lower).
+    """
+    np.minimum(v_new, 4.0, out=out)
+    high = v_old >= 3.5
+    if np.count_nonzero(high):
+        np.minimum(v_new, 3.0 * v_old + 2.0, out=out, where=high)
+        np.maximum(out, 2.0, out=out, where=high)
+    return out
 
 
 class MosfetBank:
@@ -330,26 +412,40 @@ class MosfetBank:
     The bank precomputes the stamp index map of every channel stamp (the
     eight matrix slots ``{d,s} x {g,d,s,b}`` and the two RHS entries per
     device, ground terminals dropped) so that each Newton iteration gathers
-    the terminal voltages, evaluates the Shichman-Hodges equations and the
-    SPICE limiting functions in array form, and fills the shared system with
-    two vectorized ``system.scatter`` calls.  The arithmetic mirrors
+    the terminal voltages as one ``(4, n)`` array, evaluates the
+    Shichman-Hodges equations and the SPICE limiting functions in array
+    form, and fills the shared system with two vectorized
+    ``system.scatter`` calls.  The arithmetic mirrors
     :meth:`Mosfet.stamp_iteration` operation for operation, so the two paths
-    produce bitwise-identical stamps.
+    produce bitwise-identical stamps: constants are precomputed only where
+    they are the leading operation of the scalar expression, lanes are
+    merged with masked copies that keep the selected floats, and when no
+    channel is reversed the drain/source exchange is skipped.
 
-    Device objects stay the owners of the limiting history and the last
-    linearisation (``_op``) *between* solves: :meth:`load_history` gathers
-    them when a solve starts and :meth:`store_history` writes them back when
-    it ends, which keeps the scalar path (legacy ``build``, the AC refresh,
-    operating-point reporting) fully consistent.
+    The bank owns the Newton state of its members across solves: one
+    :class:`MosfetState` holds the limiting history and the last
+    linearisation as arrays, which each iteration reads and rebinds.  It
+    starts from the state :meth:`Mosfet.prepare` leaves a device in (zero
+    limiting history, no linearisation yet) and points every member's
+    views (``_vgs_last``, ``_vds_last``, ``operating_point``) at its slot,
+    so the scalar path (legacy ``build``, the AC refresh, operating-point
+    reporting, ``init_state``) sees the same numbers.
     """
 
     def __init__(self, mosfets):
         self.mosfets = list(mosfets)
         count = len(self.mosfets)
-        idx = np.array([m._idx for m in self.mosfets], dtype=int)
-        self._gather_clip = np.maximum(idx, 0)
-        self._gather_ground = idx < 0
-        d, g, s, b = idx.T
+        self.newton = MosfetState.zeros(count)
+        for slot, mosfet in enumerate(self.mosfets):
+            mosfet._newton = self.newton
+            mosfet._slot = slot
+        idx = np.array([m._idx for m in self.mosfets], dtype=int
+                       ).reshape(count, 4).T
+        # Terminal rows as (4, n): drain, gate, source, bulk.
+        self._gather = np.maximum(idx, 0)
+        grounded = idx < 0
+        self._grounded = grounded if grounded.any() else None
+        d, g, s, b = idx
         self.pol = np.array([m.polarity for m in self.mosfets])
 
         def param(key):
@@ -357,26 +453,32 @@ class MosfetBank:
 
         self.beta = np.array([float(m.params["kp"]) * m.multiplier * m.w / m.l
                               for m in self.mosfets])
+        self.half_beta = 0.5 * self.beta
         self.lam = param("lambda")
         self.vto = np.abs(param("vto"))
         self.gamma = param("gamma")
+        self.neg_gamma = -self.gamma
         self.phi = np.maximum(param("phi"), 0.1)
+        self.two_phi = 2.0 * self.phi
         self.sqrt_phi = np.sqrt(self.phi)
-        self.vgs_last = np.zeros(count)
-        self.vds_last = np.zeros(count)
-        self._last_op: tuple | None = None
+        self.neg_gamma_sqrt_phi = -self.gamma * self.sqrt_phi
+        no_body = self.gamma == 0.0
+        self._no_body = no_body if no_body.any() else None
 
         # Matrix scatter map: slot k of device i contributes value V[k, i]
-        # at (rows[k][i], cols[k][i]); ground entries are dropped up front.
+        # at (rows[k][i], cols[k][i]), in the slot order of the scalar
+        # stamp; ground entries are dropped up front.  V keeps the slots in
+        # the row order of stamp_iteration's value buffer.
         slot_rows = (d, d, d, d, s, s, s, s)
         slot_cols = (g, d, s, b, g, d, s, b)
+        buffer_row = (0, 2, 3, 1, 4, 6, 7, 5)
         m_rows, m_cols, m_slot, m_dev = [], [], [], []
         for slot, (rows, cols) in enumerate(zip(slot_rows, slot_cols)):
             for dev in range(count):
                 if rows[dev] >= 0 and cols[dev] >= 0:
                     m_rows.append(rows[dev])
                     m_cols.append(cols[dev])
-                    m_slot.append(slot)
+                    m_slot.append(buffer_row[slot])
                     m_dev.append(dev)
         self._m_index = (np.asarray(m_rows, dtype=int),
                          np.asarray(m_cols, dtype=int))
@@ -392,123 +494,137 @@ class MosfetBank:
         self._r_rows = np.asarray(r_rows, dtype=int)
         self._r_flat = (np.asarray(r_slot, dtype=int) * count
                         + np.asarray(r_dev, dtype=int))
+        # Stamp value buffers, refilled by every iteration (the scatter
+        # calls receive fancy-indexed copies, never the buffers).
+        self._values = np.empty((8, count))
+        self._values_rhs = np.empty((2, count))
 
     def __len__(self) -> int:
         return len(self.mosfets)
 
     # ------------------------------------------------------------------
-    def load_history(self) -> None:
-        """Gather the limiting history from the device objects."""
-        count = len(self.mosfets)
-        self.vgs_last = np.fromiter((m._vgs_last for m in self.mosfets),
-                                    float, count)
-        self.vds_last = np.fromiter((m._vds_last for m in self.mosfets),
-                                    float, count)
-
-    def store_history(self) -> None:
-        """Write the limiting history and the last linearisation back to the
-        device objects (AC analysis and reporting read them there)."""
-        for index, mosfet in enumerate(self.mosfets):
-            mosfet._vgs_last = float(self.vgs_last[index])
-            mosfet._vds_last = float(self.vds_last[index])
-        if self._last_op is None:
-            return
-        ids, gm, gds, gmbs, vgs, vds, vbs, reverse = self._last_op
-        for index, mosfet in enumerate(self.mosfets):
-            mosfet._op = {"ids": float(ids[index]), "gm": float(gm[index]),
-                          "gds": float(gds[index]), "gmbs": float(gmbs[index]),
-                          "vgs": float(vgs[index]), "vds": float(vds[index]),
-                          "vbs": float(vbs[index]),
-                          "reverse": bool(reverse[index])}
-
-    # ------------------------------------------------------------------
     def _threshold(self, vbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`Mosfet._threshold` (von and dvon/dvbs)."""
-        negative = vbs <= 0.0
-        # Clamps keep the unused lane of each where() free of sqrt/division
-        # warnings; the selected lane is untouched.
-        sqrt_term_n = np.sqrt(np.maximum(self.phi - vbs, 1e-300))
-        von_n = self.vto + self.gamma * (sqrt_term_n - self.sqrt_phi)
-        dvon_n = -self.gamma / (2.0 * sqrt_term_n)
-        denom = np.where(negative, 1.0, 1.0 + vbs / (2.0 * self.phi))
-        sqrt_term_p = self.sqrt_phi / denom
-        von_p = self.vto + self.gamma * (sqrt_term_p - self.sqrt_phi)
-        dvon_p = -self.gamma * self.sqrt_phi / (2.0 * self.phi * denom * denom)
-        von = np.where(negative, von_n, von_p)
-        dvon = np.where(negative, dvon_n, dvon_p)
-        no_body = self.gamma == 0.0
-        return np.where(no_body, self.vto, von), np.where(no_body, 0.0, dvon)
+        """Vectorized :meth:`Mosfet._threshold` (von and dvon/dvbs).
+
+        ``von`` has the same form in both bias lanes once the square-root
+        term is selected, so only that term and ``dvon`` are per lane.
+        """
+        forward = vbs > 0.0
+        # The clamps keep each lane's formula free of sqrt/division warnings
+        # on the other lane's elements; the selected values are untouched.
+        sqrt_term = np.sqrt(np.maximum(self.phi - vbs, 1e-300))
+        denom = 1.0 + np.maximum(vbs, 0.0) / self.two_phi
+        np.copyto(sqrt_term, self.sqrt_phi / denom, where=forward)
+        von = self.vto + self.gamma * (sqrt_term - self.sqrt_phi)
+        dvon = self.neg_gamma / (2.0 * sqrt_term)
+        np.copyto(dvon, self.neg_gamma_sqrt_phi
+                  / (self.two_phi * denom * denom), where=forward)
+        if self._no_body is not None:
+            von = np.where(self._no_body, self.vto, von)
+            dvon = np.where(self._no_body, 0.0, dvon)
+        return von, dvon
 
     def _drain_current(self, vgs, vds, von, dvon):
         """Vectorized :meth:`Mosfet._drain_current` for the limited
-        evaluation-frame voltages."""
+        evaluation-frame voltages.
+
+        Each quantity starts as its triode value and takes the saturation
+        value on saturated lanes (then zero on cut-off lanes) in place.
+        """
+        beta = self.beta
+        lam = self.lam
         vgst = vgs - von
-        clm = 1.0 + self.lam * vds
+        clm = 1.0 + lam * vds
         saturated = vgst <= vds
-        ids_sat = 0.5 * self.beta * vgst * vgst * clm
-        gm_sat = self.beta * vgst * clm
-        gds_sat = 0.5 * self.beta * vgst * vgst * self.lam
-        ids_tri = self.beta * (vgst - 0.5 * vds) * vds * clm
-        gm_tri = self.beta * vds * clm
-        gds_tri = (self.beta * (vgst - vds) * clm
-                   + self.beta * (vgst - 0.5 * vds) * vds * self.lam)
+        # 0.5*beta*vgst*vgst and beta*(vgst - vds/2)*vds, each shared by
+        # ids and gds of its region.
+        half_square = self.half_beta * vgst * vgst
+        triode = beta * (vgst - 0.5 * vds) * vds
+        ids = triode * clm
+        np.copyto(ids, half_square * clm, where=saturated)
+        gm = beta * vds * clm
+        np.copyto(gm, beta * vgst * clm, where=saturated)
+        gds = beta * (vgst - vds) * clm + triode * lam
+        np.copyto(gds, half_square * lam, where=saturated)
         cutoff = vgst <= 0.0
-        ids = np.where(cutoff, 0.0, np.where(saturated, ids_sat, ids_tri))
-        gm = np.where(cutoff, 0.0, np.where(saturated, gm_sat, gm_tri))
-        gds = np.where(cutoff, 0.0, np.where(saturated, gds_sat, gds_tri))
+        for values in (ids, gm, gds):
+            np.copyto(values, 0.0, where=cutoff)
         gmbs = -gm * dvon
+        if self._no_body is not None:
+            # -0.0 * 0.0 is -0.0; the scalar model returns gmbs = 0.0 in
+            # cutoff.
+            np.copyto(gmbs, 0.0, where=cutoff)
         return ids, gm, gds, gmbs
 
     def stamp_iteration(self, system, state) -> None:
         """Stamp every channel linearisation around ``state.x`` at once."""
-        voltages = np.where(self._gather_ground, 0.0,
-                            state.x[self._gather_clip])
-        vd, vg, vs, vb = voltages.T
+        newton = self.newton
+        voltages = state.x[self._gather]
+        if self._grounded is not None:
+            np.copyto(voltages, 0.0, where=self._grounded)
+        vd, vg, vs, vb = voltages
         pol = self.pol
         vds = pol * (vd - vs)
         reverse = vds < 0.0
-        # Exchange drain and source roles where the channel is reversed.
-        v_ref = np.where(reverse, vd, vs)
-        vds_f = np.where(reverse, -vds, vds)
-        vgs_f = pol * (vg - v_ref)
+        flipped = np.count_nonzero(reverse)
+        # Evaluation-frame voltages as requested (row 0: vgs, row 1: vds);
+        # reversed channels exchange the drain and source roles.
+        requested = np.empty((2, len(pol)))
+        requested[1] = vds
+        if flipped:
+            v_ref = vs.copy()
+            np.copyto(v_ref, vd, where=reverse)
+            np.copyto(requested[1], -vds, where=reverse)
+        else:
+            v_ref = vs
+        np.multiply(pol, vg - v_ref, out=requested[0])
         vbs_f = pol * (vb - v_ref)
 
         # Newton step limiting on the evaluation-frame voltages.
         von, dvon = self._threshold(vbs_f)
-        vgs_req, vds_req = vgs_f, vds_f
-        vgs_f = _fetlim_vec(vgs_f, self.vgs_last, von)
-        vds_f = _limvds_vec(vds_f, self.vds_last)
-        limited = ((np.abs(vgs_f - vgs_req) > 1e-6 + 1e-3 * np.abs(vgs_req))
-                   | (np.abs(vds_f - vds_req) > 1e-6 + 1e-3 * np.abs(vds_req)))
-        if limited.any():
+        limited = np.empty_like(requested)
+        vgs_f = _fetlim_vec(requested[0], newton.vgs_last, von, limited[0])
+        vds_f = _limvds_vec(requested[1], newton.vds_last, limited[1])
+        if np.count_nonzero(np.abs(limited - requested)
+                            > 1e-6 + 1e-3 * np.abs(requested)):
             state.limited = True
-        self.vgs_last = vgs_f
-        self.vds_last = vds_f
+        newton.vgs_last = vgs_f
+        newton.vds_last = vds_f
 
         ids, gm, gds, gmbs = self._drain_current(vgs_f, vds_f, von, dvon)
-        self._last_op = (ids, gm, gds, gmbs, vgs_f, vds_f, vbs_f, reverse)
+        newton.op = (ids, gm, gds, gmbs, vgs_f, vds_f, vbs_f, reverse)
 
         # Equivalent current of the linearised characteristic (evaluation
         # frame, flowing from the effective drain to the effective source).
         ieq = ids - gm * vgs_f - gds * vds_f - gmbs * vbs_f
         gds_tot = gds + state.gmin
         total = gm + gds_tot + gmbs
-        # Slot values match Mosfet.stamp_iteration: slots are
-        # (d,g),(d,d),(d,s),(d,b),(s,g),(s,d),(s,s),(s,b).
-        v_dg = np.where(reverse, -gm, gm)
-        v_dd = np.where(reverse, total, gds_tot)
-        v_ds = -np.where(reverse, gds_tot, total)
-        v_db = np.where(reverse, -gmbs, gmbs)
-        values = np.concatenate((v_dg, v_dd, v_ds, v_db,
-                                 -v_dg, -v_dd, -v_ds, -v_db))
+        # Slot values match Mosfet.stamp_iteration.  Buffer rows are the
+        # slots (d,g),(d,b),(d,d),(d,s), then the same four of the s row,
+        # which is the negated d row.  A reversed channel's d row is the
+        # negated forward d row with the (d,d) and (d,s) slots exchanged.
+        values = self._values
+        values[0] = gm
+        values[1] = gmbs
+        values[2] = gds_tot
+        np.negative(total, out=values[3])
+        if flipped:
+            swapped = np.empty((4, len(pol)))
+            np.negative(values[:2], out=swapped[:2])
+            np.negative(values[3:1:-1], out=swapped[2:])
+            np.copyto(values[:4], swapped, where=reverse)
+        np.negative(values[:4], out=values[4:])
         system.scatter(self._m_index[0], self._m_index[1],
-                       values[self._m_flat])
+                       values.reshape(-1)[self._m_flat])
         # RHS: current pol*ieq extracted at the effective drain, injected at
         # the effective source.
         i_rhs = pol * ieq
-        r_d = np.where(reverse, i_rhs, -i_rhs)
-        values_rhs = np.concatenate((r_d, -r_d))
-        system.scatter_rhs(self._r_rows, values_rhs[self._r_flat])
+        values_rhs = self._values_rhs
+        np.negative(i_rhs, out=values_rhs[0])
+        if flipped:
+            np.copyto(values_rhs[0], i_rhs, where=reverse)
+        np.negative(values_rhs[0], out=values_rhs[1])
+        system.scatter_rhs(self._r_rows, values_rhs.reshape(-1)[self._r_flat])
 
 
 Mosfet.ITERATION_BANK = MosfetBank

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import ModelError
+from repro.errors import AnalysisError, ModelError
 from repro.spice import (
     Circuit,
     DCSweepAnalysis,
@@ -13,6 +13,7 @@ from repro.spice import (
     Mosfet,
     OperatingPointAnalysis,
     Resistor,
+    SimulationOptions,
     VoltageControlledSwitch,
     VoltageSource,
 )
@@ -212,3 +213,33 @@ class TestOperatingPointRobustness:
         op = OperatingPointAnalysis(circuit).run()
         with pytest.raises(Exception):
             op.voltage("does_not_exist")
+
+
+class TestSimulationOptionsValidation:
+    """Malformed options fail at construction with an AnalysisError that
+    names the field and the value, instead of deep inside a solve (a raw
+    TypeError from range(), a dt_min ladder of 0-iteration attempts, 60
+    wasted NaN iterations, or a silent fall-back to backward Euler)."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("itl4", 2.5), ("itl4", 0), ("itl4", -3), ("itl1", 0),
+        ("itl1", True), ("itl4", "60"),
+        ("reltol", float("nan")), ("reltol", 0.0), ("vntol", -1e-6),
+        ("abstol", float("inf")),
+        ("gmin", -1.0), ("gmin", float("nan")),
+        ("max_voltage_step", -0.5), ("max_voltage_step", float("inf")),
+        ("integration", "foo"), ("integration", "tarp"), ("integration", 2),
+    ])
+    def test_malformed_value_is_named(self, field, value):
+        with pytest.raises(AnalysisError, match=rf"{field}.*{value!r}"):
+            SimulationOptions(**{field: value})
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"integration": "TRAP"}, {"integration": "trapezoidal"},
+        {"integration": "Gear"}, {"integration": "bdf"},
+        {"integration": "be"}, {"gmin": 0.0}, {"max_voltage_step": 0.0},
+        {"itl4": 1}])
+    def test_valid_values_are_kept_verbatim(self, overrides):
+        options = SimulationOptions(**overrides)
+        for field, value in overrides.items():
+            assert getattr(options, field) == value
