@@ -34,6 +34,7 @@ directory lives in :mod:`repro.anafault.cli`.
 
 from __future__ import annotations
 
+import numbers
 import pathlib
 import pickle
 from dataclasses import dataclass, field
@@ -220,6 +221,15 @@ BATCHES_PER_WORKER = 4
 _WORKER_STATE: dict[str, object] = {}
 
 
+def _positive_count(name: str, value) -> int:
+    """``value`` as an ``int`` if it is an integer >= 1 (numpy integers
+    included, bools not); :class:`CampaignError` naming ``name`` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise CampaignError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def campaign_chunksize(num_faults: int, workers: int) -> int:
     """Chunk size for ``ProcessPoolExecutor.map`` over a fault list."""
     if workers <= 0:
@@ -268,7 +278,7 @@ class PoolExecutor:
     name = "pool"
 
     def __init__(self, workers: int):
-        self.workers = int(workers)
+        self.workers = _positive_count("workers", workers)
 
     def execute(self, simulator, plan: CampaignPlan, nominal: dict,
                 emit: EmitCallback) -> ExecutionInfo:
@@ -316,9 +326,10 @@ class BatchedExecutor:
 
     In the default configuration every record — verdict, detection time,
     ``max_deviation``, step counters, ``trace_bytes`` — is identical to a
-    :class:`SerialExecutor` run of the same campaign (lockstep reorders
-    which variant computes next, never what it computes; the differential
-    suite in ``tests/test_batched.py`` locks this down).  One opt-in lever
+    :class:`SerialExecutor` run of the same campaign (the lockstep Newton
+    rounds fuse the variants' device evaluations and solves, but hand each
+    variant bitwise the floats it computes alone; the differential suite
+    in ``tests/test_batched.py`` locks this down).  One opt-in lever
     trades part of that identity for throughput: ``early_abort=True``
     stops a variant the moment its verdict is decided.  Verdict, detection
     time and detected signal are provably unchanged (the persistence run
@@ -341,9 +352,7 @@ class BatchedExecutor:
     name = "batched"
 
     def __init__(self, batch_width: int = 8, early_abort: bool = False):
-        if int(batch_width) < 1:
-            raise CampaignError("batch_width must be >= 1")
-        self.batch_width = int(batch_width)
+        self.batch_width = _positive_count("batch_width", batch_width)
         self.early_abort = bool(early_abort)
 
     def execute(self, simulator, plan: CampaignPlan, nominal: dict,

@@ -24,6 +24,13 @@ a pluggable choice:
     ``splu`` factorisation, which the transient driver keys by step size on
     the linear-bypass path.
 
+:class:`StackedMNASystem`
+    Several dense systems of one size in one ``(k, n, n)`` block, solved
+    by one stacked LAPACK call with each solution bitwise the one-system
+    result: the lockstep Newton rounds of the batched transient
+    (:class:`~repro.spice.analysis.newton.NewtonRound`) linearise and
+    solve fault variants through it.
+
 Backend selection is automatic by matrix size (:func:`select_backend` with
 :data:`SPARSE_AUTO_THRESHOLD`) and can be forced per analysis via the
 ``solver_backend`` argument of :class:`~repro.spice.analysis.mna.MNABuilder`,
@@ -126,6 +133,16 @@ class MNASystem:
         self.matrix = np.zeros((size, size), dtype=dtype)
         self.rhs = np.zeros(size, dtype=dtype)
 
+    @classmethod
+    def over(cls, matrix: np.ndarray, rhs: np.ndarray) -> "MNASystem":
+        """A system stamping into the given ``matrix``/``rhs`` arrays (e.g.
+        views of a :class:`StackedMNASystem` block)."""
+        system = cls.__new__(cls)
+        system.size = len(rhs)
+        system.matrix = matrix
+        system.rhs = rhs
+        return system
+
     def clear(self) -> None:
         self.matrix[:, :] = 0.0
         self.rhs[:] = 0.0
@@ -177,6 +194,58 @@ class MNASystem:
     def freeze_solver(self):
         """Factorise the present matrix once and return ``solve(rhs) -> x``."""
         return make_lu_solver(self.matrix)
+
+
+class StackedMNASystem:
+    """``count`` dense MNA systems of one size, stored as one
+    ``(count, size, size)`` block and solved with one LAPACK call.
+
+    :attr:`members` are :class:`MNASystem` objects over the slices of the
+    block, stamped like any system.  :meth:`scatter`/:meth:`scatter_rhs`
+    reach all members at once: their rows address the stacked rows, member
+    ``j``'s row ``r`` being ``j * size + r``.  :meth:`solve` factorises and
+    solves each matrix exactly as :meth:`MNASystem.solve` does (one stacked
+    ``gesv``), so every solution is bitwise the one-system result.
+    """
+
+    def __init__(self, count: int, size: int):
+        self.size = size
+        self.matrices = np.zeros((count, size, size))
+        self.rhs = np.zeros((count, size))
+        self._rows = self.matrices.reshape(count * size, size)
+        self._rhs = self.rhs.reshape(count * size)
+        self.members = [MNASystem.over(matrix, rhs)
+                        for matrix, rhs in zip(self.matrices, self.rhs)]
+
+    def scatter(self, rows: np.ndarray, cols: np.ndarray,
+                values: np.ndarray) -> None:
+        np.add.at(self._rows, (rows, cols), values)
+
+    def scatter_rhs(self, rows: np.ndarray, values: np.ndarray) -> None:
+        np.add.at(self._rhs, rows, values)
+
+    def solve(self) -> list:
+        """One outcome per member: its solution, or the
+        :class:`SingularMatrixError` its own :meth:`MNASystem.solve`
+        raises.  A member the stacked call cannot serve (one singular
+        matrix makes LAPACK refuse the whole stack; a non-finite solution
+        fails the check) is re-solved on its own, so an error reaches only
+        the member it belongs to, with its usual message."""
+        try:
+            solutions = np.linalg.solve(self.matrices,
+                                        self.rhs[..., None])[..., 0]
+            finite = np.isfinite(solutions).all(axis=1)
+        except np.linalg.LinAlgError:
+            solutions = finite = [False] * len(self.members)
+        outcomes = []
+        for member, solution, ok in zip(self.members, solutions, finite):
+            if not ok:
+                try:
+                    solution = member.solve()
+                except SingularMatrixError as exc:
+                    solution = exc
+            outcomes.append(solution)
+        return outcomes
 
 
 class _CSCPattern:
@@ -413,6 +482,7 @@ __all__ = [
     "SolverBackend",
     "SparseMNASystem",
     "SparseSolverBackend",
+    "StackedMNASystem",
     "make_lu_solver",
     "select_backend",
     "sparse_available",

@@ -7,6 +7,11 @@ interval by print interval ("lockstep"), which enables the classic
 concurrent-fault-simulation wins of Sebeke/Teixeira/Ohletz without
 changing per-variant semantics:
 
+* **fused Newton rounds** — inside each print-row sweep the nonlinear
+  variants advance Newton iteration by Newton iteration; every round
+  linearises all variants waiting for it with one device-bank evaluation
+  and solves their systems with one stacked LAPACK call
+  (:class:`~repro.spice.analysis.newton.NewtonRound`);
 * **early abort** — an observer watching the freshly produced print rows
   can stop a variant as soon as its verdict is decided (the campaign
   layer plugs the incremental persistence scan in here);
@@ -15,10 +20,14 @@ changing per-variant semantics:
   state and solver cache).
 
 Every variant performs exactly the arithmetic a serial
-:meth:`TransientAnalysis.run` would — lockstep only reorders *which
-variant* computes next, never *what* it computes — so batched and serial
-campaign records are identical by construction.
-``docs/batching.md`` walks through the whole design.
+:meth:`TransientAnalysis.run` would: stepping, damping, convergence
+tests, LTE and rejects run per variant in the shared generators of
+:meth:`TransientRun.steps` and
+:func:`~repro.spice.analysis.newton.newton_iterations` (joined by
+:meth:`TransientRun.iterations`), and the fused
+evaluation and stacked solve hand each variant bitwise the floats its own
+bank and solve compute.  So batched and serial campaign records are
+identical.  ``docs/batching.md`` walks through the whole design.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import AnalysisError, ConvergenceError, SingularMatrixError
+from .newton import NewtonRound
 from .transient import TransientRun
 
 
@@ -40,6 +50,13 @@ class BatchedTransient:
     trails the shared print row.  All variants must produce the same print
     grid (same ``tstop`` / ``tstep``), which a campaign guarantees by
     construction.
+
+    Within one print-row sweep, two or more nonlinear variants run their
+    :meth:`TransientRun.iterations` in lockstep Newton rounds: one
+    :class:`NewtonRound` serves, round by round, every variant whose
+    Newton loop waits for its next linearisation.  A variant alone in
+    its sweep, and a fully linear one, takes its row with
+    :meth:`TransientRun.advance`.
 
     After :meth:`run`, each variant ended in exactly one of three ways:
     a finished :class:`TransientRun` (in :attr:`runs`), an early abort
@@ -63,6 +80,7 @@ class BatchedTransient:
         #: Shared print grid (after :meth:`begin`).
         self.times: np.ndarray | None = None
         self._begun = False
+        self._round = NewtonRound()
 
     @property
     def width(self) -> int:
@@ -114,18 +132,12 @@ class BatchedTransient:
             self._stop(live, observe(0, sorted(live)))
         print_index = 1
         while live:
-            for index in sorted(live):
-                # An adaptive variant may have emitted several print rows
-                # in one advance; only poke it while it still trails the
-                # shared print row (fixed variants always advance here).
-                if self.runs[index].output_index > print_index:
-                    continue
-                try:
-                    self.runs[index].advance()
-                except (ConvergenceError, SingularMatrixError) as exc:
-                    self.errors[index] = exc
-                    self.runs[index] = None
-                    live.discard(index)
+            # An adaptive variant may have emitted several print rows in
+            # one advance; only sweep it while it still trails the shared
+            # print row (fixed variants always advance here).
+            self._sweep([index for index in sorted(live)
+                         if self.runs[index].output_index <= print_index],
+                        live)
             if observe is not None and live:
                 self._stop(live, observe(print_index, sorted(live)))
             # An exhausted adaptive variant may still hold print rows the
@@ -137,6 +149,32 @@ class BatchedTransient:
                     if not (self.runs[index].exhausted and grid_done)}
             print_index += 1
         return self
+
+    def _sweep(self, due: list, live: set) -> None:
+        """Advance every variant in ``due`` by one :meth:`TransientRun.\
+advance`, evicting (from ``live`` too) those that fail."""
+        lockstep = [index for index in due
+                    if not self.runs[index].builder.is_linear]
+        if len(lockstep) < 2:
+            lockstep = []
+        for index in due:
+            if index not in lockstep:
+                try:
+                    self.runs[index].advance()
+                except (ConvergenceError, SingularMatrixError) as exc:
+                    self._evict(index, exc, live)
+        if not lockstep:
+            return
+        failures = self._round.drive(
+            {index: (self.runs[index].builder, self.runs[index].state,
+                     self.runs[index].iterations()) for index in lockstep})
+        for index, exc in failures.items():
+            self._evict(index, exc, live)
+
+    def _evict(self, index: int, exc: Exception, live: set) -> None:
+        self.errors[index] = exc
+        self.runs[index] = None
+        live.discard(index)
 
     def _stop(self, live: set, stops) -> None:
         for index in set(stops or ()):

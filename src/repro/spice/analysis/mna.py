@@ -18,9 +18,10 @@ import numpy as np
 from ...errors import AnalysisError
 from ...units import DEFAULT_TEMPERATURE_C
 from ..devices.base import CompanionCapacitorBank, Device as _Device
+from ..devices.mosfet import FusedMosfetBanks
 from ..netlist import Circuit
-from .backends import (MNASystem, SolverBackend, make_lu_solver,
-                       select_backend)
+from .backends import (MNASystem, SolverBackend, StackedMNASystem,
+                       make_lu_solver, select_backend)
 
 __all__ = ["MNABuilder", "MNASystem", "SimState", "SimulationOptions",
            "make_lu_solver"]
@@ -128,6 +129,12 @@ class SimState:
         self.limited = False
         #: Iteration count of the most recent Newton solve (telemetry).
         self.last_newton_iterations = 0
+
+    def note_limiting(self, exceeded: np.ndarray) -> None:
+        """Set :attr:`limited` if any entry of a device bank's per-device
+        limiting mask ``exceeded`` is set."""
+        if np.count_nonzero(exceeded):
+            self.limited = True
 
     def v(self, index: int) -> float:
         """Voltage of the matrix row ``index`` (ground rows return 0)."""
@@ -268,6 +275,15 @@ class MNABuilder:
             device.stamp_iteration(work, state)
         return work
 
+    def fusion_key(self):
+        """Builders with the same key (not ``None``) may have their Newton
+        iterations built and solved together by :class:`FusedIteration`:
+        dense systems of one size, all with or all without a MOSFET bank
+        (the one kind of iteration bank)."""
+        if not isinstance(self._work, MNASystem):
+            return None
+        return (self.size, len(self.iteration_banks))
+
     def begin_iterations(self) -> np.ndarray:
         """Per-solve setup of the build_iteration loop; call once before it.
 
@@ -324,3 +340,47 @@ class MNABuilder:
         return {name: (complex(solution[i]) if np.iscomplexobj(solution)
                        else float(solution[i]))
                 for name, i in self.node_index.items()}
+
+
+class FusedIteration:
+    """:meth:`MNABuilder.build_iteration` of several circuit variants at
+    once, for one lockstep Newton round.
+
+    The builders share one :meth:`~MNABuilder.fusion_key`.  Variant ``j``
+    is linearised into member ``j`` of one
+    :class:`~repro.spice.analysis.backends.StackedMNASystem`, which then
+    solves all of them with one LAPACK call.  Each member gets exactly
+    what the variant's own ``build_iteration`` stamps, in the same order:
+    the base copy, the bank stamps, then the scalar nonlinear devices.
+    The difference is that the MOSFET banks (the one kind of iteration
+    bank) are evaluated once for all variants
+    (:class:`~repro.spice.devices.mosfet.FusedMosfetBanks`), setting each
+    variant's ``limited`` flag on its own.  The object is reused for every
+    round with the same builders and states.
+    """
+
+    def __init__(self, builders, states):
+        self._builders = list(builders)
+        self._states = list(states)
+        self.system = StackedMNASystem(len(self._builders),
+                                       self._builders[0].size)
+        self._fused = [
+            FusedMosfetBanks(banks, self.system, self._states)
+            for banks in zip(*(builder.iteration_banks
+                               for builder in self._builders))]
+
+    def build(self) -> StackedMNASystem:
+        """The stacked system, every member linearised around its
+        variant's present iterate."""
+        members = self.system.members
+        for builder, state, member in zip(self._builders, self._states,
+                                          members):
+            member.copy_from(builder._base)
+            state.limited = False
+        for fused in self._fused:
+            fused.stamp_iteration()
+        for builder, state, member in zip(self._builders, self._states,
+                                          members):
+            for device in builder._scalar_nonlinear:
+                device.stamp_iteration(member, state)
+        return self.system

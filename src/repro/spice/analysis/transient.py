@@ -1,6 +1,6 @@
 """Transient analysis with fixed print step and adaptive internal stepping.
 
-Every run steps through one loop (:meth:`TransientRun.advance`); the two
+Every run steps through one loop (:meth:`TransientRun.steps`); the two
 timestep policies of :class:`TransientOptions` are presets of its controls:
 
 ``mode="fixed"`` (default)
@@ -54,7 +54,7 @@ from ..netlist import Circuit, normalize_node, GROUND
 from ..waveform import Waveform
 from .dc import solve_operating_point
 from .mna import MNABuilder, SimulationOptions
-from .newton import solve_newton
+from .newton import newton_iterations, solve_newton
 
 #: Hard ceiling on the number of print points (guards against pathological
 #: ``tstop/tstep`` ratios allocating unbounded trace memory).
@@ -610,12 +610,15 @@ class TransientRun:
     """One transient analysis, drivable print interval by print interval.
 
     ``TransientAnalysis.run()`` is literally this object driven to
-    completion, so advancing several ``TransientRun`` instances in lockstep
-    (the batched fault-campaign driver of
-    :mod:`repro.spice.analysis.batched`) performs per-variant arithmetic
-    that is operation-for-operation identical to running each analysis
-    serially — the foundation of the batched-vs-serial differential
-    guarantee.
+    completion.  Its stepping loop is the generator :meth:`steps`, which
+    yields wherever a Newton solve is needed: :meth:`advance` serves those
+    solves one at a time, and the batched fault-campaign driver of
+    :mod:`repro.spice.analysis.batched` serves the Newton iterations of
+    several runs in lockstep rounds (one fused device evaluation, one
+    stacked solve) that hand each run bitwise the floats it computes
+    alone.  Either way each run performs per-variant arithmetic that is
+    operation-for-operation identical to running its analysis serially —
+    the foundation of the batched-vs-serial differential guarantee.
 
     Construction solves the initial state and allocates the output buffers;
     :meth:`advance` integrates until the next print row is recorded;
@@ -1003,16 +1006,76 @@ class TransientRun:
         :class:`ConvergenceError` from deeper layers) exactly as the
         one-shot ``run()`` would; the run is dead afterwards.
 
+        This is :meth:`steps` driven alone: each Newton solve it asks for
+        is one :func:`~repro.spice.analysis.newton.solve_newton` call.
+        """
+        steps = self.steps()
+        try:
+            guess = next(steps)
+            while True:
+                try:
+                    solve_newton(self.builder, self.state, x0=guess,
+                                 max_iterations=self.analysis.options.itl4)
+                except (ConvergenceError, SingularMatrixError) as exc:
+                    guess = steps.throw(exc)
+                else:
+                    guess = steps.send(None)
+        except StopIteration as done:
+            return done.value
+
+    def iterations(self):
+        """:meth:`advance` at Newton-iteration granularity, as a generator.
+
+        Each Newton solve :meth:`steps` asks for runs as
+        :func:`~repro.spice.analysis.newton.newton_iterations` (with the
+        limit and the failures :meth:`advance` passes back), so this
+        generator yields wherever the next linearisation of
+        :attr:`builder` around ``state.x`` must be built and solved and
+        takes the solution back (or the solve's
+        :class:`SingularMatrixError` thrown in).  The batched transient
+        serves the iterations of several runs in lockstep rounds
+        (:meth:`~repro.spice.analysis.newton.NewtonRound.drive`).  The
+        generator returns and raises what :meth:`advance` does.
+        """
+        steps = self.steps()
+        try:
+            guess = next(steps)
+            while True:
+                try:
+                    yield from newton_iterations(
+                        self.builder, self.state, x0=guess,
+                        max_iterations=self.analysis.options.itl4)
+                except (ConvergenceError, SingularMatrixError) as exc:
+                    guess = steps.throw(exc)
+                else:
+                    guess = steps.send(None)
+        except StopIteration as done:
+            return done.value
+
+    def steps(self):
+        """The stepping loop of one :meth:`advance`, as a generator.
+
         This is the one stepping loop of both timestep modes (fixed mode
         is a preset of its controls, see :meth:`__init__`).  Each attempt
         consults :meth:`_effective_order`, BDF steps publish the predictor
         polynomial to the device stamps through the simulation state, and
         under error control each accepted step is LTE-tested and lets the
         order controller reconsider.
+
+        Wherever a step needs the nonlinear system solved, the generator
+        yields the initial guess: the driver runs the Newton iteration on
+        :attr:`builder` and :attr:`state` from that guess (``itl4``
+        iterations at most) and sends ``None`` back, or throws in the
+        :class:`ConvergenceError`/:class:`SingularMatrixError` it raised.
+        :meth:`advance` solves with
+        :func:`~repro.spice.analysis.newton.solve_newton`, and
+        :meth:`iterations` expands each solve into its Newton iterations
+        for the lockstep rounds of the batched transient.
+        Fully linear circuits never yield.  The generator returns what
+        :meth:`advance` returns.
         """
         analysis = self.analysis
         topts = self._topts
-        options = analysis.options
         state = self.state
         times = self.times
         tstop = self._tstop
@@ -1062,8 +1125,7 @@ class TransientRun:
                         guess = saved_x
                         if topts.predictor_guess and predicted is not None:
                             guess = predicted
-                        solve_newton(self.builder, state, x0=guess,
-                                     max_iterations=options.itl4)
+                        yield guess
                         self._newton_iterations += \
                             state.last_newton_iterations
                 except (ConvergenceError, SingularMatrixError) as exc:

@@ -430,6 +430,9 @@ class MosfetBank:
     views (``_vgs_last``, ``_vds_last``, ``operating_point``) at its slot,
     so the scalar path (legacy ``build``, the AC refresh, operating-point
     reporting, ``init_state``) sees the same numbers.
+
+    :class:`FusedMosfetBanks` builds one bank over the banks of several
+    circuit variants, evaluated once per lockstep Newton round.
     """
 
     def __init__(self, mosfets):
@@ -464,6 +467,11 @@ class MosfetBank:
         self.neg_gamma_sqrt_phi = -self.gamma * self.sqrt_phi
         no_body = self.gamma == 0.0
         self._no_body = no_body if no_body.any() else None
+        # -0.0 * dvon is +0.0 in cut-off whenever gamma > 0 (dvon < 0), so
+        # only a bank with some other gamma needs the scalar model's
+        # gmbs = 0.0 restored there.  The fix-up is then a no-op on the
+        # gamma > 0 lanes, which is what lets fused banks apply it to all.
+        self._zero_cutoff_gmbs = not bool((self.gamma > 0.0).all())
 
         # Matrix scatter map: slot k of device i contributes value V[k, i]
         # at (rows[k][i], cols[k][i]), in the slot order of the scalar
@@ -550,9 +558,9 @@ class MosfetBank:
         for values in (ids, gm, gds):
             np.copyto(values, 0.0, where=cutoff)
         gmbs = -gm * dvon
-        if self._no_body is not None:
-            # -0.0 * 0.0 is -0.0; the scalar model returns gmbs = 0.0 in
-            # cutoff.
+        if self._zero_cutoff_gmbs:
+            # -0.0 * dvon is -0.0 for dvon >= 0; the scalar model returns
+            # gmbs = 0.0 in cutoff.
             np.copyto(gmbs, 0.0, where=cutoff)
         return ids, gm, gds, gmbs
 
@@ -585,9 +593,8 @@ class MosfetBank:
         limited = np.empty_like(requested)
         vgs_f = _fetlim_vec(requested[0], newton.vgs_last, von, limited[0])
         vds_f = _limvds_vec(requested[1], newton.vds_last, limited[1])
-        if np.count_nonzero(np.abs(limited - requested)
-                            > 1e-6 + 1e-3 * np.abs(requested)):
-            state.limited = True
+        state.note_limiting(np.abs(limited - requested)
+                            > 1e-6 + 1e-3 * np.abs(requested))
         newton.vgs_last = vgs_f
         newton.vds_last = vds_f
 
@@ -625,6 +632,147 @@ class MosfetBank:
             np.copyto(values_rhs[0], i_rhs, where=reverse)
         np.negative(values_rhs[0], out=values_rhs[1])
         system.scatter_rhs(self._r_rows, values_rhs.reshape(-1)[self._r_flat])
+
+
+#: Per-device arrays a fused bank concatenates from its members.
+_FUSED_ARRAYS = ("pol", "beta", "half_beta", "lam", "vto", "gamma",
+                 "neg_gamma", "phi", "two_phi", "sqrt_phi",
+                 "neg_gamma_sqrt_phi")
+
+
+class FusedMosfetBanks:
+    """The :class:`MosfetBank` stamps of several circuit variants from one
+    evaluation (a lockstep Newton round of the batched transient).
+
+    Variant ``j`` has the bank ``banks[j]``, the simulation state
+    ``states[j]`` and the member ``j`` of ``system``, a
+    :class:`~repro.spice.analysis.backends.StackedMNASystem`.
+    :attr:`bank` is a :class:`MosfetBank` over the concatenated members of
+    ``banks``: it reads variant ``j``'s terminal voltages from the
+    concatenated iterates at variant ``j``'s offset, and its scatter maps
+    are the variants' own maps one after the other, shifted to variant
+    ``j``'s rows of the stacked system.  Every kernel operation is
+    elementwise (lane selections only ever touch the lanes they select),
+    so each variant gets the floats its own bank would compute, stamped in
+    its own bank's slot order.
+
+    During :meth:`stamp_iteration` this object is the fused bank's state:
+    :attr:`x` holds the concatenated iterates, :attr:`gmin` the variants'
+    gmin, and :meth:`note_limiting` sets ``limited`` per variant.  Each
+    variant's :class:`MosfetState` is loaded before the evaluation and
+    afterwards holds views of the fresh fused arrays (the copy-on-write
+    rule of :func:`~repro.spice.devices.base.replaced_slot`).  The object
+    references the variants' state holders and simulation states, never a
+    device, so no reference cycle forms.
+    """
+
+    def __init__(self, banks, system, states):
+        banks = list(banks)
+        self.system = system
+        self._holders = [bank.newton for bank in banks]
+        self._states = list(states)
+        counts = [len(bank.pol) for bank in banks]
+        total = sum(counts)
+        self._counts = counts
+        self._bounds = _split_bounds(counts)
+        starts = [start for start, _ in self._bounds]
+        self._starts = np.asarray(starts)
+        size = system.size
+
+        fused = MosfetBank.__new__(MosfetBank)
+        fused.mosfets = []
+        fused.newton = MosfetState.zeros(total)
+        for name in _FUSED_ARRAYS:
+            setattr(fused, name,
+                    np.concatenate([getattr(bank, name) for bank in banks]))
+        # Variant j's unknowns sit at j * size of the concatenated
+        # iterates, and its rows at j * size of the stacked system.
+        fused._gather = np.concatenate(
+            [bank._gather + j * size for j, bank in enumerate(banks)],
+            axis=1)
+        fused._grounded = _concatenate_masks(
+            [bank._grounded for bank in banks],
+            [(4, count) for count in counts])
+        fused._no_body = _concatenate_masks(
+            [bank._no_body for bank in banks], counts)
+        fused._zero_cutoff_gmbs = any(bank._zero_cutoff_gmbs
+                                      for bank in banks)
+
+        def flat(member_flat, count, start):
+            # A variant's buffer entry (row, device) at row * count + device
+            # sits at row * total + start + device in the fused buffer.
+            rows, devices = np.divmod(member_flat, count)
+            return rows * total + start + devices
+
+        fused._m_index = (
+            np.concatenate([bank._m_index[0] + j * size
+                            for j, bank in enumerate(banks)]),
+            np.concatenate([bank._m_index[1] for bank in banks]))
+        fused._m_flat = np.concatenate(
+            [flat(bank._m_flat, count, start)
+             for bank, count, start in zip(banks, counts, starts)])
+        fused._r_rows = np.concatenate(
+            [bank._r_rows + j * size for j, bank in enumerate(banks)])
+        fused._r_flat = np.concatenate(
+            [flat(bank._r_flat, count, start)
+             for bank, count, start in zip(banks, counts, starts)])
+        fused._values = np.empty((8, total))
+        fused._values_rhs = np.empty((2, total))
+        #: The fused :class:`MosfetBank`.
+        self.bank = fused
+        #: Concatenated iterates of the variants (set per round).
+        self.x: np.ndarray | None = None
+        #: gmin of the variants: one float, or one per fused MOSFET.
+        self.gmin = 0.0
+
+    def stamp_iteration(self) -> None:
+        """Stamp every variant's MOSFET linearisations around its own
+        ``state.x`` into its member of the stacked system, through one
+        evaluation."""
+        states = self._states
+        holders = self._holders
+        self.x = np.concatenate([state.x for state in states])
+        gmins = [state.gmin for state in states]
+        if gmins.count(gmins[0]) == len(gmins):
+            self.gmin = gmins[0]
+        else:
+            self.gmin = np.repeat(gmins, self._counts)
+        newton = self.bank.newton
+        newton.vgs_last = np.concatenate(
+            [holder.vgs_last for holder in holders])
+        newton.vds_last = np.concatenate(
+            [holder.vds_last for holder in holders])
+        self.bank.stamp_iteration(self.system, self)
+        op = newton.op
+        for holder, (start, stop) in zip(holders, self._bounds):
+            holder.vgs_last = newton.vgs_last[start:stop]
+            holder.vds_last = newton.vds_last[start:stop]
+            holder.op = tuple([values[start:stop] for values in op])
+
+    def note_limiting(self, exceeded: np.ndarray) -> None:
+        """Set ``limited`` on each variant with a limited MOSFET."""
+        if not np.count_nonzero(exceeded):
+            return
+        hits = np.logical_or.reduceat(exceeded.any(axis=0), self._starts)
+        for state, hit in zip(self._states, hits):
+            if hit:
+                state.limited = True
+
+
+def _concatenate_masks(masks, shapes):
+    """Concatenate optional boolean lane masks (``None``: all false) along
+    the device axis; ``None`` when every mask is."""
+    if all(mask is None for mask in masks):
+        return None
+    return np.concatenate([np.zeros(shape, dtype=bool) if mask is None
+                           else mask for mask, shape in zip(masks, shapes)],
+                          axis=-1)
+
+
+def _split_bounds(lengths) -> list:
+    """``(start, stop)`` of consecutive chunks of ``lengths``."""
+    stops = np.cumsum(lengths).tolist()
+    return list(zip([0] + stops[:-1], stops))
 
 
 Mosfet.ITERATION_BANK = MosfetBank

@@ -40,6 +40,7 @@ from repro.anafault import (
     BatchedExecutor,
     CampaignSettings,
     FaultSimulator,
+    PoolExecutor,
     SerialExecutor,
     StreamingDetector,
     ToleranceSettings,
@@ -426,6 +427,138 @@ class TestDivergence:
 
 
 # ---------------------------------------------------------------------------
+# Lockstep Newton rounds on the VCO: mixed sizes, aborts, eviction
+# ---------------------------------------------------------------------------
+
+#: A short VCO transient: enough print rows for many lockstep rounds.
+VCO_TSTOP, VCO_TSTEP = 3e-7, 1e-8
+VCO_ADAPTIVE = TransientOptions(mode="adaptive", lte_reltol=3e-3,
+                                lte_abstol=1e-4, dt_max=8e-8)
+
+
+@pytest.fixture(scope="module")
+def vco_mixed_faults(vco_layout_pair, vco_fault_list):
+    """Three bridges (19 unknowns), three opens (one extra node: 20) and
+    two parametric MOSFET faults, interleaved so every batch mixes
+    sizes."""
+    circuit, _ = vco_layout_pair
+    bridges = [f for f in vco_fault_list if isinstance(f, BridgingFault)]
+    opens = [f for f in vco_fault_list if isinstance(f, OpenFault)]
+    mosfets = [d.name for d in circuit.devices if d.name.upper()
+               .startswith("M")]
+    parametric = [
+        ParametricFault(9001, probability=1e-9, device=mosfets[0],
+                        parameter="w", relative_change=0.5),
+        ParametricFault(9002, probability=1e-9, device=mosfets[3],
+                        parameter="vto", relative_change=-0.2)]
+    faults = [bridges[0], opens[0], parametric[0], bridges[1], opens[1],
+              parametric[1], bridges[2], opens[2]]
+    return circuit, faults
+
+
+def _vco_analyses(circuit, faults, adaptive: bool):
+    from repro.anafault import inject_fault
+
+    timestep = VCO_ADAPTIVE if adaptive else TransientOptions()
+    return [TransientAnalysis(inject_fault(circuit, fault), tstop=VCO_TSTOP,
+                              tstep=VCO_TSTEP, use_ic=True,
+                              timestep=timestep)
+            for fault in faults]
+
+
+def _solo(analysis, output_index=None):
+    """Print-row bytes and stats of ``analysis`` run alone, to the end or
+    until it has produced the rows before ``output_index``."""
+    run = analysis.start()
+    while (run.output_index < (output_index or len(run.times))
+           and run.advance()):
+        pass
+    return run.data.tobytes(), run.finish().stats
+
+
+class TestLockstepRounds:
+
+    def test_vco_batch_mixes_system_sizes(self, vco_mixed_faults):
+        circuit, faults = vco_mixed_faults
+        sizes = {analysis.start().builder.size for analysis in
+                 _vco_analyses(circuit, faults[:3], adaptive=False)}
+        assert len(sizes) == 2
+
+    @pytest.mark.parametrize("abort", [False, True],
+                             ids=["run-out", "early-abort"])
+    @pytest.mark.parametrize("width", [3, 8])
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_vco_rounds_are_bit_identical_to_solo_runs(
+            self, vco_mixed_faults, adaptive, width, abort):
+        """Opens, bridges and parametric faults in one batch: every
+        variant's print rows and stats are byte for byte its solo run's
+        (for an aborted variant, its solo run cut at the same row)."""
+        circuit, faults = vco_mixed_faults
+        for start in range(0, len(faults), width):
+            chunk = faults[start:start + width]
+            batch = BatchedTransient(_vco_analyses(circuit, chunk, adaptive))
+            # Variant j stops after print row 3 + 3 j (under abort).
+            stops = {j: 3 + 3 * j for j in range(len(chunk))}
+
+            def observe(print_index, live):
+                return [j for j in live if abort and stops[j] == print_index]
+
+            batch.run(observe)
+            assert not batch.errors
+            assert batch.aborted == (set(stops) if abort else set())
+            solo = _vco_analyses(circuit, chunk, adaptive)
+            for j, run in enumerate(batch.runs):
+                cut = run.output_index if abort else None
+                assert (run.data.tobytes(), run.finish().stats) == \
+                    _solo(solo[j], cut), f"fault {chunk[j].fault_id}"
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_vco_campaign_batched_equals_serial(self, vco_mixed_faults,
+                                                adaptive):
+        circuit, faults = vco_mixed_faults
+        settings = _settings(
+            tstop=VCO_TSTOP, tstep=VCO_TSTEP, observation_nodes=("11",),
+            tolerances=ToleranceSettings(0.5, 2e-8),
+            timestep=VCO_ADAPTIVE if adaptive else TransientOptions())
+        fault_list = FaultList("mixed VCO faults", faults)
+        serial, _ = _assert_identical(circuit, fault_list, settings, 8)
+        aborted = _run(circuit, fault_list, settings,
+                       BatchedExecutor(batch_width=3, early_abort=True))
+        assert ([_verdict(r) for r in aborted.records]
+                == [_verdict(r) for r in serial.records])
+
+    def test_nonlinear_eviction_leaves_siblings_bit_identical(
+            self, vco_mixed_faults):
+        """A variant failing inside the lockstep rounds is evicted; its
+        siblings' print rows and stats stay ``array_equal`` to their solo
+        runs.  The poison sits on the per-variant seam the rounds drive,
+        :meth:`TransientRun.steps`."""
+        circuit, faults = vco_mixed_faults
+        chunk = faults[:4]
+        batch = BatchedTransient(_vco_analyses(circuit, chunk, False))
+        batch.begin()
+        run = batch.runs[1]
+        original = run.steps
+
+        def poisoned():
+            if run.output_index >= 12:
+                raise SingularMatrixError("poisoned variant")
+            return (yield from original())
+
+        run.steps = poisoned
+        batch.run()
+        assert batch.runs[1] is None
+        assert isinstance(batch.errors[1], SingularMatrixError)
+        solo = _vco_analyses(circuit, chunk, False)
+        for position in (0, 2, 3):
+            result = batch.runs[position]
+            assert (result.data.tobytes(), result.finish().stats) == \
+                _solo(solo[position])
+
+
+# ---------------------------------------------------------------------------
 # Checkpoint resume + telemetry (satellite: no double counting)
 # ---------------------------------------------------------------------------
 
@@ -545,6 +678,26 @@ class TestKnobs:
     def test_batch_width_validated(self):
         with pytest.raises(CampaignError, match="batch_width"):
             BatchedExecutor(batch_width=0)
+
+    @pytest.mark.parametrize("value", [
+        "abc", float("nan"), None, 2.7, True, False, 0, -3, 2.0, "2",
+        np.float64(3.0), np.bool_(True)])
+    @pytest.mark.parametrize("executor, argument", [
+        (lambda v: BatchedExecutor(batch_width=v), "batch_width"),
+        (PoolExecutor, "workers")], ids=["batched", "pool"])
+    def test_count_arguments_must_be_integers_from_one(
+            self, executor, argument, value):
+        """No foreign exception escapes and nothing is coerced: the error
+        names the argument and the value."""
+        with pytest.raises(CampaignError, match=argument) as caught:
+            executor(value)
+        assert repr(value) in str(caught.value)
+
+    @pytest.mark.parametrize("value", [1, 3, np.int64(3), np.uint8(2)])
+    def test_count_arguments_accept_integers(self, value):
+        assert BatchedExecutor(batch_width=value).batch_width == int(value)
+        assert type(BatchedExecutor(batch_width=value).batch_width) is int
+        assert PoolExecutor(value).workers == int(value)
 
     def test_adaptive_campaigns_batch_like_serial(self, rc_circuit):
         settings = dataclasses.replace(
