@@ -4,6 +4,7 @@ Each benchmark regenerates one table or figure of the paper's evaluation
 (section VI).  Expensive artefacts are shared across benchmarks through
 session fixtures, and every benchmark writes the regenerated table/plot to
 ``benchmarks/results/`` so the reproduction can be inspected after the run.
+The committed files there are full-size runs.
 
 Smoke mode
 ----------
@@ -12,7 +13,8 @@ campaign benchmarks so that CI can execute every ``bench_*`` file quickly.
 Benchmarks read the :func:`smoke` and :func:`fault_budget` fixtures; in
 smoke mode the figure-level assertions that need the full fault list are
 relaxed (the run still exercises the whole pipeline and writes the results
-artefacts).
+artefacts, but to the git-ignored ``benchmarks/out/``, so a shrunk run can
+never overwrite or be committed as a paper artefact).
 
 The smoke run is also a *streaming-on* configuration: the campaign
 benchmarks build their :class:`~repro.anafault.CampaignSettings` from the
@@ -34,10 +36,13 @@ import pytest
 from repro.cat import CATFlow
 from repro.circuits import build_vco_layout
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 #: True when the harness runs in CI smoke mode (``BENCH_SMOKE=1``).
 BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+
+#: Where the regenerated tables and summaries go: the committed
+#: ``results/`` for full runs, the git-ignored ``out/`` for smoke runs.
+RESULTS_DIR = pathlib.Path(__file__).parent / ("out" if BENCH_SMOKE
+                                               else "results")
 
 #: Faults simulated per campaign benchmark in smoke mode.
 SMOKE_FAULT_BUDGET = 6
@@ -79,7 +84,7 @@ def results_dir() -> pathlib.Path:
 
 @pytest.fixture(scope="session")
 def record(results_dir):
-    """Store a regenerated table/figure under ``benchmarks/results`` and echo
+    """Store a regenerated table/figure under :data:`RESULTS_DIR` and echo
     it to stdout."""
 
     def _record(name: str, text: str) -> pathlib.Path:
@@ -105,7 +110,7 @@ def _git_commit() -> str:
 @pytest.fixture(scope="session")
 def record_json(results_dir):
     """Store a machine-readable benchmark summary as
-    ``benchmarks/results/BENCH_<name>.json``.
+    ``BENCH_<name>.json`` under :data:`RESULTS_DIR`.
 
     The human tables of :func:`record` are for reading; these JSON
     companions are for tooling — CI uploads them as artefacts, and

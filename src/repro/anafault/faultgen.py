@@ -328,7 +328,7 @@ class FaultGenerator:
         edges_by_cut: dict[int, list[tuple[int, int]]] = {}
         cut_shape_by_id: dict[int, object] = {}
         cut_layer_by_id: dict[int, str] = {}
-        for u, v, data in connectivity.graph.edges(data=True):
+        for u, v, data in connectivity.graph.edges():
             cut = data.get("cut")
             if cut is None:
                 continue

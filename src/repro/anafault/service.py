@@ -338,13 +338,13 @@ class CampaignJob:
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  lease_size: int = DEFAULT_LEASE_SIZE):
+        self.settings = settings_from_wire(payload["settings"])
         self.payload = {"netlist": str(payload["netlist"]),
                         "faults": str(payload["faults"]),
                         "settings": dict(payload["settings"])}
         parsed = parse_netlist(self.payload["netlist"])
         self.circuit = parsed.circuit
         self.fault_list = FaultList.loads(self.payload["faults"])
-        self.settings = settings_from_wire(self.payload["settings"])
         ids = [fault.fault_id for fault in self.fault_list]
         if len(set(ids)) != len(ids):
             raise CampaignError(

@@ -33,24 +33,20 @@ This module owns the two serialisation problems the protocol has:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import socket
+import types
+import typing
 
-from ..errors import CampaignError
-from ..spice import SimulationOptions, TransientOptions
+from ..errors import CampaignError, ReproError
 from .checkpoint import RECORD_FIELDS
-from .comparator import ToleranceSettings
-from .models import FaultModelOptions
 from .simulator import CampaignSettings
 
-#: Nested dataclass fields of :class:`CampaignSettings` and the constructor
-#: that rebuilds each one from its JSON-dict wire form.
-_NESTED_SETTINGS = {
-    "tolerances": ToleranceSettings,
-    "fault_model": FaultModelOptions,
-    "simulator_options": SimulationOptions,
-    "timestep": TransientOptions,
-}
+#: How a wire-type error names the expected JSON type of a field.
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", dict: "a JSON object",
+               tuple: "a list of strings"}
 
 
 # ---------------------------------------------------------------------------
@@ -82,26 +78,81 @@ def settings_from_wire(wire: dict) -> CampaignSettings:
     """Rebuild a :class:`~repro.anafault.simulator.CampaignSettings` from
     its :func:`settings_to_wire` dict.
 
-    Unknown keys are rejected (they would silently change what is
-    simulated on one side of the wire only); missing keys fall back to the
-    library defaults, so an older client can talk to a newer daemon.
+    The payload is checked against the field types of the settings
+    dataclasses, nested ones included: a payload that is not a JSON
+    object, an unknown key (it would silently change what is simulated on
+    one side of the wire only) or a value of the wrong type raises
+    :class:`~repro.errors.CampaignError` naming the field.  Missing keys
+    fall back to the library defaults, so an older client can talk to a
+    newer daemon.
     """
-    known = {field.name for field in dataclasses.fields(CampaignSettings)}
-    unknown = set(wire) - known
+    return _from_wire(CampaignSettings, wire, "")
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    hints = typing.get_type_hints(cls)
+    return {field.name: hints[field.name]
+            for field in dataclasses.fields(cls) if field.init}
+
+
+def _from_wire(cls: type, wire: object, path: str):
+    """An instance of the dataclass ``cls`` from its wire dict; ``path``
+    names it in errors (``""`` for the payload itself)."""
+    where = f"field {path!r}" if path else "payload"
+    if not isinstance(wire, dict):
+        raise CampaignError(
+            f"settings wire {where} must be a JSON object, got "
+            f"{type(wire).__name__}")
+    prefix = f"{path}." if path else ""
+    types_by_name = _field_types(cls)
+    unknown = sorted(set(wire) - set(types_by_name))
     if unknown:
         raise CampaignError(
-            f"settings wire payload carries unknown field(s) "
-            f"{sorted(unknown)}; both ends of the service protocol must "
-            "run the same repro version")
-    kwargs = {}
-    for name, value in wire.items():
-        rebuild = _NESTED_SETTINGS.get(name)
-        if rebuild is not None and isinstance(value, dict):
-            value = rebuild(**value)
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    return CampaignSettings(**kwargs)
+            f"settings wire {where} carries unknown field(s) "
+            f"{[prefix + str(name) for name in unknown]}; both ends of the "
+            "service protocol must run the same repro version")
+    kwargs = {name: _value_from_wire(types_by_name[name], value,
+                                     prefix + name)
+              for name, value in wire.items()}
+    try:
+        return cls(**kwargs)
+    except ReproError as exc:
+        raise CampaignError(f"settings wire {where}: {exc}") from exc
+
+
+def _value_from_wire(hint, value: object, path: str) -> object:
+    """``value`` as the Python value of a field typed ``hint``: a nested
+    settings dataclass, ``X | None``, ``tuple[str, ...]`` (a JSON list) or
+    one of the scalar types of :data:`_TYPE_NAMES`."""
+    if dataclasses.is_dataclass(hint):
+        return _from_wire(hint, value, path)
+    if isinstance(hint, types.UnionType):
+        if value is None and type(None) in typing.get_args(hint):
+            return None
+        (hint,) = [option for option in typing.get_args(hint)
+                   if option is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        (item, _) = typing.get_args(hint)
+        if isinstance(value, list) and all(_fits(item, entry)
+                                           for entry in value):
+            return tuple(value)
+        hint = tuple
+    elif _fits(hint, value):
+        return value
+    raise CampaignError(
+        f"settings wire field {path!r} must be {_TYPE_NAMES[hint]}, got "
+        f"{value!r}")
+
+
+def _fits(hint: type, value: object) -> bool:
+    """JSON ``value`` is of the scalar type ``hint`` (a JSON integer is a
+    number too, but neither is a boolean)."""
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from .connectivity import (
     ChannelRegion,
     ConductingPiece,
     ConnectivityExtractor,
+    ConnectivityGraph,
     ConnectivityResult,
     ExtractedNet,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "ChannelRegion",
     "ConductingPiece",
     "ConnectivityExtractor",
+    "ConnectivityGraph",
     "ConnectivityResult",
     "ExtractedNet",
     "DeviceExtractionOptions",

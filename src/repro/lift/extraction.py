@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-import networkx as nx
-
 from ..defects import (
     DefectSizeDistribution,
     DefectStatistics,
@@ -240,25 +238,18 @@ def open_effect(connectivity: ConnectivityResult, anchor_map: AnchorMap,
     byte-identical fault records for the same cut — exactly the property
     the collapsing stage's equivalence classes rely on.
     """
-    graph = connectivity.graph
     net = connectivity.piece_net.get(seed_piece)
     if net is None:
         return None
-    net_nodes = [p.index for p in connectivity.pieces
-                 if connectivity.piece_net[p.index] == net]
-    subgraph = graph.subgraph(net_nodes).copy()
     isolated_terminals = anchor_map.terminals_of(removed_nodes)
-    subgraph.remove_nodes_from(removed_nodes)
-    subgraph.remove_edges_from(removed_edges)
-
-    components = list(nx.connected_components(subgraph)) or [set()]
-    groups = [anchor_map.terminals_of(component) for component in components]
-    groups = [g for g in groups if g]
-
     if isolated_terminals:
         # The cut piece itself carried a terminal: that terminal is
         # disconnected from everything else on the net.
         return _terminal_open_template(circuit, isolated_terminals[0])
+    components = connectivity.net_graph(net).connected_components(
+        removed_nodes, removed_edges)
+    groups = [anchor_map.terminals_of(component) for component in components]
+    groups = [g for g in groups if g]
     if len(groups) <= 1:
         return None
     # Net splits into two (or more) groups: use the smallest group as the
@@ -463,7 +454,6 @@ class FaultExtractor:
 
     def _extract_cut_opens(self) -> list:
         connectivity = self.extraction.connectivity
-        graph = connectivity.graph
         faults: list = []
         next_id = 20_000
 
@@ -471,7 +461,7 @@ class FaultExtractor:
         edges_by_cut: dict[int, list[tuple[int, int]]] = {}
         cut_shape_by_id: dict[int, Shape] = {}
         cut_layer_by_id: dict[int, str] = {}
-        for u, v, data in graph.edges(data=True):
+        for u, v, data in connectivity.graph.edges():
             cut = data.get("cut")
             if cut is None:
                 continue

@@ -51,20 +51,28 @@ every stamp flowing through the interface above.
 
 from __future__ import annotations
 
+import functools
+import importlib
+
 import numpy as np
 
 from ...errors import AnalysisError, SingularMatrixError
 
-try:  # pragma: no cover - exercised through make_lu_solver
-    from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
-except ImportError:  # pragma: no cover
-    _lu_factor = _lu_solve = None
 
-try:  # pragma: no cover - exercised through the sparse backend tests
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
-except ImportError:  # pragma: no cover
-    _csc_matrix = _splu = None
+@functools.cache
+def _scipy(module: str):
+    """``scipy.<module>``, imported on first use; ``None`` when it cannot
+    be imported.
+
+    Importing scipy takes about a quarter of a second, and the dense
+    Newton path of a small circuit never needs it, so nothing imports it
+    until an LU factorisation or a sparse system is asked for.
+    """
+    try:
+        return importlib.import_module(f"scipy.{module}")
+    except ImportError:
+        return None
+
 
 #: Smallest number of MNA unknowns for which ``auto`` selection picks the
 #: sparse backend.  Below this the dense LAPACK path wins on constant
@@ -78,7 +86,7 @@ BACKEND_CHOICES = ("auto", "dense", "sparse")
 
 def sparse_available() -> bool:
     """True when ``scipy.sparse`` (and SuperLU) can be imported."""
-    return _splu is not None
+    return _scipy("sparse.linalg") is not None
 
 
 def make_lu_solver(matrix: np.ndarray):
@@ -88,14 +96,15 @@ def make_lu_solver(matrix: np.ndarray):
     a plain dense solve otherwise.  The returned callable raises
     :class:`SingularMatrixError` on singular or non-finite systems.
     """
-    if _lu_factor is not None:
+    linalg = _scipy("linalg")
+    if linalg is not None:
         try:
-            lu = _lu_factor(matrix)
+            lu = linalg.lu_factor(matrix)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise SingularMatrixError(f"MNA matrix cannot be factorised: {exc}") from exc
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            solution = _lu_solve(lu, rhs)
+            solution = linalg.lu_solve(lu, rhs)
             if not np.all(np.isfinite(solution)):
                 raise SingularMatrixError("MNA solution contains NaN/Inf")
             return solution
@@ -302,7 +311,7 @@ class SparseMNASystem:
     """
 
     def __init__(self, size: int, dtype=float):
-        if _splu is None:
+        if not sparse_available():
             raise AnalysisError(
                 "the sparse solver backend requires scipy.sparse")
         if dtype is not float:
@@ -378,13 +387,14 @@ class SparseMNASystem:
             self._pattern = pattern
         data = np.bincount(pattern.coo_to_csc, weights=values,
                            minlength=pattern.nnz)
-        return _csc_matrix((data, pattern.indices, pattern.indptr),
-                           shape=(self.size, self.size))
+        return _scipy("sparse").csc_matrix(
+            (data, pattern.indices, pattern.indptr),
+            shape=(self.size, self.size))
 
     def _factorize(self):
         matrix = self._assemble()
         try:
-            return _splu(matrix)
+            return _scipy("sparse.linalg").splu(matrix)
         except (RuntimeError, ValueError, ArithmeticError) as exc:
             raise SingularMatrixError(
                 f"sparse MNA matrix cannot be factorised: {exc}") from exc
@@ -469,7 +479,7 @@ def select_backend(size: int, choice: str | None = None) -> SolverBackend:
         return DenseSolverBackend()
     if choice == "sparse":
         return SparseSolverBackend()
-    if sparse_available() and size >= SPARSE_AUTO_THRESHOLD:
+    if size >= SPARSE_AUTO_THRESHOLD and sparse_available():
         return SparseSolverBackend()
     return DenseSolverBackend()
 

@@ -88,6 +88,23 @@ class Device:
                 count += 1
         return count
 
+    def clone(self) -> "Device":
+        """A copy for a cloned circuit (:meth:`Circuit.clone`).
+
+        The copy has its own terminal list and shares the parameter values,
+        which are numbers, strings and source shapes that nothing changes
+        in place.  Devices with mutable parameters or analysis state
+        override this to give the copy its own, as freshly built:
+        :meth:`prepare` and :meth:`bind` rebuild the rest before the copy
+        is simulated.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.nodes = list(self.nodes)
+        twin._idx = list(self._idx)
+        twin._branches = list(self._branches)
+        return twin
+
     # ------------------------------------------------------------------
     # Analysis plumbing
     # ------------------------------------------------------------------

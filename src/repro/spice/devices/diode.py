@@ -38,6 +38,11 @@ class Diode(Device):
         self._gd = 0.0
         self._companion = CompanionCapacitor(0.0)
 
+    def clone(self) -> "Diode":
+        twin = super().clone()
+        twin._companion = CompanionCapacitor(self._companion.capacitance)
+        return twin
+
     def is_nonlinear(self) -> bool:
         return True
 

@@ -136,6 +136,16 @@ class Mosfet(Device):
     # ------------------------------------------------------------------
     # Preparation
     # ------------------------------------------------------------------
+    def clone(self) -> "Mosfet":
+        """A copy with its own model parameters and fresh Newton and
+        companion state; :meth:`prepare` builds the capacitances."""
+        twin = super().clone()
+        twin.params = dict(self.params)
+        twin._newton = MosfetState.zeros(1)
+        twin._slot = 0
+        twin._caps = {}
+        return twin
+
     def is_nonlinear(self) -> bool:
         return True
 

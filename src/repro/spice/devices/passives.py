@@ -57,6 +57,11 @@ class Capacitor(Device):
         self.initial_voltage = None if ic is None else parse_value(ic)
         self._companion = CompanionCapacitor(self.capacitance)
 
+    def clone(self) -> "Capacitor":
+        twin = super().clone()
+        twin._companion = CompanionCapacitor(self.capacitance)
+        return twin
+
     def prepare(self, circuit) -> None:
         self._companion = CompanionCapacitor(self.capacitance)
 

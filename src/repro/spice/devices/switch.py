@@ -32,6 +32,11 @@ class VoltageControlledSwitch(Device):
         self.model_name = str(model)
         self.params = dict(DEFAULT_SWITCH_PARAMS)
 
+    def clone(self) -> "VoltageControlledSwitch":
+        twin = super().clone()
+        twin.params = dict(self.params)
+        return twin
+
     def is_nonlinear(self) -> bool:
         return True
 

@@ -218,8 +218,21 @@ class Circuit:
     # Copies and summaries
     # ------------------------------------------------------------------
     def clone(self) -> "Circuit":
-        """Return an independent deep copy of the circuit."""
-        return copy.deepcopy(self)
+        """Return an independent copy of the circuit.
+
+        Devices are copied with :meth:`Device.clone
+        <repro.spice.devices.base.Device.clone>` (own terminal lists,
+        shared parameter values, fresh analysis state) and model cards
+        with :meth:`Model.copy`, so rewiring, resizing or re-modelling the
+        copy leaves this circuit untouched.  The metadata is deep-copied.
+        """
+        twin = Circuit(self.title)
+        twin._devices = {key: device.clone()
+                         for key, device in self._devices.items()}
+        twin.models = {name: model.copy()
+                       for name, model in self.models.items()}
+        twin.metadata = copy.deepcopy(self.metadata)
+        return twin
 
     def summary(self) -> Mapping[str, int]:
         """Return a per-device-class instance count."""

@@ -6,6 +6,7 @@ from repro.circuits import build_cmos_inverter
 from repro.errors import LVSError
 from repro.extract import (
     ConnectivityExtractor,
+    ConnectivityGraph,
     DeviceExtractor,
     compare,
     extract_netlist,
@@ -77,6 +78,50 @@ class TestConnectivitySmall:
         layout.add_rect(METAL1, 0, 0, 2, 2)
         result = ConnectivityExtractor(layout).run()
         assert result.nets[0].name.startswith("n$")
+
+
+class TestConnectivityGraph:
+    """The orders below are part of the fault-list output (which terminal
+    of a split net is reported); they were recorded from the graph library
+    the extractor used before, on the same graph."""
+
+    def _graph(self):
+        graph = ConnectivityGraph()
+        for node in range(20):
+            graph.add_node(node)
+        for u, v in [(3, 11), (11, 19), (19, 27), (3, 27), (27, 35),
+                     (35, 3), (0, 1), (1, 2), (5, 6)]:
+            graph.add_edge(u, v)
+        return graph
+
+    def test_components_and_edges_in_insertion_order(self):
+        graph = self._graph()
+        assert [sorted(c) for c in graph.connected_components()][:4] == [
+            [0, 1, 2], [3, 11, 19, 27, 35], [4], [5, 6]]
+        assert [(u, v) for u, v, _ in graph.edges()] == [
+            (0, 1), (1, 2), (3, 11), (3, 27), (3, 35), (5, 6), (11, 19),
+            (19, 27), (27, 35)]
+
+    def test_small_subgraph_follows_set_order(self):
+        net = self._graph().subgraph([3, 11, 19, 27, 35])
+        assert list(net) == [3, 35, 11, 19, 27]
+
+    def test_cuts_skip_pieces_and_edges_without_copying(self):
+        net = self._graph().subgraph([3, 11, 19, 27, 35])
+        assert [list(c) for c in net.connected_components([27])] == [
+            [11, 35, 3, 19]]
+        assert [list(c) for c in net.connected_components(
+            (), [(3, 11), (19, 11)])] == [[27, 35, 3, 19], [11]]
+        assert [sorted(c) for c in net.connected_components()] == [
+            [3, 11, 19, 27, 35]]
+
+    def test_readding_an_edge_updates_its_attributes_in_place(self):
+        graph = ConnectivityGraph()
+        graph.add_edge(1, 2, cut="a")
+        graph.add_edge(2, 3)
+        graph.add_edge(2, 1, cut="b", cut_layer="via")
+        assert list(graph.edges()) == [
+            (1, 2, {"cut": "b", "cut_layer": "via"}), (2, 3, {})]
 
 
 class TestDeviceRecognition:

@@ -367,6 +367,46 @@ class TestWireFormat:
         with pytest.raises(CampaignError, match="unknown field"):
             settings_from_wire(wire)
 
+    @pytest.mark.parametrize("payload, named", [
+        (None, "payload must be a JSON object, got NoneType"),
+        ([], "payload must be a JSON object, got list"),
+        ("tstop=1", "payload must be a JSON object, got str"),
+        ({"tolerances": 3}, "field 'tolerances' must be a JSON object"),
+        ({"tolerances": {"amp": 2.0}},
+         r"unknown field\(s\) \['tolerances.amp'\]"),
+        ({"tstop": "4u"}, "field 'tstop' must be a number"),
+        ({"tstop": None}, "field 'tstop' must be a number"),
+        ({"use_ic": 1}, "field 'use_ic' must be a boolean"),
+        ({"tail_downsample": 1.5}, "field 'tail_downsample' must be an integer"),
+        ({"tail_downsample": True}, "field 'tail_downsample' must be an integer"),
+        ({"observation_nodes": "11"},
+         "field 'observation_nodes' must be a list of strings"),
+        ({"observation_nodes": [11]},
+         "field 'observation_nodes' must be a list of strings"),
+        ({"initial_conditions": []},
+         "field 'initial_conditions' must be a JSON object"),
+        ({"solver_backend": 0}, "field 'solver_backend' must be a string"),
+        ({"timestep": {"dt_min": "1n"}},
+         "field 'timestep.dt_min' must be a number"),
+        ({"simulator_options": {"itl1": 0}},
+         "field 'simulator_options': SimulationOptions.itl1"),
+        ({"fault_model": {"model": "glue"}},
+         "field 'fault_model': unknown fault model"),
+        ({"tolerances": {"amplitude": -1.0}},
+         "field 'tolerances': tolerances must be non-negative"),
+    ])
+    def test_malformed_settings_raise_a_campaign_error_naming_the_field(
+            self, payload, named):
+        with pytest.raises(CampaignError, match=named):
+            settings_from_wire(payload)
+
+    def test_optional_and_integral_settings_values_are_accepted(self):
+        settings = settings_from_wire({
+            "tstop": 4, "solver_backend": None,
+            "timestep": {"dt_min": None, "dt_max": 1e-9}})
+        assert settings.tstop == 4 and settings.solver_backend is None
+        assert settings.timestep.dt_max == 1e-9
+
     def test_parse_address(self):
         assert parse_address("127.0.0.1:7901") == ("127.0.0.1", 7901)
         assert parse_address(":7901") == ("127.0.0.1", 7901)

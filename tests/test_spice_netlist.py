@@ -1,10 +1,23 @@
 """Tests for the circuit data model."""
 
+import numpy as np
 import pytest
 
+from repro.anafault import FaultInjector
+from repro.circuits import build_vco
 from repro.errors import ModelError, NetlistError
-from repro.spice import Capacitor, Circuit, Model, Mosfet, Resistor, VoltageSource
+from repro.lift import OpenFault
+from repro.spice import (
+    Capacitor,
+    Circuit,
+    Model,
+    Mosfet,
+    Resistor,
+    TransientAnalysis,
+    VoltageSource,
+)
 from repro.spice.netlist import GROUND, normalize_node
+from repro.spice.writer import write_netlist
 
 
 class TestNormalizeNode:
@@ -143,6 +156,55 @@ class TestCloneAndModels:
         clone.add(Resistor("R2", "b", "0", 1))
         assert circuit.device("R1").resistance == 100
         assert len(circuit) == 1
+
+    def test_changing_a_clone_leaves_the_original_untouched(self):
+        circuit = build_vco()
+        netlist = write_netlist(circuit)
+        metadata = repr(circuit.metadata)
+        clone = circuit.clone()
+        assert write_netlist(clone) == netlist
+        mosfet = clone.device("M1")
+        mosfet.nodes[0] = "elsewhere"
+        mosfet.w *= 2.0
+        mosfet.l *= 3.0
+        clone.device("C1").capacitance *= 2.0
+        clone.models["nch"].params["vto"] = 9.0
+        clone.add_model(Model("extra", "nmos"))
+        clone.metadata["blocks"]["added"] = ["M1"]
+        clone.metadata["new"] = 1
+        clone.remove("M2")
+        assert write_netlist(circuit) == netlist
+        assert repr(circuit.metadata) == metadata
+        assert clone.device("M1").nodes[0] == "elsewhere"
+
+    def test_a_clone_owns_its_analysis_state(self):
+        circuit = build_vco()
+        TransientAnalysis(circuit, tstop=5e-8, tstep=1e-8, use_ic=True).run()
+        clone = circuit.clone()
+        for original, copy in zip(circuit.devices, clone.devices):
+            assert copy is not original and copy.nodes is not original.nodes
+        mosfet, twin = circuit.device("M1"), clone.device("M1")
+        assert twin._newton is not mosfet._newton and twin._caps == {}
+        assert (clone.device("C1")._companion
+                is not circuit.device("C1")._companion)
+
+    def test_clone_of_a_simulated_circuit_simulates_like_a_fresh_one(self):
+        simulated = build_vco()
+        TransientAnalysis(simulated, tstop=3e-7, tstep=1e-8,
+                          use_ic=True).run()
+        fault = OpenFault(1, device="M5", terminal="drain")
+        runs = []
+        for template in (simulated, build_vco()):
+            for circuit in (template.clone(),
+                            FaultInjector(template).inject(fault)):
+                runs.append(TransientAnalysis(circuit, tstop=3e-7,
+                                              tstep=1e-8, use_ic=True).run())
+        for cloned, fresh in ((runs[0], runs[2]), (runs[1], runs[3])):
+            assert cloned.stats == fresh.stats
+            assert cloned.nodes == fresh.nodes
+            for node in fresh.nodes:
+                np.testing.assert_array_equal(cloned.waveform(node).y,
+                                              fresh.waveform(node).y)
 
     def test_model_roundtrip(self):
         circuit = Circuit()
