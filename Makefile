@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke perf-smoke perf-diff docs-check lint lint-static lint-examples
+.PHONY: test bench bench-smoke examples perf-smoke perf-diff docs-check lint lint-static lint-examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -18,6 +18,14 @@ bench:
 ## CI smoke pass over every benchmark (shrunk workloads, same pipeline)
 bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/ -q
+
+## run every example script end to end (the VCO campaign on its 6 most
+## probable faults; ~10 s)
+examples:
+	$(PYTHON) examples/quickstart.py
+	$(PYTHON) examples/resistor_model_study.py
+	$(PYTHON) examples/layout_fault_extraction.py
+	$(PYTHON) examples/vco_fault_campaign.py --faults 6
 
 ## perf benchmark smoke (benchmarks/perf, 4 operations per workload, one
 ## round): fails unless the runner's last line, one JSON object, reports

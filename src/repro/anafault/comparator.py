@@ -8,10 +8,16 @@ time tolerance acts as a persistence (glitch) filter: brief edge
 misalignments caused by sampling or small phase shifts are not flagged,
 while a stuck output or an accumulated frequency drift eventually violates
 the band for longer than 0.2 us and is detected.
+
+The rule is implemented once, as the causal scan of
+:class:`StreamingDetector`.  Campaigns feed it print rows as they land;
+:meth:`WaveformComparator.compare` and
+:meth:`~WaveformComparator.compare_many` feed it finished waveforms.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -19,47 +25,6 @@ import numpy as np
 
 from ..errors import CampaignError
 from ..spice.waveform import Waveform
-
-
-def _persistent_deviation(deviation: np.ndarray, window: int) -> np.ndarray:
-    """Largest deviation level sustained for a full persistence window:
-    the maximum over all length-``window`` sample runs of the run's
-    *minimum* deviation, vectorised over the last axis.
-
-    This is the comparator's decision scalar — a fault is detected
-    exactly when it exceeds the amplitude tolerance — and therefore the
-    quantity whose stability :func:`repro.anafault.calibrate_tolerance`
-    bounds across integration grids.  Unlike ``max_deviation`` it is
-    blind to non-persistent spikes (edge misalignment glitches), just
-    like the verdict itself.  Grids shorter than the window can never
-    detect and report 0.
-    """
-    if deviation.shape[-1] == 0:
-        return np.zeros(deviation.shape[:-1])
-    if window <= 1:
-        return deviation.max(axis=-1)
-    if deviation.shape[-1] < window:
-        return np.zeros(deviation.shape[:-1])
-    mins = np.lib.stride_tricks.sliding_window_view(
-        deviation, window, axis=-1).min(axis=-1)
-    return mins.max(axis=-1)
-
-
-def _run_lengths(exceeds: np.ndarray) -> np.ndarray:
-    """Length of the run of consecutive ``True`` values ending at each
-    sample, vectorised over the last axis.
-
-    The cumsum/reset formulation of the comparator's persistence scan
-    (previously a per-sample Python loop): ``maximum.accumulate`` over the
-    index-where-False (−1 before the first ``False``) carries the position
-    of the most recent violation-free sample forward, and the distance to
-    it is exactly the current run length.  Accepts a 1-D sample vector or
-    a stacked (faults × samples) matrix.
-    """
-    indices = np.arange(exceeds.shape[-1])
-    last_false = np.maximum.accumulate(
-        np.where(exceeds, -1, indices), axis=-1)
-    return indices - last_false
 
 
 @dataclass
@@ -82,9 +47,14 @@ class DetectionResult:
     detection_time: float | None
     max_deviation: float
     signal: str = ""
-    #: The comparator's decision scalar (see :func:`_persistent_deviation`):
-    #: the largest deviation sustained for a full persistence window.
-    #: ``detected`` is exactly ``persistent_deviation > amplitude``.
+    #: The comparator's decision scalar: the largest deviation sustained
+    #: for a full persistence window, i.e. the maximum over all
+    #: window-long sample runs of the run's *minimum* deviation (0 when
+    #: the grid is shorter than the window).  ``detected`` is exactly
+    #: ``persistent_deviation > amplitude``; unlike ``max_deviation`` it
+    #: is blind to non-persistent spikes, and
+    #: :func:`repro.anafault.calibrate_tolerance` bounds its shift across
+    #: integration grids.
     persistent_deviation: float = 0.0
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
@@ -98,12 +68,6 @@ class WaveformComparator:
         self.tolerances = tolerances or ToleranceSettings()
 
     # ------------------------------------------------------------------
-    def deviation(self, nominal: Waveform, faulty: Waveform) -> np.ndarray:
-        """Per-sample absolute deviation of ``faulty`` from ``nominal``
-        (the nominal waveform is interpolated onto the faulty time grid)."""
-        nominal_y = nominal.values_at(faulty.x)
-        return np.abs(np.asarray(faulty.y, dtype=float) - nominal_y)
-
     def _persistence_window(self, times: np.ndarray) -> int:
         if times.size < 2 or self.tolerances.time <= 0.0:
             return 1
@@ -115,93 +79,45 @@ class WaveformComparator:
     def compare(self, nominal: Waveform, faulty: Waveform,
                 signal: str = "") -> DetectionResult:
         """Return when (if ever) the faulty waveform violates the amplitude
-        tolerance for at least the time tolerance."""
-        deviation = self.deviation(nominal, faulty)
-        exceeds = deviation > self.tolerances.amplitude
-        max_deviation = float(deviation.max()) if deviation.size else 0.0
-        window = self._persistence_window(faulty.x)
-        persistent = float(_persistent_deviation(deviation, window))
-        if not np.any(exceeds):
-            return DetectionResult(False, None, max_deviation, signal,
-                                   persistent)
-        if window <= 1:
-            first = int(np.argmax(exceeds))
-            return DetectionResult(True, float(faulty.x[first]), max_deviation,
-                                   signal, persistent)
-        hits = np.nonzero(_run_lengths(exceeds) >= window)[0]
-        if hits.size == 0:
-            return DetectionResult(False, None, max_deviation, signal,
-                                   persistent)
-        return DetectionResult(True, float(faulty.x[int(hits[0])]),
-                               max_deviation, signal, persistent)
+        tolerance for at least the time tolerance.
 
-    def compare_batch(self, nominal: Waveform, faulty: list[Waveform],
-                      signal: str = "") -> list[DetectionResult]:
-        """Compare many faulty waveforms against one nominal in a single
-        vectorised pass.
-
-        All faulty waveforms must share one time grid (the campaign case:
-        fixed-step transients print on a common grid); the deviations are
-        stacked into one (faults × samples) matrix and the persistence-
-        window scan runs over the whole matrix at once, shaving the
-        post-processing tail of big campaigns.  Verdicts and detection
-        times are identical to per-waveform :meth:`compare` calls; a
-        mismatched grid raises :class:`~repro.errors.CampaignError` instead
-        of silently comparing unrelated samples.
+        The nominal waveform is interpolated onto the faulty time grid.
+        The result carries ``signal`` whether or not it detects.
         """
-        if not faulty:
-            return []
-        times = np.asarray(faulty[0].x, dtype=float)
-        stacked = np.empty((len(faulty), times.size), dtype=float)
-        for row, wave in enumerate(faulty):
-            x = np.asarray(wave.x, dtype=float)
-            if x.size != times.size or not np.array_equal(x, times):
-                raise CampaignError(
-                    "compare_batch needs all faulty waveforms on one time "
-                    f"grid; waveform {row} differs from waveform 0")
-            stacked[row] = np.asarray(wave.y, dtype=float)
-        if times.size == 0:
-            # Zero-sample traces: per-waveform compare() reports undetected
-            # with zero deviation; match it instead of argmax-ing nothing.
-            return [DetectionResult(False, None, 0.0, signal) for _ in faulty]
-        deviation = np.abs(stacked - nominal.values_at(times))
-        exceeds = deviation > self.tolerances.amplitude
-        max_deviation = deviation.max(axis=1)
-        window = self._persistence_window(times)
-        persistent = _persistent_deviation(deviation, window)
-        hits = exceeds if window <= 1 else _run_lengths(exceeds) >= window
-        detected = hits.any(axis=1)
-        first = hits.argmax(axis=1)
-        return [DetectionResult(bool(detected[row]),
-                                float(times[first[row]]) if detected[row]
-                                else None,
-                                float(max_deviation[row]), signal,
-                                float(persistent[row]))
-                for row in range(len(faulty))]
+        result = self.compare_many({signal: nominal}, {signal: faulty})
+        result.signal = signal
+        return result
 
     def compare_many(self, nominal: dict[str, Waveform],
                      faulty: dict[str, Waveform]) -> DetectionResult:
         """Compare several observation signals; detection on any one counts.
 
-        Returns the earliest detection over all signals.
+        One :class:`StreamingDetector` over the faulty time grid is fed
+        every sample, so the result is the campaign's verdict: the
+        earliest detection over the signals of ``nominal`` that
+        ``faulty`` holds (the first such signal on a tie), and ``signal``
+        is ``""`` when nothing detects.  The faulty waveforms must share
+        one time grid; a signal on another grid raises
+        :class:`~repro.errors.CampaignError`.
         """
-        best: DetectionResult | None = None
-        worst_deviation = 0.0
-        worst_persistent = 0.0
-        for signal, nominal_wave in nominal.items():
-            if signal not in faulty:
-                continue
-            result = self.compare(nominal_wave, faulty[signal], signal)
-            worst_deviation = max(worst_deviation, result.max_deviation)
-            worst_persistent = max(worst_persistent,
-                                   result.persistent_deviation)
-            if result.detected and (best is None or best.detection_time is None
-                                    or result.detection_time < best.detection_time):
-                best = result
-        if best is not None:
-            return best
-        return DetectionResult(False, None, worst_deviation,
-                               persistent_deviation=worst_persistent)
+        signals = {name: wave for name, wave in nominal.items()
+                   if name in faulty}
+        if not signals:
+            return DetectionResult(False, None, 0.0)
+        first = next(iter(signals))
+        times = faulty[first].x
+        for name in signals:
+            if not np.array_equal(faulty[name].x, times):
+                raise CampaignError(
+                    f"faulty signal {name!r} is not on the time grid of "
+                    f"signal {first!r}")
+        columns = {name: np.asarray(faulty[name].y, dtype=float)
+                   for name in signals}
+        detector = StreamingDetector(self, signals, times)
+        for index in range(times.size):
+            detector.feed({name: column[index]
+                           for name, column in columns.items()})
+        return detector.result()
 
 
 @dataclass
@@ -212,8 +128,7 @@ class _SignalScan:
     nominal_y: np.ndarray
     run: int = 0
     max_deviation: float = 0.0
-    first_hit: int | None = None
-    #: Running :func:`_persistent_deviation` over the fed prefix.
+    #: :attr:`DetectionResult.persistent_deviation` over the fed prefix.
     persistent: float = 0.0
     #: Monotonic (index, deviation) min-queue of the current window — the
     #: streaming form of the sliding-window minimum.
@@ -221,19 +136,19 @@ class _SignalScan:
 
 
 class StreamingDetector:
-    """Incremental form of :meth:`WaveformComparator.compare_many`.
+    """The comparator's persistence scan, one sample at a time.
 
-    The batched campaign driver produces print rows one at a time; this
+    The lockstep campaign driver produces print rows one at a time; this
     detector consumes them as they land (:meth:`feed`) and maintains, per
-    observation signal, exactly the state the vectorised cumsum scan of
-    :func:`_run_lengths` computes after the fact: the length of the
-    current run of amplitude violations, the first sample index where a
-    run reached the persistence window, and the running maximum
-    deviation.  Fed every sample of the grid — starting with row 0, the
-    initial state — :meth:`result` returns the :class:`DetectionResult`
-    that ``compare_many`` would return on the completed waveforms,
-    field for field (same earliest-detection/first-signal tie-break, same
-    full-trace ``max_deviation``, same undetected fallback).
+    observation signal, the length of the current run of amplitude
+    violations, the running maximum deviation and the running
+    :attr:`~DetectionResult.persistent_deviation`, plus the first sample
+    where any signal's run reached the persistence window.  Fed every
+    sample of the grid — starting with row 0, the initial state —
+    :meth:`result` is the verdict :meth:`WaveformComparator.compare_many`
+    returns on the completed waveforms (it is the same scan): the earliest
+    detecting sample wins, the first signal on a tie, and an undetected
+    result reports the largest deviations over all signals.
 
     The incremental form is also what makes early abort sound: the
     moment :attr:`decided` turns true, ``detected``/``detection_time``/
@@ -250,19 +165,25 @@ class StreamingDetector:
 
         ``nominal`` maps the observation signals (in comparison order) to
         their fault-free waveforms; every later :meth:`feed` must supply a
-        value for each of these signals.
+        value for each of these signals.  A nominal waveform that is not
+        finite on ``times`` raises :class:`~repro.errors.CampaignError`.
         """
         times = np.asarray(times, dtype=float)
         self._times = times
         self._amplitude = comparator.tolerances.amplitude
         self._window = comparator._persistence_window(times)
         # Zero-sample grids never interpolate (np.interp refuses empty
-        # sample points); the verdict degrades to undetected/0.0 exactly
-        # like compare_batch's zero-sample branch.
+        # sample points); the verdict is undetected with zero deviation.
         self._scans = [
             _SignalScan(signal, (times if times.size == 0
                                  else wave.values_at(times)))
             for signal, wave in nominal.items()]
+        for scan in self._scans:
+            bad = np.flatnonzero(~np.isfinite(scan.nominal_y))
+            if bad.size:
+                raise CampaignError(
+                    f"nominal signal {scan.name!r} is "
+                    f"{scan.nominal_y[bad[0]]} at sample {bad[0]}")
         self._cursor = 0
         self._decision: tuple[int, _SignalScan] | None = None
 
@@ -281,12 +202,38 @@ class StreamingDetector:
         """
         return self._decision is not None
 
+    def _deviations(self, values, index: int) -> list:
+        """|value - nominal| per signal of the row ``values``; a missing
+        signal or a value without a finite deviation raises
+        :class:`~repro.errors.CampaignError` naming signal and sample."""
+        deviations = []
+        for scan in self._scans:
+            try:
+                value = values[scan.name]
+            except (KeyError, TypeError, IndexError):
+                raise CampaignError(
+                    f"StreamingDetector row {index} has no value for "
+                    f"signal {scan.name!r}") from None
+            try:
+                deviation = abs(value - scan.nominal_y[index])
+                finite = bool(deviation < math.inf)
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise CampaignError(
+                    f"StreamingDetector sample {index} of signal "
+                    f"{scan.name!r} is {value!r}, not a finite number")
+            deviations.append(deviation)
+        return deviations
+
     def feed(self, values) -> None:
         """Consume the next print row; ``values`` maps signal name → value.
 
         Rows must arrive in grid order, starting at index 0 (the initial
-        state).  Feeding past the end of the grid raises
-        :class:`~repro.errors.CampaignError`.
+        state).  Feeding past the end of the grid, a row missing a
+        signal, or a value that is not a finite number raises
+        :class:`~repro.errors.CampaignError` and leaves the detector as
+        it was.
         """
         index = self._cursor
         if index >= self._times.size:
@@ -294,8 +241,8 @@ class StreamingDetector:
                 f"StreamingDetector fed {index + 1} samples but the grid "
                 f"has only {self._times.size}")
         window = self._window
-        for scan in self._scans:
-            deviation = abs(values[scan.name] - scan.nominal_y[index])
+        for scan, deviation in zip(self._scans,
+                                   self._deviations(values, index)):
             if deviation > scan.max_deviation:
                 scan.max_deviation = deviation
             if window <= 1:
@@ -303,7 +250,7 @@ class StreamingDetector:
             else:
                 # Sliding-window minimum via a monotonic queue: the head
                 # holds the current window's minimum deviation, and the
-                # running maximum of that is _persistent_deviation.
+                # running maximum of that is the persistent deviation.
                 minq = scan.minq
                 while minq and minq[-1][1] >= deviation:
                     minq.pop()
@@ -314,10 +261,8 @@ class StreamingDetector:
                     scan.persistent = minq[0][1]
             if deviation > self._amplitude:
                 scan.run += 1
-                if scan.run >= window and scan.first_hit is None:
-                    scan.first_hit = index
-                    if self._decision is None:
-                        self._decision = (index, scan)
+                if scan.run >= window and self._decision is None:
+                    self._decision = (index, scan)
             else:
                 scan.run = 0
         self._cursor += 1
@@ -325,10 +270,10 @@ class StreamingDetector:
     def result(self) -> DetectionResult:
         """The verdict over the samples fed so far.
 
-        Identical to ``compare_many`` on the completed waveforms once the
-        whole grid has been fed; callable earlier for early-aborted
-        variants (the verdict fields are final then, ``max_deviation``
-        and ``persistent_deviation`` cover the fed prefix only).
+        Final once the whole grid has been fed; callable earlier for
+        early-aborted variants (the verdict fields are final then,
+        ``max_deviation`` and ``persistent_deviation`` cover the fed
+        prefix only).
         """
         if self._decision is not None:
             index, scan = self._decision

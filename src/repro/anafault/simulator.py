@@ -131,7 +131,7 @@ class FaultSimulationRecord:
     max_deviation: float = 0.0
     #: The comparator's decision scalar — the largest deviation sustained
     #: for a full persistence window (see
-    #: :func:`repro.anafault.comparator._persistent_deviation`); the
+    #: :attr:`repro.anafault.DetectionResult.persistent_deviation`); the
     #: verdict is exactly ``persistent_deviation > amplitude tolerance``,
     #: and :func:`repro.anafault.calibrate_tolerance` bounds its shift
     #: across integration grids.

@@ -47,13 +47,15 @@ class Diode(Device):
         return True
 
     def prepare(self, circuit) -> None:
-        if self.model_name:
-            model = circuit.model(self.model_name)
-            self.isat = float(model.get("is", DEFAULT_IS))
-            self.emission = float(model.get("n", DEFAULT_N))
-            self.cj0 = float(model.get("cjo", model.get("cj0", DEFAULT_CJ0)))
-        self.isat *= self.area
-        self.cj0 *= self.area
+        # Recomputed from the model card (or the defaults) on every call:
+        # scaling the present values would compound ``area`` across
+        # repeated analyses and clones of a simulated circuit.
+        params = (circuit.model(self.model_name).params if self.model_name
+                  else {})
+        self.isat = float(params.get("is", DEFAULT_IS)) * self.area
+        self.emission = float(params.get("n", DEFAULT_N))
+        cj0 = params.get("cjo", params.get("cj0", DEFAULT_CJ0))
+        self.cj0 = float(cj0) * self.area
         self._v_last = 0.0
         self._companion = CompanionCapacitor(self.cj0)
 

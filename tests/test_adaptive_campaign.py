@@ -4,9 +4,10 @@ The adaptive-timestep *engine* is covered by ``test_adaptive_timestep``
 and ``test_bdf_order``; this module covers the campaign layer on top:
 
 * ``persistent_deviation`` — the comparator's decision scalar (largest
-  deviation sustained for a full persistence window) agrees between the
-  vectorised, batch and streaming evaluators, and the verdict is exactly
-  its comparison against the amplitude tolerance,
+  deviation sustained for a full persistence window) is the brute-force
+  oracle's through ``compare``, ``compare_many`` and the streaming
+  detector, and the verdict is exactly its comparison against the
+  amplitude tolerance,
 * ``calibrate_tolerance`` — refuses fixed campaigns, passes on a well
   resolved one, and its report round-trips into campaign telemetry,
 * adaptive checkpoints — a killed campaign (torn record tail) resumes to
@@ -42,6 +43,8 @@ from repro.spice import TransientOptions
 from repro.spice.waveform import Waveform
 from repro.spice.writer import write_netlist_file
 
+from detection_oracle import oracle_detection
+
 
 def _campaign():
     circuit = build_rc_lowpass(capacitance=1e-6)
@@ -57,7 +60,7 @@ def _campaign():
 
 
 # ---------------------------------------------------------------------------
-# persistent_deviation: one decision scalar, three evaluators
+# persistent_deviation: one decision scalar, checked against the oracle
 # ---------------------------------------------------------------------------
 
 class TestPersistentDeviation:
@@ -72,31 +75,35 @@ class TestPersistentDeviation:
         faulty = Waveform(times, np.asarray(y, dtype=float))
         return comparator, nominal, faulty, times
 
-    def _all_three(self, y):
+    def _checked(self, y):
+        """``compare``, ``compare_many`` and a fed detector on ``y``, each
+        asserted equal to the brute-force oracle."""
         comparator, nominal, faulty, times = self._compare(y)
+        expected = oracle_detection(self.TOLERANCES, {"out": nominal},
+                                    {"out": faulty})
+        many = comparator.compare_many({"out": nominal}, {"out": faulty})
         single = comparator.compare(nominal, faulty, "out")
-        batch = comparator.compare_batch(nominal, [faulty], "out")[0]
         detector = StreamingDetector(comparator, {"out": nominal}, times)
         for value in faulty.y:
             detector.feed({"out": value})
-        return single, batch, detector.result()
+        assert many == detector.result() == expected
+        assert single == dataclasses.replace(expected, signal="out")
+        return expected
 
     def test_short_spike_is_invisible_to_both_verdict_and_scalar(self):
         # Two-sample spike of 5 V: shorter than the window, so neither
         # the verdict nor the decision scalar may see it.
         y = [0, 0, 5, 5, 0, 0, 0, 0, 0, 0]
-        single, batch, streamed = self._all_three(y)
-        for result in (single, batch, streamed):
-            assert not result.detected
-            assert result.max_deviation == 5.0
-            assert result.persistent_deviation < 1.0
+        result = self._checked(y)
+        assert not result.detected
+        assert result.max_deviation == 5.0
+        assert result.persistent_deviation < 1.0
 
     def test_sustained_deviation_sets_the_scalar(self):
         y = [0, 0, 2, 3, 2, 0, 0, 0, 0, 0]  # three samples >= 2
-        single, batch, streamed = self._all_three(y)
-        for result in (single, batch, streamed):
-            assert result.detected
-            assert result.persistent_deviation == 2.0
+        result = self._checked(y)
+        assert result.detected
+        assert result.persistent_deviation == 2.0
 
     def test_verdict_is_exactly_the_scalar_threshold(self):
         for y in ([0] * 10,
@@ -104,22 +111,14 @@ class TestPersistentDeviation:
                   [0, 0, 2, 3, 2, 0, 0, 0, 0, 0],
                   [0.5] * 10,
                   [1.5] * 10):
-            single, batch, streamed = self._all_three(y)
-            for result in (single, batch, streamed):
-                assert result.detected == (
-                    result.persistent_deviation
-                    > self.TOLERANCES.amplitude)
+            result = self._checked(y)
+            assert result.detected == (
+                result.persistent_deviation > self.TOLERANCES.amplitude)
 
-    def test_three_evaluators_agree_on_random_waveforms(self):
+    def test_evaluators_match_the_oracle_on_random_waveforms(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            y = rng.uniform(-3.0, 3.0, size=10)
-            single, batch, streamed = self._all_three(y)
-            for result in (batch, streamed):
-                assert result.detected == single.detected
-                assert result.detection_time == single.detection_time
-                assert result.persistent_deviation == pytest.approx(
-                    single.persistent_deviation)
+            self._checked(rng.uniform(-3.0, 3.0, size=10))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from repro.anafault import (
     CampaignSettings,
+    DetectionResult,
     FaultCoverage,
     FaultModelOptions,
     FaultSimulator,
     PoolExecutor,
     STATUS_DETECTED,
     SerialExecutor,
+    StreamingDetector,
     ToleranceSettings,
     WaveformComparator,
     coverage_plot,
@@ -35,6 +39,8 @@ from repro.spice import (
     VoltageSource,
     Waveform,
 )
+
+from detection_oracle import oracle_detection
 
 
 class TestFaultModelOptions:
@@ -217,89 +223,147 @@ class TestComparator:
         with pytest.raises(CampaignError):
             ToleranceSettings(amplitude=-1.0)
 
-    def test_vectorised_run_lengths_match_reference_loop(self):
-        """The cumsum/reset persistence scan must agree with the obvious
-        per-sample Python loop it replaced, on adversarial patterns."""
-        from repro.anafault.comparator import _run_lengths
-
-        def reference(exceeds):
-            run, count = [], 0
-            for flag in exceeds:
-                count = count + 1 if flag else 0
-                run.append(count)
-            return run
-
-        rng = np.random.default_rng(42)
-        patterns = [
-            np.zeros(17, dtype=bool),
-            np.ones(17, dtype=bool),
-            np.array([True]),
-            np.array([False]),
-            np.arange(40) % 3 == 0,
-            rng.random(500) > 0.5,
-            rng.random(500) > 0.05,
-            rng.random(500) > 0.95,
-        ]
-        for exceeds in patterns:
-            assert list(_run_lengths(exceeds)) == reference(exceeds)
-        # ... and the 2-D (faults x samples) form scans each row alone.
-        stacked = np.stack([p for p in patterns if p.size == 500])
-        rows = _run_lengths(stacked)
-        for row, exceeds in zip(rows, stacked):
-            assert list(row) == reference(exceeds)
-
-    def test_compare_batch_matches_per_waveform_compare(self):
+    def test_compare_many_refuses_mixed_grids(self):
         t, nominal = self._waves()
-        comparator = WaveformComparator()
-        rng = np.random.default_rng(7)
-        faulty = [Waveform(t, nominal.y.copy())]                 # identical
-        stuck = np.zeros_like(t)
-        faulty.append(Waveform(t, stuck))                        # stuck low
-        glitchy = nominal.y.copy()
-        glitchy[100:105] += 4.0
-        faulty.append(Waveform(t, glitchy))                      # filtered
-        late = nominal.y.copy()
-        late[200:250] += 4.0
-        faulty.append(Waveform(t, late))                         # detected
-        faulty.append(Waveform(t, nominal.y + rng.normal(0, 3, t.size)))
-        batch = comparator.compare_batch(nominal, faulty, signal="11")
-        singles = [comparator.compare(nominal, wave, signal="11")
-                   for wave in faulty]
-        assert [r.detected for r in batch] == [r.detected for r in singles]
-        assert [r.detection_time for r in batch] == \
-            [r.detection_time for r in singles]
-        assert [r.max_deviation for r in batch] == \
-            pytest.approx([r.max_deviation for r in singles])
-        assert all(r.signal == "11" for r in batch)
-
-    def test_compare_batch_empty_and_mismatched_grid(self):
-        t, nominal = self._waves()
-        comparator = WaveformComparator()
-        assert comparator.compare_batch(nominal, []) == []
         other = Waveform(t[:-1], nominal.y[:-1])
-        with pytest.raises(CampaignError, match="one time grid"):
-            comparator.compare_batch(nominal, [nominal, other])
+        with pytest.raises(CampaignError, match="'b' is not on the time grid"):
+            WaveformComparator().compare_many(
+                {"a": nominal, "b": nominal}, {"a": nominal, "b": other})
 
-    def test_compare_batch_zero_sample_waveforms_match_compare(self):
-        """A failed/truncated transient's empty trace must yield the same
-        undetected verdict compare() returns, not a numpy crash."""
+    def test_zero_sample_waveforms_are_undetected(self):
+        """A failed/truncated transient's empty trace yields an undetected
+        verdict with zero deviation, not a numpy crash."""
         _t, nominal = self._waves()
-        comparator = WaveformComparator()
         empty = Waveform(np.array([]), np.array([]))
-        single = comparator.compare(nominal, empty)
-        [batch] = comparator.compare_batch(nominal, [empty])
-        assert (batch.detected, batch.detection_time, batch.max_deviation) \
-            == (single.detected, single.detection_time, single.max_deviation)
-        assert not batch.detected
+        comparator = WaveformComparator()
+        assert comparator.compare(nominal, empty, "out") == \
+            DetectionResult(False, None, 0.0, "out", 0.0)
+        assert comparator.compare_many({"out": nominal}, {"out": empty}) == \
+            DetectionResult(False, None, 0.0, "", 0.0)
 
-    def test_compare_batch_zero_time_tolerance(self):
+    def test_zero_time_tolerance_detects_at_the_first_violation(self):
         t, nominal = self._waves()
         faulty = nominal.y.copy()
         faulty[50] += 5.0
         comparator = WaveformComparator(ToleranceSettings(2.0, 0.0))
-        [result] = comparator.compare_batch(nominal, [Waveform(t, faulty)])
+        result = comparator.compare(nominal, Waveform(t, faulty))
         assert result.detected
-        assert result.detection_time == pytest.approx(t[50])
+        assert result.detection_time == t[50]
+
+
+def _assert_all_match_the_oracle(tolerances, nominal, faulty):
+    """``compare_many``, a fed :class:`StreamingDetector` and ``compare``
+    per signal all equal :func:`oracle_detection`, field for field."""
+    comparator = WaveformComparator(tolerances)
+    expected = oracle_detection(tolerances, nominal, faulty)
+    assert comparator.compare_many(nominal, faulty) == expected
+    signals = {name: wave for name, wave in nominal.items() if name in faulty}
+    if signals:
+        times = next(iter(faulty.values())).x
+        detector = StreamingDetector(comparator, signals, times)
+        for index in range(times.size):
+            detector.feed({name: faulty[name].y[index] for name in signals})
+        assert detector.result() == expected
+    for name in signals:
+        single = oracle_detection(tolerances, {name: nominal[name]},
+                                  {name: faulty[name]})
+        # compare() keeps its signal on an undetected result too.
+        single.signal = name
+        assert comparator.compare(nominal[name], faulty[name], name) == single
+    return expected
+
+
+#: Sample values that make exact ties, band edges (deviation == amplitude)
+#: and window-boundary runs likely, mixed with arbitrary floats.
+_SAMPLES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                     st.floats(-3.0, 3.0))
+
+
+class TestComparatorOracle:
+    """The one persistence scan against the brute-force oracle."""
+
+    @hyp_settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(),
+           samples=st.integers(0, 24),
+           signals=st.integers(1, 3),
+           amplitude=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+           window_time=st.one_of(st.integers(0, 6).map(float),
+                                 st.floats(0.0, 8.0)),
+           dt=st.sampled_from([1.0, 0.25, 1e-8]))
+    def test_drivers_and_detector_match_the_oracle(
+            self, data, samples, signals, amplitude, window_time, dt):
+        times = np.arange(samples) * dt
+        tolerances = ToleranceSettings(amplitude, window_time * dt)
+        nominal, faulty = {}, {}
+        for index in range(signals):
+            name = f"s{index}"
+            column = st.lists(_SAMPLES, min_size=samples, max_size=samples)
+            nominal[name] = Waveform(times, data.draw(column), name=name)
+            faulty[name] = Waveform(times, data.draw(column), name=name)
+        _assert_all_match_the_oracle(tolerances, nominal, faulty)
+
+    @pytest.mark.parametrize("time_tolerance", [0.0, 0.5, 1.0])
+    def test_window_of_one_detects_at_the_first_violation(
+            self, time_tolerance):
+        times = np.arange(6.0)
+        nominal = {"out": Waveform(times, np.zeros(6))}
+        faulty = {"out": Waveform(times, [0, 0, 3, 0, 3, 3])}
+        result = _assert_all_match_the_oracle(
+            ToleranceSettings(1.0, time_tolerance), nominal, faulty)
+        assert (result.detected, result.detection_time,
+                result.persistent_deviation) == (True, 2.0, 3.0)
+
+    def test_exactly_one_window_detects_where_the_window_closes(self):
+        times = np.arange(10.0)
+        y = np.zeros(10)
+        y[4:7] = 3.0
+        result = _assert_all_match_the_oracle(
+            ToleranceSettings(1.0, 3.0), {"out": Waveform(times, np.zeros(10))},
+            {"out": Waveform(times, y)})
+        assert (result.detected, result.detection_time) == (True, 6.0)
+
+    def test_grid_shorter_than_the_window_never_detects(self):
+        times = np.arange(3.0)
+        result = _assert_all_match_the_oracle(
+            ToleranceSettings(1.0, 5.0), {"out": Waveform(times, np.zeros(3))},
+            {"out": Waveform(times, [5.0, 5.0, 5.0])})
+        assert (result.detected, result.max_deviation,
+                result.persistent_deviation) == (False, 5.0, 0.0)
+
+    def test_empty_grids(self):
+        empty = Waveform([], [])
+        result = _assert_all_match_the_oracle(
+            ToleranceSettings(), {"a": empty, "b": empty},
+            {"a": empty, "b": empty})
+        assert result == DetectionResult(False, None, 0.0, "", 0.0)
+
+    def test_first_signal_wins_a_tie(self):
+        times = np.arange(4.0)
+        zeros, ones = np.zeros(4), np.ones(4)
+        nominal = {"b": Waveform(times, zeros), "a": Waveform(times, zeros)}
+        faulty = {"a": Waveform(times, ones), "b": Waveform(times, 2 * ones)}
+        result = _assert_all_match_the_oracle(
+            ToleranceSettings(0.5, 2.0), nominal, faulty)
+        assert (result.signal, result.detection_time,
+                result.max_deviation) == ("b", 1.0, 2.0)
+
+    def test_undetected_signal_rule(self):
+        """``compare`` keeps its ``signal`` on an undetected result,
+        ``compare_many`` reports none."""
+        times = np.arange(4.0)
+        nominal = Waveform(times, np.zeros(4))
+        comparator = WaveformComparator()
+        assert comparator.compare(nominal, nominal, "out").signal == "out"
+        assert comparator.compare_many({"out": nominal},
+                                       {"out": nominal}).signal == ""
+
+    def test_signals_missing_from_the_faulty_run_are_skipped(self):
+        times = np.arange(4.0)
+        zeros = Waveform(times, np.zeros(4))
+        result = _assert_all_match_the_oracle(
+            ToleranceSettings(0.5, 0.0), {"gone": zeros, "out": zeros},
+            {"out": Waveform(times, [0, 0, 1, 0])})
+        assert (result.signal, result.detection_time) == ("out", 2.0)
 
 
 class TestCoverage:

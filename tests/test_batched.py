@@ -58,6 +58,8 @@ from repro.spice.analysis import (
 )
 from repro.spice.writer import write_netlist_file
 
+from detection_oracle import oracle_detection
+
 # ---------------------------------------------------------------------------
 # Campaign helpers (mirrors tests/test_executors.py so the two suites pin
 # the same reference campaign)
@@ -216,15 +218,16 @@ class TestEarlyAbort:
 
     def test_detection_on_window_boundary(self):
         """A violation run exactly as long as the persistence window must
-        detect — streamed and batch-scanned alike, at the same sample."""
+        detect — streamed, at the sample where the oracle detects."""
         comparator = WaveformComparator(ToleranceSettings(0.5, 3.0))
         times = np.arange(10.0)  # dt = 1 -> window = 3 samples
         nominal_y = np.zeros(10)
         faulty_y = np.zeros(10)
         faulty_y[4:7] = 1.0  # exactly 3 consecutive violations
         nominal = {"out": Waveform(times, nominal_y, name="out")}
-        reference = comparator.compare_many(
-            nominal, {"out": Waveform(times, faulty_y, name="out")})
+        reference = oracle_detection(
+            comparator.tolerances, nominal,
+            {"out": Waveform(times, faulty_y, name="out")})
         assert reference.detected and reference.detection_time == 6.0
 
         detector = StreamingDetector(comparator, nominal, times)
@@ -234,11 +237,7 @@ class TestEarlyAbort:
             if decided_at is None and detector.decided:
                 decided_at = index
         assert decided_at == 6  # certain exactly when the window closes
-        streamed = detector.result()
-        assert (streamed.detected, streamed.detection_time,
-                streamed.max_deviation, streamed.signal) == \
-               (reference.detected, reference.detection_time,
-                reference.max_deviation, reference.signal)
+        assert detector.result() == reference
 
     def test_one_short_of_the_window_stays_undetected(self):
         comparator = WaveformComparator(ToleranceSettings(0.5, 3.0))
@@ -255,14 +254,13 @@ class TestEarlyAbort:
 
     def test_zero_sample_trace(self):
         """An empty print grid: undetected, zero deviation, and feeding
-        anything is refused (matches ``compare_batch`` on empty grids)."""
+        anything is refused (as the oracle reads empty grids)."""
         comparator = WaveformComparator(ToleranceSettings(0.5, 3.0))
         empty = np.asarray([], dtype=float)
         nominal = {"out": Waveform(empty, empty, name="out")}
         detector = StreamingDetector(comparator, nominal, empty)
-        result = detector.result()
-        assert (result.detected, result.detection_time,
-                result.max_deviation) == (False, None, 0.0)
+        assert detector.result() == oracle_detection(
+            comparator.tolerances, nominal, nominal)
         with pytest.raises(CampaignError, match="grid"):
             detector.feed({"out": 0.0})
 
@@ -273,29 +271,25 @@ class TestStreamingDetector:
     @given(samples=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
            amplitude=st.floats(0.1, 2.0),
            window_time=st.floats(0.0, 8.0))
-    def test_matches_compare_many(self, samples, amplitude, window_time):
-        """Fed the whole grid, the incremental scan reproduces
-        ``compare_many`` field for field on arbitrary waveforms."""
+    def test_matches_the_oracle(self, samples, amplitude, window_time):
+        """Fed the whole grid, the incremental scan reproduces the
+        brute-force oracle field for field on arbitrary waveforms."""
         comparator = WaveformComparator(
             ToleranceSettings(amplitude, window_time))
         times = np.arange(float(len(samples)))
         faulty_y = np.asarray(samples, dtype=float)
         nominal = {"out": Waveform(times, np.zeros(times.size), name="out")}
-        reference = comparator.compare_many(
-            nominal, {"out": Waveform(times, faulty_y, name="out")})
+        reference = oracle_detection(
+            comparator.tolerances, nominal,
+            {"out": Waveform(times, faulty_y, name="out")})
         detector = StreamingDetector(comparator, nominal, times)
         for index in range(times.size):
             detector.feed({"out": faulty_y[index]})
-        streamed = detector.result()
-        assert streamed.detected == reference.detected
-        assert streamed.detection_time == reference.detection_time
-        assert streamed.signal == reference.signal
-        assert streamed.max_deviation == pytest.approx(
-            reference.max_deviation)
+        assert detector.result() == reference
 
     def test_first_signal_tie_break(self):
         """Two signals detecting at the same sample: dict order wins,
-        exactly as in ``compare_many``."""
+        exactly as in the oracle."""
         comparator = WaveformComparator(ToleranceSettings(0.5, 0.0))
         times = np.arange(4.0)
         ones = np.ones(4)
@@ -303,11 +297,12 @@ class TestStreamingDetector:
                    "b": Waveform(times, np.zeros(4), name="b")}
         faulty = {"a": Waveform(times, ones, name="a"),
                   "b": Waveform(times, ones, name="b")}
-        reference = comparator.compare_many(nominal, faulty)
+        reference = oracle_detection(comparator.tolerances, nominal, faulty)
         detector = StreamingDetector(comparator, nominal, times)
         for index in range(4):
             detector.feed({"a": 1.0, "b": 1.0})
-        assert detector.result().signal == reference.signal == "a"
+        assert detector.result() == reference
+        assert reference.signal == "a"
 
     def test_feed_past_grid_end_raises(self):
         comparator = WaveformComparator()
@@ -319,6 +314,52 @@ class TestStreamingDetector:
         assert detector.cursor == 2
         with pytest.raises(CampaignError):
             detector.feed({"out": 0.0})
+
+    @pytest.mark.parametrize("row", [
+        {"a": 5.0},
+        {"a": 5.0, "b": None},
+        {"a": 5.0, "b": "1.0"},
+        {"a": 5.0, "b": float("nan")},
+        {"a": 5.0, "b": np.nan},
+        {"a": 5.0, "b": float("inf")},
+        {"a": 5.0, "b": -np.inf},
+        {"a": 5.0, "b": np.array([1.0, 2.0])},
+    ], ids=["missing", "none", "string", "nan", "numpy-nan", "inf", "-inf",
+            "array"])
+    def test_malformed_row_raises_naming_signal_and_sample(self, row):
+        """A bad value is refused with a ``CampaignError`` naming the
+        signal and the sample, before any signal's state changes."""
+        comparator = WaveformComparator(ToleranceSettings(1.0, 2.0))
+        times = np.arange(4.0)
+        zeros = Waveform(times, np.zeros(4))
+        nominal = {"a": zeros, "b": zeros}
+        detector = StreamingDetector(comparator, nominal, times)
+        detector.feed({"a": 5.0, "b": 0.0})
+        with pytest.raises(CampaignError, match=r"(row|sample) 1\b.*'b'"):
+            detector.feed(row)
+        assert detector.cursor == 1
+        for _ in range(3):
+            detector.feed({"a": 5.0, "b": 0.0})
+        faulty = Waveform(times, np.full(4, 5.0))
+        assert detector.result() == oracle_detection(
+            comparator.tolerances, nominal, {"a": faulty, "b": zeros})
+
+    @pytest.mark.parametrize("row", [None, [5.0, 0.0], 5.0])
+    def test_non_mapping_row_raises(self, row):
+        comparator = WaveformComparator()
+        times = np.arange(2.0)
+        detector = StreamingDetector(
+            comparator, {"a": Waveform(times, np.zeros(2))}, times)
+        with pytest.raises(CampaignError, match="row 0 has no value for "
+                                                "signal 'a'"):
+            detector.feed(row)
+
+    def test_non_finite_nominal_raises_naming_signal_and_sample(self):
+        times = np.arange(4.0)
+        nominal = {"a": Waveform(times, np.zeros(4)),
+                   "b": Waveform(times, [0.0, 0.0, np.nan, 0.0])}
+        with pytest.raises(CampaignError, match="'b' is nan at sample 2"):
+            StreamingDetector(WaveformComparator(), nominal, times)
 
 
 # ---------------------------------------------------------------------------

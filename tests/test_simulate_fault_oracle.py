@@ -5,9 +5,12 @@
 the finished waveforms.  It now runs the lockstep path every executor
 shares (a one-variant ``BatchedTransient`` whose print rows feed a
 ``StreamingDetector``), and its records must not change.
-:func:`legacy_simulate_fault` keeps the old body verbatim as the
-reference; each case compares every record field except
-``elapsed_seconds``.
+:func:`legacy_simulate_fault` keeps the old body as the reference, with
+one change: the finished waveforms are judged by the brute-force
+:func:`~detection_oracle.oracle_detection` instead of ``compare_many``
+(which now drives a ``StreamingDetector`` itself), so an independent
+scan still checks the streamed verdict.  Each case compares every record
+field except ``elapsed_seconds``.
 
 The cases: the faulty VCO of LIFT faults 18, 55 and 68 (all take Newton
 rejects) at the fig. 5 settings, fixed and BDF-adaptive; a fault that
@@ -32,6 +35,8 @@ from repro.errors import ConvergenceError, SingularMatrixError
 from repro.lift import BridgingFault, ParametricFault
 from repro.spice import SimulationOptions, TransientOptions
 
+from detection_oracle import oracle_detection
+
 FIG5_SETTINGS = CampaignSettings(
     tstop=4e-6, tstep=1e-8, use_ic=True, observation_nodes=(OUTPUT_NODE,),
     tolerances=ToleranceSettings(amplitude=2.0, time=0.2e-6))
@@ -43,7 +48,8 @@ ADAPTIVE = TransientOptions(mode="adaptive", lte_reltol=3e-3, lte_abstol=1e-4,
 
 def legacy_simulate_fault(simulator, fault, nominal):
     """The per-fault path as it was before the lockstep runner took it
-    over, verbatim apart from ``self`` becoming ``simulator``."""
+    over, apart from ``self`` becoming ``simulator`` and the oracle
+    judging the waveforms."""
     start = time.perf_counter()
     try:
         faulty_circuit = simulator.injector.inject(fault)
@@ -60,7 +66,8 @@ def legacy_simulate_fault(simulator, fault, nominal):
         return FaultSimulationRecord(
             fault, status, detection_time=detection, message=str(exc),
             elapsed_seconds=time.perf_counter() - start)
-    comparison = simulator._comparator.compare_many(nominal, faulty)
+    comparison = oracle_detection(simulator.settings.tolerances, nominal,
+                                  faulty)
     return record_from_comparison(fault, comparison, stats,
                                   time.perf_counter() - start)
 

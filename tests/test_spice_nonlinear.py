@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, ModelError
 from repro.spice import (
+    Capacitor,
     Circuit,
     DCSweepAnalysis,
     Diode,
@@ -14,6 +16,7 @@ from repro.spice import (
     OperatingPointAnalysis,
     Resistor,
     SimulationOptions,
+    TransientAnalysis,
     VoltageControlledSwitch,
     VoltageSource,
 )
@@ -59,6 +62,37 @@ class TestDiode:
         big.add(Diode("D1", "k", "0", "dx", area=100.0))
         op2 = OperatingPointAnalysis(big).run()
         assert op2["k"] < op1["k"]
+
+    @pytest.mark.parametrize("model", ["", "dx"], ids=["defaults", "card"])
+    def test_area_scales_once_across_runs_and_clones(self, model):
+        """``prepare`` scales the model (or default) ``is``/``cjo`` by
+        ``area`` afresh on every analysis: two runs of one circuit, and a
+        clone taken after a run, simulate bit-identically to a fresh
+        circuit."""
+        def circuit():
+            built = Circuit("area")
+            if model:
+                built.add_model(Model(model, "d", **{"is": 1e-14,
+                                                     "cjo": 1e-12}))
+            built.add(VoltageSource("V1", "a", "0", 5.0))
+            built.add(Resistor("R1", "a", "k", 1e3))
+            built.add(Capacitor("C1", "k", "0", 1e-9))
+            built.add(Diode("D1", "k", "0", model, area=2.0))
+            return built
+
+        def run(built):
+            return TransientAnalysis(built, tstop=2e-6, tstep=2e-8,
+                                     use_ic=True).run()
+
+        reused = circuit()
+        first, second = run(reused), run(reused)
+        cloned = run(reused.clone())
+        fresh = run(circuit())
+        assert reused.device("D1").isat == 2e-14
+        for result in (first, second, cloned):
+            assert result.stats == fresh.stats
+            np.testing.assert_array_equal(result.waveform("k").y,
+                                          fresh.waveform("k").y)
 
 
 class TestMosfetDC:
