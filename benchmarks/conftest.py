@@ -19,9 +19,9 @@ never overwrite or be committed as a paper artefact).
 The smoke run is also a *streaming-on* configuration: the campaign
 benchmarks build their :class:`~repro.anafault.CampaignSettings` from the
 :func:`campaign_engine` fixture, which in smoke mode pins observed-node
-streaming and the shared-memory nominal store **on** (regardless of the
-library defaults) so the streaming engine of ``docs/campaigns.md`` is
-exercised end-to-end by every CI smoke pass.
+streaming **on** (regardless of the library defaults) so the streaming
+engine of ``docs/campaigns.md`` is exercised end-to-end by every CI smoke
+pass.
 """
 
 from __future__ import annotations
@@ -66,13 +66,13 @@ def fault_budget() -> int | None:
 def campaign_engine() -> dict:
     """``CampaignSettings`` keyword overrides for the campaign benchmarks.
 
-    In smoke mode the streaming engine is forced on explicitly (observed-
-    node streaming + shared-memory nominal) so the new campaign path runs
-    in every CI smoke pass even if the library defaults change; the full
-    benchmark run simply takes the library defaults.
+    In smoke mode observed-node streaming is forced on explicitly so the
+    streaming campaign path runs in every CI smoke pass even if the library
+    defaults change; the full benchmark run simply takes the library
+    defaults.
     """
     if BENCH_SMOKE:
-        return {"stream_traces": True, "use_shared_memory": True}
+        return {"stream_traces": True}
     return {}
 
 

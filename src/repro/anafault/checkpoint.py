@@ -46,11 +46,9 @@ RECORD_FIELDS = ("status", "detection_time", "detected_on", "max_deviation",
                  "trace_bytes", "attempt", "order_histogram")
 
 #: Settings fields excluded from the fingerprint: they configure how the
-#: engine spends memory and IPC, never what is simulated, so toggling them
-#: (e.g. resuming with shared memory off after a /dev/shm problem) must not
-#: orphan a checkpoint.
-VERDICT_NEUTRAL_SETTINGS = ("stream_traces", "use_shared_memory",
-                            "tail_downsample")
+#: engine spends memory, never what is simulated, so toggling them must
+#: not orphan a checkpoint.
+VERDICT_NEUTRAL_SETTINGS = ("stream_traces",)
 
 
 def _legacy_neutral_defaults() -> dict:
@@ -107,7 +105,7 @@ def campaign_fingerprint(circuit: Circuit, fault_list: FaultList,
     re-weighted faults, other tolerances or transient length) yields a
     different fingerprint, and a checkpoint keyed on the old one refuses
     to resume.  The engine-only switches (:data:`VERDICT_NEUTRAL_SETTINGS`)
-    are excluded: they change memory/IPC cost, never verdicts, so a
+    are excluded: they change memory cost, never verdicts, so a
     checkpoint survives toggling them.
     """
     digest = hashlib.sha256()

@@ -17,8 +17,7 @@ those concerns a seam:
 * **execute** — a :class:`CampaignExecutor` decides *how* the pending
   faults are simulated.  :class:`SerialExecutor` runs them in-process one
   at a time, :class:`BatchedExecutor` in lockstep batches, and
-  :class:`PoolExecutor` distributes them over a local process pool (with
-  the shared-memory nominal of :mod:`repro.anafault.streaming`).  Every
+  :class:`PoolExecutor` distributes them over a local process pool.  Every
   executor runs any slice.
 * **collect** — :func:`merge_shards` assembles N shard files back into one
   :class:`~repro.anafault.simulator.CampaignResult`, record for record
@@ -34,6 +33,7 @@ directory lives in :mod:`repro.anafault.cli`.
 
 from __future__ import annotations
 
+import math
 import numbers
 import pathlib
 import pickle
@@ -43,7 +43,10 @@ from typing import Callable, Protocol
 from ..errors import CampaignError
 from ..lift.faults import Fault
 from .simulator import (
+    STATUS_DETECTED,
+    STATUS_INJECTION_FAILED,
     STATUS_SIM_FAILED,
+    STATUS_UNDETECTED,
     CampaignResult,
     CampaignSettings,
     FaultSimulationRecord,
@@ -57,8 +60,22 @@ from .simulator import (
 EmitCallback = Callable[[int, FaultSimulationRecord], None]
 
 
-def record_from_payload(fault: Fault, payload: dict,
-                        reloaded: bool = True) -> FaultSimulationRecord:
+#: Every verdict a persisted record may carry.
+RECORD_STATUSES = (STATUS_DETECTED, STATUS_UNDETECTED, STATUS_SIM_FAILED,
+                   STATUS_INJECTION_FAILED)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
+
+
+def record_from_payload(fault: Fault, payload: dict, reloaded: bool = True,
+                        source=None) -> FaultSimulationRecord:
     """Rebuild a :class:`~repro.anafault.simulator.FaultSimulationRecord`
     from its checkpoint JSON payload.
 
@@ -70,25 +87,61 @@ def record_from_payload(fault: Fault, payload: dict,
     report records over the wire, and :class:`~repro.anafault.remote.RemoteExecutor`
     must count their kernel work exactly once (only a checkpoint reload
     re-reads work a previous run already counted).
+
+    Every field is checked: an unknown status, a count that is not a
+    non-negative integer, a non-numeric deviation or time, or a malformed
+    order histogram raises :class:`~repro.errors.CampaignError` naming the
+    fault id, the field and ``source`` (the file or service the payload
+    came from).  Missing or null fields take the record defaults — older
+    checkpoints carry no ``attempt`` or ``order_histogram``.
     """
+    origin = f" from {source}" if source is not None else ""
+    if not isinstance(payload, dict):
+        raise CampaignError(
+            f"record for fault id {fault.fault_id}{origin} is "
+            f"{type(payload).__name__}, not a JSON object")
+
+    def field(name: str, default, valid, expected: str):
+        value = payload.get(name)
+        if value is None:
+            return default
+        if not valid(value):
+            raise CampaignError(
+                f"record for fault id {fault.fault_id}{origin} has "
+                f"{name}={value!r}; expected {expected}")
+        return value
+
+    count = "a non-negative integer"
     return FaultSimulationRecord(
         fault=fault,
-        status=str(payload.get("status") or STATUS_SIM_FAILED),
-        detection_time=payload.get("detection_time"),
-        detected_on=str(payload.get("detected_on") or ""),
-        max_deviation=float(payload.get("max_deviation") or 0.0),
-        persistent_deviation=float(payload.get("persistent_deviation") or 0.0),
-        elapsed_seconds=float(payload.get("elapsed_seconds") or 0.0),
-        message=str(payload.get("message") or ""),
-        newton_iterations=int(payload.get("newton_iterations") or 0),
-        steps_accepted=int(payload.get("steps_accepted") or 0),
-        steps_rejected=int(payload.get("steps_rejected") or 0),
-        trace_bytes=int(payload.get("trace_bytes") or 0),
+        status=field("status", STATUS_SIM_FAILED,
+                     lambda v: v in RECORD_STATUSES,
+                     f"one of {', '.join(RECORD_STATUSES)}"),
+        detection_time=field("detection_time", None,
+                             lambda v: _is_real(v) and math.isfinite(v),
+                             "a finite number or null"),
+        detected_on=field("detected_on", "", lambda v: isinstance(v, str),
+                          "a string"),
+        max_deviation=float(field("max_deviation", 0.0, _is_real,
+                                  "a number")),
+        persistent_deviation=float(field("persistent_deviation", 0.0,
+                                         _is_real, "a number")),
+        elapsed_seconds=float(field("elapsed_seconds", 0.0, _is_real,
+                                    "a number")),
+        message=field("message", "", lambda v: isinstance(v, str),
+                      "a string"),
+        newton_iterations=field("newton_iterations", 0, _is_count, count),
+        steps_accepted=field("steps_accepted", 0, _is_count, count),
+        steps_rejected=field("steps_rejected", 0, _is_count, count),
+        trace_bytes=field("trace_bytes", 0, _is_count, count),
         payload_bytes=0,
         reloaded=reloaded,
-        attempt=int(payload.get("attempt") or 1),
-        order_histogram={str(k): int(v) for k, v in
-                         (payload.get("order_histogram") or {}).items()})
+        attempt=field("attempt", 1, lambda v: _is_count(v) and v >= 1,
+                      "an integer >= 1"),
+        order_histogram=dict(field(
+            "order_histogram", {},
+            lambda v: isinstance(v, dict) and all(map(_is_count, v.values())),
+            "an object of non-negative integer counts")))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +213,6 @@ class ExecutionInfo:
     executor: str = "serial"
     #: Worker processes actually used (1 = in-process).
     workers: int = 1
-    #: How the nominal waveforms reached the workers (see
-    #: :attr:`repro.anafault.simulator.CampaignResult.nominal_store`).
-    nominal_store: str = "local"
     #: Pickled size of the nominal payload one worker received (0 serial).
     nominal_ipc_bytes: int = 0
     #: Lockstep batch width of a :class:`BatchedExecutor` run (0 per-fault).
@@ -237,18 +287,13 @@ def campaign_chunksize(num_faults: int, workers: int) -> int:
     return max(1, num_faults // (workers * BATCHES_PER_WORKER))
 
 
-def _init_worker(circuit, settings, store) -> None:
-    """Pool initialiser: build one simulator per worker process.
-
-    ``store`` is the published nominal (:mod:`repro.anafault.streaming`);
-    keeping it in the worker state keeps a shared-memory mapping alive as
-    long as the waveform views over it.
-    """
+def _init_worker(circuit, settings, nominal) -> None:
+    """Pool initialiser: build one simulator per worker process and keep
+    the nominal waveforms (pickled into the worker once) beside it."""
     from .simulator import FaultSimulator
 
     _WORKER_STATE["simulator"] = FaultSimulator.for_worker(circuit, settings)
-    _WORKER_STATE["store"] = store
-    _WORKER_STATE["nominal"] = store.waveforms()
+    _WORKER_STATE["nominal"] = nominal
 
 
 def _simulate_in_worker(fault: Fault) -> FaultSimulationRecord:
@@ -265,10 +310,8 @@ def _simulate_in_worker(fault: Fault) -> FaultSimulationRecord:
 class PoolExecutor:
     """Distribute the pending faults over a local process pool.
 
-    The nominal waveforms are published once (shared memory with an
-    inline fallback, honouring ``CampaignSettings.use_shared_memory`` —
-    see :mod:`repro.anafault.streaming`), every worker builds its
-    simulator once in the pool initialiser, the faults travel through
+    Every worker receives the nominal waveforms and builds its simulator
+    once, in the pool initialiser; the faults travel through
     ``ProcessPoolExecutor.map`` in :func:`campaign_chunksize` batches, and
     the records come back in plan order as they complete.  With one
     worker — or at most one pending fault — everything runs in-process
@@ -288,28 +331,18 @@ class PoolExecutor:
             return SerialExecutor().execute(simulator, plan, nominal, emit)
         from concurrent.futures import ProcessPoolExecutor
 
-        from .streaming import publish_nominal
-
-        settings = simulator.settings
         workers = min(self.workers, len(pending))
-        info = ExecutionInfo(executor=self.name, workers=workers)
-        store = publish_nominal(
-            nominal, shared=getattr(settings, "use_shared_memory", True))
-        try:
-            info.nominal_store = store.kind
-            info.nominal_ipc_bytes = store.payload_bytes()
-            # Leaving the pool context shuts the pool down before the
-            # shared segment is unlinked.
-            with ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker,
-                    initargs=(simulator.circuit, settings, store)) as pool:
-                records = pool.map(
-                    _simulate_in_worker, [plan.faults[i] for i in pending],
-                    chunksize=campaign_chunksize(len(pending), workers))
-                for index, record in zip(pending, records):
-                    emit(index, record)
-        finally:
-            store.dispose()
+        info = ExecutionInfo(executor=self.name, workers=workers,
+                             nominal_ipc_bytes=len(pickle.dumps(nominal)))
+        with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(simulator.circuit, simulator.settings,
+                          nominal)) as pool:
+            records = pool.map(
+                _simulate_in_worker, [plan.faults[i] for i in pending],
+                chunksize=campaign_chunksize(len(pending), workers))
+            for index, record in zip(pending, records):
+                emit(index, record)
         return info
 
 
@@ -461,7 +494,8 @@ def merge_shards(circuit, fault_list, settings: CampaignSettings | None,
                     f"shard {path} carries fault id {fault_id}, which is "
                     "not in the campaign fault list")
             source[fault_id] = path
-            records[index] = record_from_payload(faults[index], payload)
+            records[index] = record_from_payload(faults[index], payload,
+                                                 source=path)
     if require_complete:
         missing = [fault.fault_id
                    for fault, record in zip(faults, records) if record is None]

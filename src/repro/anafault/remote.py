@@ -364,7 +364,9 @@ class RemoteExecutor:
             # reloaded=False: these records are THIS campaign's fresh
             # kernel work (failed attempts emit no record, so totals stay
             # single-counted); only checkpoint reloads are prior work.
-            emit(index, record_from_payload(fault, payload, reloaded=False))
+            emit(index, record_from_payload(
+                fault, payload, reloaded=False,
+                source=f"campaign service job {job}"))
 
         workers = status.get("workers", {})
         service = {key: status.get(key)

@@ -73,8 +73,7 @@ def format_overview(result: CampaignResult) -> str:
     engine = "streaming" if telemetry["streaming"] else "full-trace"
     lines.append(f"campaign engine      : {engine}, "
                  f"{telemetry['executor']} executor, "
-                 f"{telemetry['workers']} worker(s), "
-                 f"nominal via {telemetry['nominal_store']}")
+                 f"{telemetry['workers']} worker(s)")
     if telemetry["shard_count"] > 1:
         lines.append(f"shard                : "
                      f"{telemetry['shard_index']}/{telemetry['shard_count']} "

@@ -47,7 +47,7 @@ import socketserver
 import threading
 import time as _time
 
-from ..errors import CampaignError
+from ..errors import CampaignError, ReproError
 from ..lift.faultlist import FaultList
 from ..spice.parser import parse_netlist
 from .checkpoint import CampaignCheckpoint, campaign_fingerprint
@@ -562,21 +562,46 @@ class CampaignService:
         void, and the queue files already hold everything completed."""
         restored = 0
         for descriptor_path in sorted(self.spool.glob("*.job.json")):
-            descriptor = json.loads(descriptor_path.read_text("utf-8"))
-            job = CampaignJob(
-                self.spool, descriptor["payload"],
-                lease_ttl=float(descriptor.get("lease_ttl", self.lease_ttl)),
-                max_attempts=int(descriptor.get("max_attempts",
-                                                self.max_attempts)),
-                lease_size=int(descriptor.get("lease_size",
-                                              self.lease_size)))
-            if descriptor.get("state") == JOB_CANCELLED:
+            job, state = self._load_descriptor(descriptor_path)
+            if state == JOB_CANCELLED:
                 job.cancel()
             if job.fingerprint in self.jobs:
                 self.jobs[job.fingerprint].close()
             self.jobs[job.fingerprint] = job
             restored += 1
         return restored
+
+    def _load_descriptor(self, path: pathlib.Path) -> tuple[CampaignJob,
+                                                           object]:
+        """The job a spool descriptor persists and its recorded state.
+
+        A damaged descriptor (torn JSON, no payload object, inputs that no
+        longer parse) raises :class:`~repro.errors.CampaignError` naming
+        the file instead of whatever the parsing step raised."""
+        try:
+            descriptor = json.loads(path.read_text("utf-8"))
+            if not isinstance(descriptor, dict):
+                raise CampaignError("it is not a JSON object")
+            payload = descriptor.get("payload")
+            if not isinstance(payload, dict):
+                raise CampaignError(f"its payload is "
+                                    f"{type(payload).__name__}, not a JSON "
+                                    "object")
+            job = CampaignJob(
+                self.spool, payload,
+                lease_ttl=float(descriptor.get("lease_ttl", self.lease_ttl)),
+                max_attempts=int(descriptor.get("max_attempts",
+                                                self.max_attempts)),
+                lease_size=int(descriptor.get("lease_size",
+                                              self.lease_size)))
+        except (ReproError, ValueError, KeyError, TypeError,
+                OverflowError) as exc:
+            detail = (str(exc) if isinstance(exc, ReproError)
+                      else f"{type(exc).__name__}: {exc}")
+            raise CampaignError(
+                f"spool descriptor {path} is damaged ({detail}); repair or "
+                "remove it to start the daemon") from exc
+        return job, descriptor.get("state")
 
     def _job(self, request: dict) -> CampaignJob:
         fingerprint = str(request.get("job", ""))

@@ -52,10 +52,8 @@ class CampaignSettings:
 campaign_fingerprint`) — two campaigns resume from the same checkpoint file
     only when their settings are identical.
 
-    The ``stream_traces`` / ``tail_downsample`` / ``use_shared_memory``
-    trio configures the streaming campaign engine (see
-    ``docs/campaigns.md``); the streaming switches change memory and IPC
-    cost, never verdicts.
+    ``stream_traces`` selects observed-node streaming (see
+    ``docs/campaigns.md``); it changes trace memory, never verdicts.
     """
 
     #: Transient stop time [s] (paper: 4 us).
@@ -94,15 +92,6 @@ campaign_fingerprint`) — two campaigns resume from the same checkpoint file
     #: The comparator only ever reads those nodes, so verdicts are
     #: unaffected; worker trace memory drops proportionally.
     stream_traces: bool = True
-    #: Opt-in reporting tail when streaming: > 0 additionally keeps *all*
-    #: node voltages at every Nth print point (plus the final one) for
-    #: post-mortem reporting.  0 (default) keeps only the observed nodes.
-    tail_downsample: int = 0
-    #: Publish the nominal waveforms to parallel workers through one
-    #: ``multiprocessing.shared_memory`` segment instead of pickling a copy
-    #: per worker; falls back to the pickled copy automatically where
-    #: shared memory is unavailable.
-    use_shared_memory: bool = True
     #: Campaign preflight mode (:data:`PREFLIGHT_MODES`): run the static
     #: analyzer (:mod:`repro.lint`) over the netlist and fault list before
     #: anything is simulated.  ``"warn"`` (the library default) records the
@@ -231,9 +220,6 @@ class CampaignResult:
     nominal_stats: dict = field(default_factory=dict)
     #: Records reloaded from a checkpoint instead of being re-simulated.
     checkpoint_skipped: int = 0
-    #: How the nominal waveforms reached the workers: ``"shared_memory"``,
-    #: ``"inline"`` (pickled per worker), or ``"local"`` (serial run).
-    nominal_store: str = "local"
     #: Pickled size of the nominal payload one worker received (0 serial).
     nominal_ipc_bytes: int = 0
     #: Worker processes the campaign ran with (1 = serial).
@@ -369,7 +355,6 @@ class CampaignResult:
             "shard_index": self.shard_index,
             "shard_count": self.shard_count,
             "streaming": bool(getattr(self.settings, "stream_traces", False)),
-            "nominal_store": self.nominal_store,
             "nominal_ipc_bytes": self.nominal_ipc_bytes,
             "record_ipc_bytes_total": sum(payloads),
             "record_ipc_bytes_mean": sum(payloads) / count if count else 0.0,
@@ -464,10 +449,10 @@ class FaultSimulator:
     transient, then injects/simulates/classifies every fault of the list —
     serially or through the pluggable executor seam
     (``run(executor=PoolExecutor(N))`` for a process pool) with the
-    shared-memory nominal store and observed-node streaming configured by
-    the :class:`CampaignSettings`, optionally appending every finished
-    record to a resumable checkpoint (``run(checkpoint=path)``).  See
-    ``docs/campaigns.md`` for the engine walk-through.
+    observed-node streaming configured by the :class:`CampaignSettings`,
+    optionally appending every finished record to a resumable checkpoint
+    (``run(checkpoint=path)``).  See ``docs/campaigns.md`` for the engine
+    walk-through.
     """
 
     def __init__(self, circuit: Circuit, fault_list: FaultList | None,
@@ -513,8 +498,6 @@ class FaultSimulator:
             # Observed-node streaming: the comparator only ever reads the
             # observation nodes, so nothing else needs to be materialised.
             record_nodes=settings.observation_nodes if streaming else None,
-            tail_downsample=(getattr(settings, "tail_downsample", 0)
-                             if streaming else 0),
             record_currents=not streaming,
             timestep=getattr(settings, "timestep", None))
 
@@ -731,7 +714,8 @@ BatchedExecutor`).
             if payload is None:
                 pending.append(index)
             else:
-                preloaded[index] = record_from_payload(faults[index], payload)
+                preloaded[index] = record_from_payload(
+                    faults[index], payload, source=store.path)
         return CampaignPlan(faults=faults, indices=indices, pending=pending,
                             preloaded=preloaded, fingerprint=fingerprint,
                             shard_index=shard_index, shard_count=shard_count,
@@ -757,12 +741,11 @@ BatchedExecutor`).
 
         The *execute* stage is pluggable, and ``executor`` is the single
         execution seam (:mod:`repro.anafault.executors`): pass
-        ``PoolExecutor(N)`` for a process pool with the shared-memory
-        nominal (section II mentions the workstation-cluster
-        parallelisation of AnaFAULT; fault-level parallelism is
-        embarrassingly parallel), a ``BatchedExecutor`` for lockstep
-        batches, or nothing for the ``SerialExecutor`` default.  Any
-        executor runs any slice.
+        ``PoolExecutor(N)`` for a process pool (section II mentions the
+        workstation-cluster parallelisation of AnaFAULT; fault-level
+        parallelism is embarrassingly parallel), a ``BatchedExecutor`` for
+        lockstep batches, or nothing for the ``SerialExecutor`` default.
+        Any executor runs any slice.
 
         The *collect* stage assembles the ordered records, the executor's
         telemetry and the timings into the :class:`CampaignResult`.
@@ -857,7 +840,6 @@ BatchedExecutor`).
                                 preflight_diagnostics=plan.diagnostics)
         result.records = records
         result.checkpoint_skipped = plan.skipped
-        result.nominal_store = info.nominal_store
         result.nominal_ipc_bytes = info.nominal_ipc_bytes
         result.batch_width = info.batch_width
         result.early_aborted = info.early_aborted

@@ -43,6 +43,12 @@ from ..errors import CampaignError, ReproError
 from .checkpoint import RECORD_FIELDS
 from .simulator import CampaignSettings
 
+#: Settings fields earlier versions had and wrote into every persisted
+#: wire dict (spool descriptors keep ``settings_to_wire`` output).  Neither
+#: ever changed a verdict, so :func:`settings_from_wire` drops them,
+#: whatever their value, instead of refusing an old spool.
+RETIRED_SETTINGS = ("use_shared_memory", "tail_downsample")
+
 #: How a wire-type error names the expected JSON type of a field.
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", dict: "a JSON object",
@@ -84,8 +90,11 @@ def settings_from_wire(wire: dict) -> CampaignSettings:
     one side of the wire only) or a value of the wrong type raises
     :class:`~repro.errors.CampaignError` naming the field.  Missing keys
     fall back to the library defaults, so an older client can talk to a
-    newer daemon.
+    newer daemon, and the :data:`RETIRED_SETTINGS` keys are dropped.
     """
+    if isinstance(wire, dict):
+        wire = {name: value for name, value in wire.items()
+                if name not in RETIRED_SETTINGS}
     return _from_wire(CampaignSettings, wire, "")
 
 

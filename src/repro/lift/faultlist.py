@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from collections import Counter
@@ -25,9 +26,10 @@ _META_PREFIX = "* meta "
 #: Reserved metadata-key prefix carrying per-fault weights: a line
 #: ``* meta weight.<fault_id>=<float>`` sets :attr:`Fault.weight` of the
 #: matching fault.  Weight lines whose id matches no fault (or whose value
-#: is not a float) stay in :attr:`FaultList.metadata` verbatim — the round
-#: trip keeps them byte-faithful and ``repro.anafault lint`` flags them
-#: (``unknown-meta``) instead of silently dropping them.
+#: is not a finite non-negative float) stay in :attr:`FaultList.metadata`
+#: verbatim — the round trip keeps them byte-faithful and
+#: ``repro.anafault lint`` flags them (``unknown-meta``) instead of
+#: silently dropping them.
 WEIGHT_META_PREFIX = "weight."
 
 #: Anything ``open()`` accepts for the dump/load convenience methods.
@@ -207,9 +209,12 @@ class FaultList:
 
         ``* meta weight.<fault_id>=<float>`` lines set
         :attr:`Fault.weight` on the matching faults; weight lines that
-        bind to no fault (unknown id, non-float value) are *kept* in
-        :attr:`metadata` — the round trip re-emits them unchanged and
-        the ``unknown-meta`` lint rule reports them.
+        bind to no fault (unknown id, a value that is not a finite
+        non-negative float) are *kept* in :attr:`metadata` — the round
+        trip re-emits them unchanged and the ``unknown-meta`` lint rule
+        reports them.  A fault record whose ``p=`` is not a finite
+        non-negative number raises :class:`~repro.errors.FaultError`
+        naming the line.
         """
         fault_list = cls(name if name is not None else "fault list")
         for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -252,6 +257,8 @@ class FaultList:
                 weight = float(str(self.metadata[key]))
             except ValueError:
                 continue  # malformed; kept for the round trip + lint
+            if not (math.isfinite(weight) and weight >= 0.0):
+                continue  # impossible weight; kept for round trip + lint
             targets = by_id.get(fault_id)
             if not targets:
                 continue  # orphan id; kept for the round trip + lint
@@ -322,6 +329,9 @@ def _fault_from_record(line: str) -> Fault:
     kind = tokens[2].lower()
     fields = _parse_fields(tokens[3:])
     probability = float(fields.get("p", 0.0))
+    if not (math.isfinite(probability) and probability >= 0.0):
+        raise FaultError(f"p={fields['p']} is not a finite non-negative "
+                         "probability")
     layer = fields.get("layer", "")
     description = fields.get("desc", description)
 

@@ -320,8 +320,9 @@ def check_unknown_meta(ctx: FaultListContext) -> Iterable[Diagnostic]:
 
     ``FaultList.loads`` attaches each well-formed weight meta line to the
     fault with the matching id and leaves orphans (ids absent from the
-    list) and malformed entries (non-integer id, non-float value) in the
-    raw metadata so the file round-trips byte-faithfully.  Anything with
+    list) and malformed entries (non-integer id, a value that is not a
+    finite non-negative float) in the raw metadata so the file
+    round-trips byte-faithfully.  Anything with
     the weight prefix still sitting in the metadata is therefore a weight
     the campaign silently ignores.
     """
@@ -340,7 +341,7 @@ def check_unknown_meta(ctx: FaultListContext) -> Iterable[Diagnostic]:
         elif fault_id not in known_ids:
             detail = f"no fault has id {fault_id}"
         else:
-            detail = f"value {value!r} is not a number"
+            detail = f"value {value!r} is not a number in [0, inf)"
         yield Diagnostic(
             code="unknown-meta", severity=SEVERITY_WARNING,
             location=f"meta {key}",

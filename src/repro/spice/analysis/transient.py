@@ -261,18 +261,11 @@ class TransientResult:
 
     def __init__(self, time: np.ndarray, node_traces: dict[str, np.ndarray],
                  branch_traces: dict[str, np.ndarray] | None = None,
-                 stats: dict | None = None,
-                 tail_time: np.ndarray | None = None,
-                 tail_traces: dict[str, np.ndarray] | None = None):
+                 stats: dict | None = None):
         self.time = np.asarray(time, dtype=float)
         self._nodes = node_traces
         self._branches = branch_traces or {}
         self.stats = dict(stats or {})
-        #: Print times of the downsampled reporting tail (streaming runs
-        #: with ``tail_downsample``; ``None`` otherwise).
-        self.tail_time = (None if tail_time is None
-                          else np.asarray(tail_time, dtype=float))
-        self._tail = tail_traces or {}
 
     @staticmethod
     def _canonical(signal: str) -> str:
@@ -299,10 +292,6 @@ class TransientResult:
         if key in self._branches:
             return Waveform(self.time, self._branches[key], name=f"i({key})",
                             unit="A")
-        if key in self._tail:
-            # Streaming run: the node was not selected for full-resolution
-            # recording but is available on the downsampled reporting tail.
-            return Waveform(self.tail_time, self._tail[key], name=f"v({key})")
         raise AnalysisError(f"no recorded signal named {signal!r}")
 
     def current(self, device_name: str) -> Waveform:
@@ -355,12 +344,6 @@ class TransientAnalysis:
         ``O(observed × points)`` (the campaign layer uses this for its
         comparator nodes).  Unknown node names raise
         :class:`~repro.errors.AnalysisError` up front.
-    tail_downsample:
-        Opt-in reporting tail for streaming runs: when ``record_nodes`` is
-        given and this is > 0, *all* node voltages are additionally kept at
-        every ``tail_downsample``-th print point (plus the final one),
-        retrievable through :meth:`TransientResult.waveform` at the reduced
-        resolution.  Ignored when ``record_nodes`` is ``None``.
     timestep:
         Timestep-control policy: a :class:`TransientOptions` instance, a
         mode string (``"fixed"``/``"adaptive"``) as a shorthand for
@@ -381,14 +364,11 @@ class TransientAnalysis:
                  record_currents: bool = True,
                  solver_backend: str | None = None,
                  record_nodes=None,
-                 tail_downsample: int = 0,
                  timestep: TransientOptions | str | None = None):
         if tstop <= 0.0 or tstep <= 0.0:
             raise AnalysisError("tstop and tstep must be positive")
         if tstep > tstop:
             raise AnalysisError("tstep must not exceed tstop")
-        if tail_downsample < 0:
-            raise AnalysisError("tail_downsample must be >= 0")
         self.circuit = circuit
         self.tstop = float(tstop)
         self.tstep = float(tstep)
@@ -399,7 +379,6 @@ class TransientAnalysis:
         self.solver_backend = solver_backend
         self.record_nodes = (None if record_nodes is None
                              else tuple(record_nodes))
-        self.tail_downsample = int(tail_downsample)
         if timestep is None:
             timestep = TransientOptions()
         elif isinstance(timestep, str):
@@ -664,18 +643,6 @@ class TransientRun:
         else:
             # Observed-node streaming: keep only the selected columns.
             self.data = np.zeros((num_outputs, len(select[0])))
-        self._tail_rows: dict[int, int] = {}
-        self._tail_data = None
-        if select is not None and analysis.tail_downsample > 0:
-            # Downsampled full-width tail for reporting: every Nth print
-            # point plus the final one.
-            rows = list(range(0, num_outputs, analysis.tail_downsample))
-            if rows[-1] != num_outputs - 1:
-                rows.append(num_outputs - 1)
-            self._tail_rows = {print_index: row for row, print_index in
-                               enumerate(rows)}
-            self._tail_data = np.zeros((len(rows), builder.size))
-            self._tail_data[0] = state.x
         self.data[0] = state.x if select is None else state.x[select[0]]
 
         topts = analysis.timestep
@@ -791,8 +758,6 @@ class TransientRun:
     def _write(self, output_index: int, x: np.ndarray) -> None:
         self.data[output_index] = x if self._select is None else \
             x[self._select[0]]
-        if self._tail_data is not None and output_index in self._tail_rows:
-            self._tail_data[self._tail_rows[output_index]] = x
 
     # ------------------------------------------------------------------
     # Order and error-control helpers of the stepping loop
@@ -1289,8 +1254,6 @@ class TransientRun:
         data = self.data
         select = self._select
         times = self.times
-        tail_data = self._tail_data
-        tail_rows = self._tail_rows
 
         if select is None:
             node_traces = {name: data[:, index]
@@ -1307,13 +1270,6 @@ class TransientRun:
             for column, (name, is_branch) in enumerate(select[1]):
                 target = branch_traces if is_branch else node_traces
                 target[name] = data[:, column]
-        tail_time = None
-        tail_traces = None
-        if tail_data is not None:
-            tail_time = times[sorted(tail_rows)]
-            tail_traces = {name: tail_data[:, index]
-                           for name, index in builder.node_index.items()
-                           if name not in node_traces}
 
         counters = {
             "newton_iterations": self._newton_iterations,
@@ -1340,9 +1296,7 @@ class TransientRun:
             "timestep_mode": analysis.timestep.mode,
             "recorded_nodes": (data.shape[1] if select is not None
                                else len(builder.node_index)),
-            "trace_bytes": int(data.nbytes) + (0 if tail_data is None
-                                               else int(tail_data.nbytes)),
+            "trace_bytes": int(data.nbytes),
         }
         stats.update(counters)
-        return TransientResult(times, node_traces, branch_traces, stats=stats,
-                               tail_time=tail_time, tail_traces=tail_traces)
+        return TransientResult(times, node_traces, branch_traces, stats=stats)

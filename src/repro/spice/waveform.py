@@ -51,20 +51,6 @@ class Waveform:
         """
         return int(self.x.nbytes) + int(self.y.nbytes)
 
-    def downsample(self, every: int) -> "Waveform":
-        """Every ``every``-th sample plus the final one (reporting tails).
-
-        Keeps the end point so ``final_value()`` and detection checks near
-        ``tstop`` survive the decimation.
-        """
-        if every <= 1 or self.x.size <= 2:
-            return Waveform(self.x, self.y, self.name, self.unit, self.x_unit)
-        keep = np.arange(0, self.x.size, every)
-        if keep[-1] != self.x.size - 1:
-            keep = np.append(keep, self.x.size - 1)
-        return Waveform(self.x[keep], self.y[keep], self.name, self.unit,
-                        self.x_unit)
-
     def value_at(self, x: float) -> float:
         """Linearly interpolated value at ``x`` (clamped at the ends)."""
         if self.x.size == 0:

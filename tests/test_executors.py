@@ -173,14 +173,14 @@ class TestExecutorSeam:
         assert serial.executor == "serial"
         assert pool.executor == "pool"
         assert pool.workers == 2
-        assert pool.nominal_store == "shared_memory"
+        assert pool.nominal_ipc_bytes > 0
 
     def test_pool_executor_serial_fallback(self, rc_circuit):
         result = FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
             executor=PoolExecutor(1))
         assert result.executor == "serial"
         assert result.workers == 1
-        assert result.nominal_store == "local"
+        assert result.nominal_ipc_bytes == 0
 
     def test_run_campaign_forwards_the_executor_seam(self, rc_circuit):
         """run_campaign() exposes the same seam: executor= passes through."""

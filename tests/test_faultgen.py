@@ -393,6 +393,19 @@ class TestUnknownMetaLint:
         faults = FaultList.loads(text)
         return faults, lint_fault_list(circuit, faults)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1"])
+    def test_impossible_weight_stays_unbound_and_warns(self, rc_circuit,
+                                                       value):
+        faults = FaultList.from_faults(
+            [BridgingFault(1, net_a="in", net_b="out", probability=1e-6)])
+        faults.metadata["weight.1"] = value
+        loaded, report = self._lint(faults.dumps(), rc_circuit)
+        assert loaded[0].weight is None
+        assert loaded.metadata["weight.1"] == value
+        assert loaded.dumps() == faults.dumps()
+        (warning,) = [d for d in report if d.code == "unknown-meta"]
+        assert f"value {value!r} is not a number in [0, inf)" in warning.message
+
     def test_orphan_and_malformed_weight_metas_warn(self, rc_circuit):
         faults = FaultList.from_faults(
             [BridgingFault(1, net_a="in", net_b="out", probability=1e-6)])

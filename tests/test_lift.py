@@ -164,6 +164,15 @@ class TestWeightsAndInterchange:
             assert key in loaded.metadata
         assert loaded.dumps() == text
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999", "-1"])
+    def test_impossible_probability_is_refused(self, value):
+        text = FaultList.from_faults(
+            [BridgingFault(1, probability=1e-6, net_a="a", net_b="b")],
+            name="bad p").dumps()
+        assert "p=1e-06" in text
+        with pytest.raises(FaultError, match=rf"line 2: .*p={value} is not"):
+            FaultList.loads(text.replace("p=1e-06", f"p={value}"))
+
     def test_multi_word_description_round_trip(self):
         faults = FaultList.from_faults(
             [BridgingFault(3, probability=1e-6, net_a="out", net_b="in",

@@ -367,6 +367,19 @@ class TestWireFormat:
         with pytest.raises(CampaignError, match="unknown field"):
             settings_from_wire(wire)
 
+    @pytest.mark.parametrize("retired", [
+        {"use_shared_memory": False}, {"tail_downsample": 10},
+        {"use_shared_memory": "yes", "tail_downsample": [1.5]}])
+    def test_retired_settings_fields_are_dropped(self, retired):
+        """Spool descriptors of earlier versions persist two settings
+        that no longer exist; any value of them loads to the same
+        settings, while a nested key of the same name is still refused."""
+        wire = settings_to_wire(_settings())
+        assert settings_from_wire({**wire, **retired}) == _settings()
+        wire["tolerances"] = {**wire["tolerances"], **retired}
+        with pytest.raises(CampaignError, match="unknown field"):
+            settings_from_wire(wire)
+
     @pytest.mark.parametrize("payload, named", [
         (None, "payload must be a JSON object, got NoneType"),
         ([], "payload must be a JSON object, got list"),
@@ -377,8 +390,10 @@ class TestWireFormat:
         ({"tstop": "4u"}, "field 'tstop' must be a number"),
         ({"tstop": None}, "field 'tstop' must be a number"),
         ({"use_ic": 1}, "field 'use_ic' must be a boolean"),
-        ({"tail_downsample": 1.5}, "field 'tail_downsample' must be an integer"),
-        ({"tail_downsample": True}, "field 'tail_downsample' must be an integer"),
+        ({"simulator_options": {"itl1": 1.5}},
+         "field 'simulator_options.itl1' must be an integer"),
+        ({"simulator_options": {"itl1": True}},
+         "field 'simulator_options.itl1' must be an integer"),
         ({"observation_nodes": "11"},
          "field 'observation_nodes' must be a list of strings"),
         ({"observation_nodes": [11]},
@@ -583,6 +598,49 @@ class TestCampaignServiceProtocol:
         restored = restarted.jobs[job]
         assert restored.machine.estimated_cost(1) == 7.5
         restarted.close()
+
+    def test_restart_drops_retired_settings_from_the_descriptor(
+            self, rc_circuit, tmp_path):
+        """Descriptors written before the nominal store and the reporting
+        tail were retired carry both settings keys; the daemon still
+        restarts on them and serves the same job."""
+        service, _ = self._service(tmp_path)
+        job = service.handle({"op": "submit",
+                              **_submit_payload(rc_circuit)})["job"]
+        service.close()
+        descriptor_path = tmp_path / "spool" / f"{job}.job.json"
+        descriptor = json.loads(descriptor_path.read_text())
+        descriptor["payload"]["settings"].update(
+            use_shared_memory=True, tail_downsample=10)
+        descriptor_path.write_text(json.dumps(descriptor))
+
+        restarted = CampaignService(tmp_path / "spool", clock=FakeClock())
+        assert list(restarted.jobs) == [job]
+        assert restarted.handle({"op": "status", "job": job})["total"] == 4
+        restarted.close()
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda text: text[:len(text) // 2], "JSONDecodeError"),
+        (lambda text: json.dumps({"fingerprint": "abc"}),
+         "payload is NoneType"),
+        (lambda text: json.dumps({"payload": [1, 2]}), "payload is list"),
+        (lambda text: json.dumps([1, 2]), "not a JSON object"),
+        (lambda text: json.dumps({"payload": {"faults": ""}}),
+         "KeyError: 'settings'"),
+    ], ids=["torn", "no-payload", "list-payload", "list-descriptor",
+            "missing-key"])
+    def test_damaged_descriptor_names_the_file(self, rc_circuit, tmp_path,
+                                               damage, named):
+        service, _ = self._service(tmp_path)
+        job = service.handle({"op": "submit",
+                              **_submit_payload(rc_circuit)})["job"]
+        service.close()
+        descriptor_path = tmp_path / "spool" / f"{job}.job.json"
+        descriptor_path.write_text(damage(descriptor_path.read_text()))
+        with pytest.raises(CampaignError) as excinfo:
+            CampaignService(tmp_path / "spool", clock=FakeClock())
+        assert str(descriptor_path) in str(excinfo.value)
+        assert named in str(excinfo.value)
 
     def test_cancel_stops_serving_but_keeps_results(self, rc_circuit,
                                                     tmp_path):

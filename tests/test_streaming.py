@@ -1,11 +1,9 @@
 """Tests for the streaming fault-campaign engine.
 
-Covers the three legs of the engine (see ``docs/campaigns.md``):
+Covers the two legs of the engine (see ``docs/campaigns.md``):
 
-* the shared-memory nominal store (one physical copy for N workers, with
-  the inline pickled fallback),
 * observed-node streaming in the transient kernel (record only the
-  comparator nodes, opt-in downsampled reporting tail),
+  comparator nodes),
 * JSONL checkpoint/resume (kill a campaign mid-run, resume, and get a
   result record-for-record identical to an uninterrupted one),
 
@@ -16,7 +14,9 @@ plus the robustness fixes that ride along (empty/partial telemetry,
 from __future__ import annotations
 
 import json
+import pathlib
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -25,18 +25,17 @@ from repro.anafault import (
     CampaignCheckpoint,
     CampaignSettings,
     FaultSimulator,
-    InlineNominalStore,
-    NominalStore,
     PoolExecutor,
     SerialExecutor,
     ToleranceSettings,
     campaign_fingerprint,
-    publish_nominal,
 )
+from repro.anafault.checkpoint import RECORD_FIELDS, _settings_text
+from repro.anafault.executors import record_from_payload
 from repro.anafault.simulator import CampaignResult
 from repro.errors import AnalysisError, CampaignError
 from repro.lift import BridgingFault, FaultList, OpenFault, ParametricFault
-from repro.spice import TransientAnalysis, Waveform
+from repro.spice import TransientAnalysis
 
 
 def _fault_list() -> FaultList:
@@ -60,70 +59,33 @@ def _settings(**overrides) -> CampaignSettings:
     return CampaignSettings(**base)
 
 
+#: A checkpoint of the ``_fault_list()``/``_settings()`` campaign written
+#: before the shared-memory store and the reporting tail were retired.
+LEGACY_CHECKPOINT = (pathlib.Path(__file__).parent / "data"
+                     / "rc_campaign_checkpoint.jsonl")
+
+#: ``_settings_text(CampaignSettings())`` and the fingerprint of the
+#: ``_fault_list()``/``_settings()`` campaign, captured before the retired
+#: settings were deleted: dropping verdict-neutral fields must not move
+#: any campaign identity.
+PINNED_SETTINGS_TEXT = (
+    "tstop=4e-06, tstep=1e-08, use_ic=True, observation_nodes=('11',), "
+    "initial_conditions={}, tolerances=ToleranceSettings(amplitude=2.0, "
+    "time=2e-07), fault_model=FaultModelOptions(model='resistor', "
+    "short_resistance=0.01, open_resistance=100000000.0), "
+    "simulator_options=SimulationOptions(reltol=0.001, vntol=1e-06, "
+    "abstol=1e-09, gmin=1e-12, itl1=200, itl4=60, temperature=27.0, "
+    "integration='trap', max_voltage_step=10.0, gmin_steps=10, "
+    "source_steps=10, min_step_fraction=0.00390625), "
+    "count_failed_as_detected=True, solver_backend=None")
+PINNED_FINGERPRINT = "c7e02b26b7d56f671cf21a322cf55f11"
+
+
 def _semantic(record) -> tuple:
     """The verdict-level identity of a record (no timing telemetry)."""
     return (record.fault.fault_id, record.status, record.detection_time,
             record.detected_on, record.max_deviation,
             record.newton_iterations)
-
-
-class TestNominalStore:
-    def _waves(self, samples: int = 256) -> dict[str, Waveform]:
-        t = np.linspace(0.0, 1e-6, samples)
-        return {"11": Waveform(t, np.sin(1e7 * t), name="v(11)"),
-                "out": Waveform(t, np.cos(1e7 * t), name="v(out)")}
-
-    def test_publish_prefers_shared_memory(self):
-        store = publish_nominal(self._waves())
-        try:
-            assert isinstance(store, NominalStore)
-            assert store.kind == "shared_memory"
-        finally:
-            store.dispose()
-
-    def test_pickle_attaches_to_same_pages(self):
-        waves = self._waves()
-        store = NominalStore.publish(waves)
-        try:
-            clone = pickle.loads(pickle.dumps(store))
-            cloned = clone.waveforms()
-            assert set(cloned) == set(waves)
-            for name, wave in waves.items():
-                np.testing.assert_array_equal(cloned[name].x, wave.x)
-                np.testing.assert_array_equal(cloned[name].y, wave.y)
-            clone.dispose()  # non-owner: must not unlink the segment
-            again = pickle.loads(pickle.dumps(store)).waveforms()
-            np.testing.assert_array_equal(again["out"].y, waves["out"].y)
-        finally:
-            store.dispose()
-
-    def test_pickled_payload_is_layout_not_data(self):
-        waves = self._waves(samples=50_000)
-        store = NominalStore.publish(waves)
-        try:
-            inline = InlineNominalStore(waves)
-            # The shared store ships a name + layout table; the inline
-            # fallback ships every sample.
-            assert store.payload_bytes() < 2_000
-            assert inline.payload_bytes() > 100_000
-            assert store.payload_bytes() * 50 < inline.payload_bytes()
-        finally:
-            store.dispose()
-
-    def test_dispose_is_idempotent_and_blocks_pickling(self):
-        store = NominalStore.publish(self._waves())
-        store.dispose()
-        store.dispose()
-        with pytest.raises(pickle.PicklingError):
-            pickle.dumps(store)
-
-    def test_inline_fallback_on_request(self):
-        waves = self._waves()
-        store = publish_nominal(waves, shared=False)
-        assert isinstance(store, InlineNominalStore)
-        assert store.kind == "inline"
-        assert store.waveforms()["out"] is waves["out"]
-        store.dispose()  # no-op
 
 
 class TestObservedNodeStreaming:
@@ -163,27 +125,6 @@ class TestObservedNodeStreaming:
                                    record_nodes=("out", "0")).run()
         assert np.all(result["0"].y == 0.0)
 
-    def test_downsampled_tail_keeps_other_nodes(self, rc_circuit):
-        kwargs = dict(tstop=5e-3, tstep=5e-5)
-        full = TransientAnalysis(rc_circuit, **kwargs).run()
-        streamed = TransientAnalysis(rc_circuit, record_nodes=("out",),
-                                     tail_downsample=10, **kwargs).run()
-        tail = streamed["in"]
-        assert len(tail) < len(full["in"])
-        # The tail is the exact print-grid samples, decimated + final point.
-        assert tail.x[-1] == pytest.approx(5e-3)
-        reference = full["in"].values_at(tail.x)
-        np.testing.assert_allclose(tail.y, reference, rtol=0, atol=1e-12)
-        # The observed node stays at full print resolution.
-        assert len(streamed["out"]) == len(full["out"])
-
-    def test_waveform_downsample_helper(self):
-        wave = Waveform(np.arange(11.0), np.arange(11.0) ** 2)
-        decimated = wave.downsample(4)
-        np.testing.assert_array_equal(decimated.x, [0.0, 4.0, 8.0, 10.0])
-        assert wave.downsample(1).x.size == 11
-        assert wave.nbytes == 2 * 11 * 8
-
 
 class TestCheckpointFile:
     def test_fingerprint_sensitivity(self, rc_circuit):
@@ -195,13 +136,15 @@ class TestCheckpointFile:
         assert base != campaign_fingerprint(rc_circuit, faults, shorter)
         fewer = FaultList("rc streaming faults", faults.faults[:-1])
         assert base != campaign_fingerprint(rc_circuit, fewer, _settings())
-        # Engine-only knobs never change verdicts, so toggling them must
-        # not orphan a checkpoint.
-        for neutral in ({"stream_traces": False},
-                        {"use_shared_memory": False},
-                        {"tail_downsample": 10}):
-            assert base == campaign_fingerprint(rc_circuit, faults,
-                                                _settings(**neutral))
+        # Streaming never changes verdicts, so toggling it must not orphan
+        # a checkpoint.
+        assert base == campaign_fingerprint(rc_circuit, faults,
+                                            _settings(stream_traces=False))
+
+    def test_campaign_identity_is_pinned(self, rc_circuit):
+        assert _settings_text(CampaignSettings()) == PINNED_SETTINGS_TEXT
+        assert campaign_fingerprint(rc_circuit, _fault_list(),
+                                    _settings()) == PINNED_FINGERPRINT
 
     def test_load_missing_file_is_empty(self, tmp_path):
         checkpoint = CampaignCheckpoint(tmp_path / "never-written.jsonl")
@@ -288,6 +231,19 @@ class TestCheckpointResume:
             list(map(_semantic, baseline.records))
         assert resumed.fault_coverage() == baseline.fault_coverage()
 
+    def test_legacy_checkpoint_resumes_with_every_fault_skipped(
+            self, rc_circuit, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        shutil.copy(LEGACY_CHECKPOINT, path)
+        resumed = FaultSimulator(rc_circuit, _fault_list(),
+                                 _settings()).run(checkpoint=path)
+        assert resumed.checkpoint_skipped == 5
+        assert path.read_bytes() == LEGACY_CHECKPOINT.read_bytes()
+        baseline = FaultSimulator(rc_circuit, _fault_list(),
+                                  _settings()).run()
+        assert list(map(_semantic, resumed.records)) == \
+            list(map(_semantic, baseline.records))
+
     def test_completed_checkpoint_skips_every_fault(self, rc_circuit,
                                                     tmp_path):
         path = tmp_path / "campaign.jsonl"
@@ -309,7 +265,7 @@ class TestCheckpointResume:
         telemetry = third.telemetry()
         assert telemetry["record_ipc_bytes_total"] == 0
         assert telemetry["workers"] == 1
-        assert telemetry["nominal_store"] == "local"
+        assert telemetry["nominal_ipc_bytes"] == 0
 
     def test_worker_exception_mid_campaign_then_resume(self, rc_circuit,
                                                        tmp_path, monkeypatch):
@@ -352,30 +308,21 @@ class TestStreamingCampaign:
         full_traces = [r.trace_bytes for r in full.records if r.trace_bytes]
         assert max(streamed_traces) < min(full_traces)
 
-    def test_serial_parallel_equivalent_with_shared_memory(self, rc_circuit):
+    def test_serial_parallel_equivalent(self, rc_circuit):
         serial = FaultSimulator(rc_circuit, _fault_list(),
                                 _settings()).run(executor=SerialExecutor())
         parallel = FaultSimulator(rc_circuit, _fault_list(),
                                   _settings()).run(executor=PoolExecutor(2))
-        assert list(map(_semantic, serial.records)) == \
-            list(map(_semantic, parallel.records))
-        assert serial.nominal_store == "local"
-        assert parallel.nominal_store == "shared_memory"
-        assert parallel.nominal_ipc_bytes > 0
+        fields = [name for name in RECORD_FIELDS if name != "elapsed_seconds"]
+        for ours, theirs in zip(serial.records, parallel.records, strict=True):
+            assert ([getattr(ours, name) for name in fields]
+                    == [getattr(theirs, name) for name in fields])
+        assert serial.nominal_ipc_bytes == 0
+        # Each worker receives the pickled nominal dict once.
+        assert parallel.nominal_ipc_bytes == len(pickle.dumps(serial.nominal))
         # Workers stamp the IPC cost of every record they send home.
         assert all(r.payload_bytes > 0 for r in parallel.records)
         assert parallel.telemetry()["record_ipc_bytes_total"] > 0
-
-    def test_shared_memory_payload_beats_inline(self, rc_circuit):
-        shared = FaultSimulator(rc_circuit, _fault_list(),
-                                _settings()).run(executor=PoolExecutor(2))
-        inline = FaultSimulator(
-            rc_circuit, _fault_list(),
-            _settings(use_shared_memory=False)).run(executor=PoolExecutor(2))
-        assert inline.nominal_store == "inline"
-        assert shared.nominal_ipc_bytes < inline.nominal_ipc_bytes
-        assert list(map(_semantic, shared.records)) == \
-            list(map(_semantic, inline.records))
 
 
 class TestResultRobustness:
@@ -401,3 +348,64 @@ class TestResultRobustness:
         result = self._empty()
         with pytest.raises(KeyError, match="fault id 42"):
             result.record_for(42)
+
+
+def _edit_record(path: pathlib.Path, fault_id: int, edit) -> None:
+    """Rewrite the checkpoint line of ``fault_id`` through ``edit``
+    (decoded entry -> raw line text)."""
+    lines = path.read_text().splitlines()
+    for number, line in enumerate(lines):
+        entry = json.loads(line)
+        if entry.get("fault_id") == fault_id:
+            lines[number] = edit(entry)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedCheckpointRecords:
+    """A hand-edited or corrupted record line fails resume with a
+    :class:`CampaignError` naming the fault, the field and the file."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("newton_iterations", "x"),
+        ("steps_accepted", float("inf")),
+        ("trace_bytes", -1),
+        ("attempt", 0),
+        ("steps_rejected", True),
+        ("order_histogram", "x"),
+        ("order_histogram", {"2": 1.5}),
+        ("status", "x"),
+        ("detection_time", "soon"),
+        ("detection_time", float("nan")),
+        ("max_deviation", "big"),
+        ("detected_on", 3),
+        ("message", ["boom"]),
+    ])
+    def test_bad_field_names_fault_field_and_file(self, rc_circuit,
+                                                  tmp_path, field, value):
+        path = tmp_path / "campaign.jsonl"
+        shutil.copy(LEGACY_CHECKPOINT, path)
+        _edit_record(path, 2, lambda entry: json.dumps({**entry,
+                                                        field: value}))
+        simulator = FaultSimulator(rc_circuit, _fault_list(), _settings())
+        with pytest.raises(CampaignError) as excinfo:
+            simulator.plan(checkpoint=path)
+        message = str(excinfo.value)
+        assert "fault id 2" in message
+        assert f"{field}=" in message
+        assert str(path) in message
+
+    def test_missing_fields_take_the_defaults(self, rc_circuit, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        shutil.copy(LEGACY_CHECKPOINT, path)
+        _edit_record(path, 2, lambda entry: json.dumps(
+            {key: value for key, value in entry.items()
+             if key not in ("attempt", "order_histogram")}))
+        plan = FaultSimulator(rc_circuit, _fault_list(),
+                              _settings()).plan(checkpoint=path)
+        record = plan.preloaded[1]
+        assert (record.attempt, record.order_histogram) == (1, {})
+        assert record.status == "detected"
+
+    def test_non_object_payload_is_refused(self):
+        with pytest.raises(CampaignError, match="fault id 1 from here is list"):
+            record_from_payload(_fault_list().faults[0], [], source="here")
