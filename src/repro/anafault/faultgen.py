@@ -5,24 +5,22 @@ three stages, each usable on its own:
 
 1. **Generation** (:class:`FaultGenerator`): every geometric failure
    opportunity of a :class:`~repro.layout.layout.Layout` becomes a
-   *candidate* fault carrying a failure-probability **weight**: bridges
-   from facing-geometry pairs via the analytic
-   :func:`~repro.defects.weighted_bridge_area` (with a
-   :class:`~repro.defects.SpotDefectSampler` Monte-Carlo fallback for
-   irregular, diagonal geometry), wire opens and contact/via opens via the
-   open/contact critical areas.  The electrical effect of each site is
-   derived with the *same* machinery GLRFM uses
-   (:class:`~repro.lift.extraction.AnchorMap`,
-   :func:`~repro.lift.extraction.open_effect`), so a generated fault is
-   byte-identical to the extracted one for the same defect.
+   *candidate* fault carrying a failure-probability **weight**.  The
+   sites, their analytic critical areas and their electrical effects come
+   from GLRFM's own enumerator
+   (:func:`~repro.lift.extraction.failure_sites`), so a generated fault is
+   byte-identical to the extracted one for the same defect; only
+   irregular (diagonal) bridge pairs are weighted differently, with a
+   :class:`~repro.defects.SpotDefectSampler` Monte-Carlo area.
 2. **Collapsing** (:meth:`FaultGenerator.collapse`): candidates are
-   partitioned into equivalence classes by their *normalized injector
-   signature* (the same identity ``repro.lint.fault_rules`` uses to
-   mirror :class:`~repro.anafault.FaultInjector`) — same injected element,
-   topologically equivalent site.  One representative per class survives,
-   with the class weight aggregated and the multiplicity recorded; every
-   collapsed-away candidate would have produced the identical faulty
-   netlist, hence the identical verdict.
+   partitioned into equivalence classes by
+   :meth:`~repro.lift.faults.Fault.signature` (the one fault identity,
+   also behind ``FaultList.merge_equivalent`` and the ``equivalent-faults``
+   lint rule) — same injected element, topologically equivalent site.
+   One representative per class survives, with the class weight
+   aggregated and the multiplicity recorded; every collapsed-away
+   candidate would have produced the identical faulty netlist, hence the
+   identical verdict.
 3. **Importance sampling** (:func:`sample_faults`,
    :func:`estimate_coverage`): a seeded weight-proportional sampler draws
    faults with replacement; simulating only the drawn faults yields an
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 import copy as _copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,20 +46,15 @@ from ..defects import (
     DefectStatistics,
     SpotDefectSampler,
     failure_probability,
-    weighted_bridge_area,
-    weighted_contact_area,
-    weighted_open_area,
 )
 from ..errors import FaultError
 from ..extract.lvs import LVSReport, compare
 from ..extract.netlist import ExtractionResult
-from ..layout.layers import CONTACT, NDIFF, PDIFF, POLY, VIA
 from ..layout.layout import Layout
-from ..lift.extraction import AnchorMap, open_effect
+from ..lift.extraction import AnchorMap, FaultExtractionReport, failure_sites
 from ..lift.faultlist import FaultList
-from ..lift.faults import BridgingFault, Fault
-from ..lint.fault_rules import normalized_signature
-from ..spice import Capacitor, Circuit, Mosfet
+from ..lift.faults import Fault
+from ..spice import Circuit
 
 #: Metadata keys a generated fault list carries (campaign telemetry picks
 #: them up; see ``CampaignResult.telemetry``).
@@ -85,9 +78,9 @@ class FaultGenOptions:
     #: Drop collapsed faults whose aggregated weight falls below this.
     min_weight: float = 1e-9
     #: Nets regarded as supplies (bridges between two of them are gross
-    #: defects caught by current testing, not by signal observation).
+    #: defects caught by current testing, not by signal observation, and
+    #: are never enumerated).
     supply_nets: tuple[str, ...] = ("0", "1")
-    exclude_supply_to_supply: bool = True
     #: Monte-Carlo draws per irregular (diagonal) bridge pair; 0 skips
     #: irregular geometry entirely.
     monte_carlo_samples: int = 256
@@ -130,22 +123,6 @@ class CollapsedClass:
     def multiplicity(self) -> int:
         """How many geometric sites collapsed into this class."""
         return len(self.members)
-
-
-@dataclass
-class GenerationReport:
-    """Diagnostics of one generation run."""
-
-    bridge_pairs: int = 0
-    irregular_pairs: int = 0
-    open_sites: int = 0
-    cut_sites: int = 0
-    candidates: int = 0
-    ineffective_opens: int = 0
-    skipped_spacing: int = 0
-    skipped_supply: int = 0
-    skipped_min_weight: int = 0
-    messages: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -195,7 +172,7 @@ class FaultGenerator:
             device_map = None
         self.anchor_map = AnchorMap(layout, extraction, self.circuit,
                                     device_map=device_map)
-        self.report = GenerationReport()
+        self.report = FaultExtractionReport()
         self.report.messages.extend(self.anchor_map.messages)
         self._sampler = SpotDefectSampler(layout, extraction.connectivity,
                                           self.statistics, self.distribution,
@@ -207,159 +184,29 @@ class FaultGenerator:
     def generate(self) -> list[FaultCandidate]:
         """All per-site candidates (bridges, wire opens, cut opens)."""
         candidates: list[FaultCandidate] = []
-        candidates.extend(self._bridge_candidates())
-        candidates.extend(self._open_candidates())
-        candidates.extend(self._cut_candidates())
+        for site in failure_sites(self.anchor_map, self.statistics,
+                                  self.distribution, self.options.supply_nets,
+                                  self.report):
+            if site.fault is None:
+                continue
+            weight = site.probability
+            source = SOURCE_ANALYTIC
+            if site.irregular_pair is not None:
+                # Irregular (diagonal) geometry: the parallel-wire
+                # expression does not apply; fall back to the spot
+                # sampler's Monte-Carlo classification.
+                if self.options.monte_carlo_samples <= 0:
+                    continue
+                area = self._sampler.monte_carlo_bridge_area(
+                    *site.irregular_pair,
+                    samples=self.options.monte_carlo_samples)
+                weight = failure_probability(area, site.density)
+                source = SOURCE_MONTE_CARLO
+            if weight <= 0.0:
+                continue
+            candidates.append(FaultCandidate(
+                site.fault, weight, site.layer, site.site, source))
         self.report.candidates = len(candidates)
-        return candidates
-
-    def _bridge_scope(self, net_a: str, net_b: str) -> str:
-        supplies = self.options.supply_nets
-        if net_a in supplies or net_b in supplies:
-            return "global"
-        for device in self.circuit.devices:
-            if isinstance(device, (Mosfet, Capacitor)):
-                if net_a in device.nodes and net_b in device.nodes:
-                    return "local"
-        return "global"
-
-    def _bridge_candidates(self) -> list[FaultCandidate]:
-        connectivity = self.extraction.connectivity
-        max_size = self.distribution.max_size
-        candidates: list[FaultCandidate] = []
-
-        by_layer: dict[str, list] = {}
-        for piece in connectivity.pieces:
-            by_layer.setdefault(piece.layer.name, []).append(piece)
-
-        for layer_name in sorted(by_layer):
-            pieces = by_layer[layer_name]
-            density = self.statistics.density(layer_name, "short")
-            if density <= 0.0:
-                continue
-            for i, a in enumerate(pieces):
-                net_a = connectivity.piece_net[a.index]
-                for b in pieces[i + 1:]:
-                    net_b = connectivity.piece_net[b.index]
-                    if net_a == net_b:
-                        continue
-                    self.report.bridge_pairs += 1
-                    if (self.options.exclude_supply_to_supply
-                            and net_a in self.options.supply_nets
-                            and net_b in self.options.supply_nets):
-                        self.report.skipped_supply += 1
-                        continue
-                    spacing, facing = a.rect.facing(b.rect)
-                    if spacing >= max_size:
-                        self.report.skipped_spacing += 1
-                        continue
-                    if facing > 0.0 or spacing == 0.0:
-                        area = weighted_bridge_area(self.distribution,
-                                                    spacing, facing)
-                        source = SOURCE_ANALYTIC
-                    else:
-                        # Irregular (diagonal) geometry: the parallel-wire
-                        # expression does not apply; fall back to the spot
-                        # sampler's Monte-Carlo classification.
-                        self.report.irregular_pairs += 1
-                        if self.options.monte_carlo_samples <= 0:
-                            continue
-                        area = self._sampler.monte_carlo_bridge_area(
-                            a.rect, b.rect,
-                            samples=self.options.monte_carlo_samples)
-                        source = SOURCE_MONTE_CARLO
-                    weight = failure_probability(area, density)
-                    if weight <= 0.0:
-                        continue
-                    lo, hi = sorted((net_a, net_b))
-                    fault = BridgingFault(
-                        0, origin_layer=layer_name,
-                        description=f"bridge {lo}-{hi} on {layer_name}",
-                        net_a=lo, net_b=hi,
-                        scope=self._bridge_scope(lo, hi))
-                    site = (f"{layer_name}@({a.rect.center[0]:.1f},"
-                            f"{a.rect.center[1]:.1f}) "
-                            f"spacing={spacing:.1f}um")
-                    candidates.append(FaultCandidate(
-                        fault, weight, layer_name, site, source))
-        return candidates
-
-    def _open_candidates(self) -> list[FaultCandidate]:
-        connectivity = self.extraction.connectivity
-        candidates: list[FaultCandidate] = []
-        for piece in connectivity.pieces:
-            layer_name = piece.layer.name
-            density = self.statistics.density(layer_name, "open")
-            if density <= 0.0:
-                continue
-            self.report.open_sites += 1
-            width, length = piece.rect.min_dimension, piece.rect.max_dimension
-            area = weighted_open_area(self.distribution, width, length)
-            weight = failure_probability(area, density)
-            if weight <= 0.0:
-                continue
-            fault = open_effect(connectivity, self.anchor_map, self.circuit,
-                                piece.index, removed_nodes=(piece.index,))
-            if fault is None:
-                self.report.ineffective_opens += 1
-                continue
-            fault.origin_layer = layer_name
-            site = (f"{layer_name}@({piece.rect.center[0]:.1f},"
-                    f"{piece.rect.center[1]:.1f}) cut")
-            candidates.append(FaultCandidate(
-                fault, weight, layer_name, site, SOURCE_ANALYTIC))
-        return candidates
-
-    def _cut_mechanism(self, cut_shape: object, cut_layer_name: str) -> str:
-        if cut_layer_name == VIA.name:
-            return "via"
-        rect = getattr(cut_shape, "rect")
-        for piece in self.extraction.connectivity.pieces:
-            if piece.layer in (NDIFF, PDIFF) and piece.rect.touches(rect):
-                return "contact_diff"
-            if piece.layer == POLY and piece.rect.touches(rect):
-                return "contact_poly"
-        return "contact_diff"
-
-    def _cut_candidates(self) -> list[FaultCandidate]:
-        connectivity = self.extraction.connectivity
-        candidates: list[FaultCandidate] = []
-
-        edges_by_cut: dict[int, list[tuple[int, int]]] = {}
-        cut_shape_by_id: dict[int, object] = {}
-        cut_layer_by_id: dict[int, str] = {}
-        for u, v, data in connectivity.graph.edges():
-            cut = data.get("cut")
-            if cut is None:
-                continue
-            key = id(cut)
-            edges_by_cut.setdefault(key, []).append((u, v))
-            cut_shape_by_id[key] = cut
-            cut_layer_by_id[key] = data.get("cut_layer", CONTACT.name)
-
-        for key, edges in edges_by_cut.items():
-            cut_shape = cut_shape_by_id[key]
-            mechanism = self._cut_mechanism(cut_shape, cut_layer_by_id[key])
-            density = self.statistics.density(mechanism, "open")
-            if density <= 0.0:
-                continue
-            self.report.cut_sites += 1
-            rect = getattr(cut_shape, "rect")
-            area = weighted_contact_area(self.distribution,
-                                         rect.min_dimension)
-            weight = failure_probability(area, density)
-            if weight <= 0.0:
-                continue
-            fault = open_effect(connectivity, self.anchor_map, self.circuit,
-                                edges[0][0], removed_edges=edges)
-            if fault is None:
-                self.report.ineffective_opens += 1
-                continue
-            fault.origin_layer = mechanism
-            site = (f"{mechanism}@({rect.center[0]:.1f},"
-                    f"{rect.center[1]:.1f}) missing")
-            candidates.append(FaultCandidate(
-                fault, weight, mechanism, site, SOURCE_ANALYTIC))
         return candidates
 
     # ------------------------------------------------------------------
@@ -376,8 +223,8 @@ def collapse_candidates(candidates: Sequence[FaultCandidate]
                         ) -> tuple[list[CollapsedClass], CollapseReport]:
     """Partition candidates into injector-equivalence classes.
 
-    Two candidates land in one class exactly when their normalized
-    injector signatures match — i.e. when
+    Two candidates land in one class exactly when their
+    :meth:`~repro.lift.faults.Fault.signature` matches — i.e. when
     :class:`~repro.anafault.FaultInjector` would build the identical
     faulty circuit for both (same shorted net pair, same opened
     device terminal, same split group).  The representative is a copy
@@ -387,8 +234,7 @@ def collapse_candidates(candidates: Sequence[FaultCandidate]
     """
     groups: dict[tuple, list[FaultCandidate]] = {}
     for candidate in candidates:
-        key = tuple(normalized_signature(candidate.fault))
-        groups.setdefault(key, []).append(candidate)
+        groups.setdefault(candidate.fault.signature(), []).append(candidate)
 
     classes: list[CollapsedClass] = []
     for key in sorted(groups, key=repr):
@@ -680,7 +526,7 @@ def generate_fault_list(layout: Layout, extraction: ExtractionResult,
             faults.append(fault)
     kept = [fault for fault in faults
             if fault.effective_weight >= options.min_weight]
-    generator.report.skipped_min_weight = len(faults) - len(kept)
+    generator.report.skipped_below_threshold = len(faults) - len(kept)
     kept.sort(key=lambda fault: (-fault.effective_weight,
                                  repr(fault.signature())))
     universe = FaultList.from_faults(

@@ -17,10 +17,12 @@ from .schematic_faults import (
 )
 from .l2rfm import L2RFMReducer, l2rfm_fault_list
 from .extraction import (
+    FailureSite,
     FaultExtractionOptions,
     FaultExtractionReport,
     FaultExtractor,
     extract_faults,
+    failure_sites,
 )
 from .ranking import (
     RankedFault,
@@ -48,6 +50,8 @@ __all__ = [
     "FaultExtractor",
     "FaultExtractionOptions",
     "FaultExtractionReport",
+    "FailureSite",
+    "failure_sites",
     "extract_faults",
     "RankedFault",
     "rank_faults",

@@ -13,14 +13,17 @@ schematic net/device names) is emitted with its probability of occurrence:
 * **Contact/via opens** -- every cut can be missing; the effect is derived
   by removing the corresponding connectivity edges.
 
-The output is a weighted :class:`~repro.lift.faultlist.FaultList`, the
-interface to AnaFAULT.
+:func:`failure_sites` is the one enumerator of these opportunities; GLRFM
+(:class:`FaultExtractor`) and the defect-driven generator
+(:class:`repro.anafault.faultgen.FaultGenerator`) differ only in how they
+weight and group its records.  The output is a weighted
+:class:`~repro.lift.faultlist.FaultList`, the interface to AnaFAULT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..defects import (
     DefectSizeDistribution,
@@ -31,10 +34,11 @@ from ..defects import (
     weighted_open_area,
 )
 from ..errors import ExtractionError
-from ..extract.connectivity import ConnectivityResult
+from ..extract.connectivity import ConductingPiece, ConnectivityResult
 from ..extract.lvs import LVSReport, compare
 from ..extract.netlist import ExtractionResult
 from ..layout.layers import CONTACT, METAL1, NDIFF, PDIFF, POLY, VIA
+from ..layout.geometry import Rect
 from ..layout.layout import Layout, Shape
 from ..spice import Capacitor, Circuit, CurrentSource, Mosfet, VoltageSource
 from .faultlist import FaultList
@@ -54,12 +58,10 @@ class FaultExtractionOptions:
     #: Minimum probability of occurrence for a fault to be reported.
     min_probability: float = 1e-9
     #: Nets regarded as supplies (shorts to them are always "global").
+    #: Bridges between two of them are never enumerated: power-to-ground
+    #: shorts are gross defects caught by current testing, not by signal
+    #: observation.
     supply_nets: tuple[str, ...] = ("0", "1")
-    #: Drop bridges between two supply nets (power-to-ground shorts are
-    #: gross defects caught by current testing, not by signal observation).
-    exclude_supply_to_supply: bool = True
-    #: Include faults with no observable electrical effect (dangling stubs).
-    keep_ineffective_opens: bool = False
 
 
 @dataclass
@@ -92,8 +94,6 @@ class AnchorMap:
         self.device_map = device_map
         #: piece index -> terminals anchored on that piece.
         self.anchors: dict[int, list[_Anchor]] = {}
-        #: (device lower, terminal) -> net, for topology lookups.
-        self.device_terminal_net: dict[tuple[str, str], str] = {}
         #: Diagnostics (devices without a target-circuit match).
         self.messages: list[str] = []
         self._build()
@@ -206,7 +206,6 @@ class AnchorMap:
             net: str) -> None:
         self.anchors.setdefault(piece_index, []).append(
             _Anchor(device, terminal, net))
-        self.device_terminal_net[(device.lower(), terminal)] = net
 
     def terminals_of(self, piece_indices: Iterable[int]) -> list[_Anchor]:
         """All terminals anchored on any of the given pieces."""
@@ -280,14 +279,213 @@ def _terminal_open_template(circuit: Circuit, anchor: _Anchor) -> Fault:
 
 @dataclass
 class FaultExtractionReport:
-    """Diagnostics of one GLRFM run."""
+    """Diagnostics of one fault extraction (GLRFM or the generator).
 
-    candidate_bridges: int = 0
-    candidate_opens: int = 0
-    candidate_cut_opens: int = 0
-    suppressed_below_threshold: int = 0
+    :func:`failure_sites` fills the enumeration counters; the consumer
+    fills ``candidates`` and ``skipped_below_threshold``.
+    """
+
+    #: Different-net piece pairs on layers with a short density.
+    bridge_pairs: int = 0
+    #: Of those, pairs between two supply nets (never enumerated).
+    skipped_supply: int = 0
+    #: Of those, pairs farther apart than the largest defect.
+    skipped_spacing: int = 0
+    #: Enumerated pairs with spacing > 0 and no facing run.
+    irregular_pairs: int = 0
+    #: Pieces on layers with an open density.
+    open_sites: int = 0
+    #: Contacts/vias with an open density.
+    cut_sites: int = 0
+    #: Open/cut sites whose removal has no electrical effect.
     ineffective_opens: int = 0
+    #: Faults handed to the merging (GLRFM) or collapsing (generator) stage.
+    candidates: int = 0
+    #: Faults dropped below ``min_probability``/``min_weight``.
+    skipped_below_threshold: int = 0
     messages: list[str] = field(default_factory=list)
+
+
+@dataclass
+class FailureSite:
+    """One geometric failure opportunity of a layout (see
+    :func:`failure_sites`)."""
+
+    #: Layer name (bridges, wire opens) or cut mechanism (``"via"``,
+    #: ``"contact_diff"``, ``"contact_poly"``).
+    layer: str
+    #: Defect density of ``layer`` for this failure kind [defects/cm^2].
+    density: float
+    #: Analytic size-weighted critical area [um^2].
+    area: float
+    #: Fault template (``fault_id`` and ``probability`` left at 0): a
+    #: :class:`~repro.lift.faults.BridgingFault`, :func:`open_effect`'s
+    #: template, or ``None`` for an open with no electrical effect.
+    fault: Fault | None
+    #: Provenance, e.g. ``"metal1@(12.0,3.5) spacing=1.0um"``.
+    site: str
+    #: The two rectangles of an *irregular* bridge pair (spacing > 0 with
+    #: no facing run, e.g. diagonal neighbours), where the parallel-wire
+    #: expression behind ``area`` does not strictly apply; ``None`` for
+    #: every other site.
+    irregular_pair: tuple[Rect, Rect] | None = None
+
+    @property
+    def probability(self) -> float:
+        """Failure probability of this one site from its analytic area."""
+        return failure_probability(self.area, self.density)
+
+
+def failure_sites(anchor_map: AnchorMap, statistics: DefectStatistics,
+                  distribution: DefectSizeDistribution,
+                  supply_nets: Sequence[str],
+                  report: FaultExtractionReport) -> Iterator[FailureSite]:
+    """Every geometric failure opportunity of an anchored layout.
+
+    The one enumerator GLRFM (:class:`FaultExtractor`) and the
+    defect-driven generator (:class:`repro.anafault.faultgen.FaultGenerator`)
+    consume, in one fixed order:
+
+    * bridge pairs per layer, layers sorted, pairs in piece order --
+      same-net pairs, supply-to-supply pairs and pairs at least the
+      largest defect apart are skipped before any critical-area integral;
+    * wire opens, one per piece, in piece order;
+    * contact/via opens, one per cut, in connectivity-edge order.
+
+    Open and cut sites with zero failure probability are not yielded.
+    Fault templates speak about ``anchor_map.circuit``.  ``report``'s
+    enumeration counters are updated as the sites are produced.
+    """
+    connectivity = anchor_map.extraction.connectivity
+    circuit = anchor_map.circuit
+    max_size = distribution.max_size
+
+    by_layer: dict[str, list[ConductingPiece]] = {}
+    for piece in connectivity.pieces:
+        by_layer.setdefault(piece.layer.name, []).append(piece)
+    scopes: dict[tuple[str, str], str] = {}
+    for layer_name in sorted(by_layer):
+        density = statistics.density(layer_name, "short")
+        if density <= 0.0:
+            continue
+        pieces = by_layer[layer_name]
+        for i, a in enumerate(pieces):
+            net_a = connectivity.piece_net[a.index]
+            for b in pieces[i + 1:]:
+                net_b = connectivity.piece_net[b.index]
+                if net_a == net_b:
+                    continue
+                report.bridge_pairs += 1
+                if net_a in supply_nets and net_b in supply_nets:
+                    report.skipped_supply += 1
+                    continue
+                spacing, facing = a.rect.facing(b.rect)
+                if spacing >= max_size:
+                    report.skipped_spacing += 1
+                    continue
+                irregular: tuple[Rect, Rect] | None = None
+                if facing <= 0.0 and spacing != 0.0:
+                    report.irregular_pairs += 1
+                    irregular = (a.rect, b.rect)
+                lo, hi = sorted((net_a, net_b))
+                scope = scopes.get((lo, hi))
+                if scope is None:
+                    scope = _bridge_scope(circuit, supply_nets, lo, hi)
+                    scopes[(lo, hi)] = scope
+                fault = BridgingFault(
+                    0, origin_layer=layer_name,
+                    description=f"bridge {lo}-{hi} on {layer_name}",
+                    net_a=lo, net_b=hi, scope=scope)
+                yield FailureSite(
+                    layer_name, density,
+                    weighted_bridge_area(distribution, spacing, facing),
+                    fault,
+                    f"{layer_name}@({a.rect.center[0]:.1f},"
+                    f"{a.rect.center[1]:.1f}) spacing={spacing:.1f}um",
+                    irregular)
+
+    def open_site(layer: str, density: float, area: float, site: str,
+                  seed_piece: int, removed_nodes: Sequence[int] = (),
+                  removed_edges: Sequence[tuple[int, int]] = ()
+                  ) -> FailureSite | None:
+        if failure_probability(area, density) <= 0.0:
+            return None
+        fault = open_effect(connectivity, anchor_map, circuit, seed_piece,
+                            removed_nodes=removed_nodes,
+                            removed_edges=removed_edges)
+        if fault is None:
+            report.ineffective_opens += 1
+        else:
+            fault.origin_layer = layer
+        return FailureSite(layer, density, area, fault, site)
+
+    for piece in connectivity.pieces:
+        layer_name = piece.layer.name
+        density = statistics.density(layer_name, "open")
+        if density <= 0.0:
+            continue
+        report.open_sites += 1
+        rect = piece.rect
+        wire = open_site(
+            layer_name, density,
+            weighted_open_area(distribution, rect.min_dimension,
+                               rect.max_dimension),
+            f"{layer_name}@({rect.center[0]:.1f},{rect.center[1]:.1f}) cut",
+            piece.index, removed_nodes=(piece.index,))
+        if wire is not None:
+            yield wire
+
+    # Group graph edges by the cut shape that creates them.
+    edges_by_cut: dict[int, list[tuple[int, int]]] = {}
+    cut_by_id: dict[int, tuple[Shape, str]] = {}
+    for u, v, data in connectivity.graph.edges():
+        cut = data.get("cut")
+        if cut is None:
+            continue
+        edges_by_cut.setdefault(id(cut), []).append((u, v))
+        cut_by_id[id(cut)] = (cut, data.get("cut_layer", CONTACT.name))
+    for key, edges in edges_by_cut.items():
+        cut_shape, cut_layer_name = cut_by_id[key]
+        mechanism = _cut_mechanism(connectivity, cut_shape, cut_layer_name)
+        density = statistics.density(mechanism, "open")
+        if density <= 0.0:
+            continue
+        report.cut_sites += 1
+        rect = cut_shape.rect
+        missing = open_site(
+            mechanism, density,
+            weighted_contact_area(distribution, rect.min_dimension),
+            f"{mechanism}@({rect.center[0]:.1f},{rect.center[1]:.1f}) missing",
+            edges[0][0], removed_edges=edges)
+        if missing is not None:
+            yield missing
+
+
+def _bridge_scope(circuit: Circuit, supply_nets: Sequence[str], net_a: str,
+                  net_b: str) -> str:
+    """``"local"`` when one device of ``circuit`` touches both nets and
+    neither is a supply, ``"global"`` otherwise."""
+    if net_a in supply_nets or net_b in supply_nets:
+        return "global"
+    for device in circuit.devices:
+        if isinstance(device, (Mosfet, Capacitor)):
+            if net_a in device.nodes and net_b in device.nodes:
+                return "local"
+    return "global"
+
+
+def _cut_mechanism(connectivity: ConnectivityResult, cut_shape: Shape,
+                   cut_layer_name: str) -> str:
+    """Table 1 failure mechanism of one missing contact/via."""
+    if cut_layer_name == VIA.name:
+        return "via"
+    # Contact: look at what lies underneath.
+    for piece in connectivity.pieces:
+        if piece.layer in (NDIFF, PDIFF) and piece.rect.touches(cut_shape.rect):
+            return "contact_diff"
+        if piece.layer == POLY and piece.rect.touches(cut_shape.rect):
+            return "contact_poly"
+    return "contact_diff"
 
 
 class FaultExtractor:
@@ -306,17 +504,45 @@ class FaultExtractor:
         self.distribution = distribution or DefectSizeDistribution()
         self.options = options or FaultExtractionOptions()
         self.report = FaultExtractionReport()
-        self._anchor_map: AnchorMap | None = None
-        self._anchors: dict[int, list[_Anchor]] = {}
-        self._device_terminal_net: dict[tuple[str, str], str] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> FaultList:
-        self._build_anchors()
-        candidates: list = []
-        candidates.extend(self._extract_bridges())
-        candidates.extend(self._extract_wire_opens())
-        candidates.extend(self._extract_cut_opens())
+        anchor_map = AnchorMap(self.layout, self.extraction, self.schematic,
+                               device_map=self.lvs.device_map)
+        self.report.messages.extend(anchor_map.messages)
+
+        # Bridges: one fault per (net pair, layer), its weighted areas
+        # summed before the conversion to a probability.  Opens and cuts:
+        # one fault per effective site.
+        bridges: dict[tuple[str, str, str],
+                      tuple[BridgingFault, list[FailureSite]]] = {}
+        opens: list[Fault] = []
+        for site in failure_sites(anchor_map, self.statistics,
+                                  self.distribution, self.options.supply_nets,
+                                  self.report):
+            fault = site.fault
+            if isinstance(fault, BridgingFault):
+                if site.area > 0.0:
+                    key = (fault.net_a, fault.net_b, site.layer)
+                    bridges.setdefault(key, (fault, []))[1].append(site)
+            elif fault is not None:
+                fault.probability = site.probability
+                opens.append(fault)
+
+        candidates: list[Fault] = []
+        for key in sorted(bridges):
+            fault, sites = bridges[key]
+            area = 0.0
+            for site in sites:
+                area += site.area
+            fault.probability = failure_probability(area, sites[0].density)
+            fault.origins = [site.site for site in sites[:4]]
+            candidates.append(fault)
+        candidates.extend(opens)
+        # Provisional ids: bridges, then opens, then cuts.
+        for fault_id, fault in enumerate(candidates, start=1):
+            fault.fault_id = fault_id
+        self.report.candidates = len(candidates)
 
         merged = FaultList("GLRFM candidates")
         merged.extend(candidates)
@@ -327,7 +553,7 @@ class FaultExtractor:
         total_candidates = len(merged)
 
         final = merged.filter_probability(self.options.min_probability)
-        self.report.suppressed_below_threshold = total_candidates - len(final)
+        self.report.skipped_below_threshold = total_candidates - len(final)
         final = final.sorted_by_probability()
         final.name = "LIFT realistic faults (GLRFM)"
         final.metadata.update({
@@ -338,177 +564,6 @@ class FaultExtractor:
             "candidates": total_candidates,
         })
         return final
-
-    # ------------------------------------------------------------------
-    # Anchors: map layout pieces to schematic device terminals
-    # ------------------------------------------------------------------
-    def _build_anchors(self) -> None:
-        self._anchor_map = AnchorMap(self.layout, self.extraction,
-                                     self.schematic,
-                                     device_map=self.lvs.device_map)
-        self._anchors = self._anchor_map.anchors
-        self._device_terminal_net = self._anchor_map.device_terminal_net
-        self.report.messages.extend(self._anchor_map.messages)
-
-    # ------------------------------------------------------------------
-    # Bridges
-    # ------------------------------------------------------------------
-    def _density_for_layer(self, layer_name: str, kind: str) -> float:
-        return self.statistics.density(layer_name, kind)
-
-    def _extract_bridges(self) -> list[BridgingFault]:
-        connectivity = self.extraction.connectivity
-        accumulated: dict[tuple[str, str, str], float] = {}
-        origins: dict[tuple[str, str, str], list[str]] = {}
-        max_size = self.distribution.max_size
-
-        by_layer: dict[str, list] = {}
-        for piece in connectivity.pieces:
-            by_layer.setdefault(piece.layer.name, []).append(piece)
-
-        for layer_name, pieces in by_layer.items():
-            if self._density_for_layer(layer_name, "short") <= 0.0:
-                continue
-            for i, a in enumerate(pieces):
-                net_a = connectivity.piece_net[a.index]
-                for b in pieces[i + 1:]:
-                    net_b = connectivity.piece_net[b.index]
-                    if net_a == net_b:
-                        continue
-                    self.report.candidate_bridges += 1
-                    spacing, facing = a.rect.facing(b.rect)
-                    if spacing >= max_size:
-                        continue
-                    area = weighted_bridge_area(self.distribution, spacing, facing)
-                    if area <= 0.0:
-                        continue
-                    key = (min(net_a, net_b), max(net_a, net_b), layer_name)
-                    accumulated[key] = accumulated.get(key, 0.0) + area
-                    origins.setdefault(key, []).append(
-                        f"{layer_name}@({a.rect.center[0]:.1f},"
-                        f"{a.rect.center[1]:.1f}) spacing={spacing:.1f}um")
-
-        faults: list[BridgingFault] = []
-        next_id = 1
-        for (net_a, net_b, layer_name), area in sorted(accumulated.items()):
-            if (self.options.exclude_supply_to_supply
-                    and net_a in self.options.supply_nets
-                    and net_b in self.options.supply_nets):
-                continue
-            probability = failure_probability(
-                area, self._density_for_layer(layer_name, "short"))
-            scope = self._bridge_scope(net_a, net_b)
-            faults.append(BridgingFault(
-                next_id, probability=probability, origin_layer=layer_name,
-                description=f"bridge {net_a}-{net_b} on {layer_name}",
-                origins=origins[(net_a, net_b, layer_name)][:4],
-                net_a=net_a, net_b=net_b, scope=scope))
-            next_id += 1
-        return faults
-
-    def _bridge_scope(self, net_a: str, net_b: str) -> str:
-        if net_a in self.options.supply_nets or net_b in self.options.supply_nets:
-            return "global"
-        for device in self.schematic.devices:
-            if isinstance(device, (Mosfet, Capacitor)):
-                if net_a in device.nodes and net_b in device.nodes:
-                    return "local"
-        return "global"
-
-    # ------------------------------------------------------------------
-    # Opens
-    # ------------------------------------------------------------------
-    def _extract_wire_opens(self) -> list:
-        connectivity = self.extraction.connectivity
-        faults: list = []
-        next_id = 10_000
-        for piece in connectivity.pieces:
-            layer_name = piece.layer.name
-            density = self._density_for_layer(layer_name, "open")
-            if density <= 0.0:
-                continue
-            self.report.candidate_opens += 1
-            width, length = piece.rect.min_dimension, piece.rect.max_dimension
-            area = weighted_open_area(self.distribution, width, length)
-            probability = failure_probability(area, density)
-            if probability <= 0.0:
-                continue
-            fault = self._open_effect(piece.index, probability, layer_name,
-                                      removed_nodes=(piece.index,),
-                                      removed_edges=(), fault_id=next_id)
-            if fault is not None:
-                faults.append(fault)
-            next_id += 1
-        return faults
-
-    def _cut_mechanism(self, cut_shape: Shape, cut_layer_name: str) -> str:
-        if cut_layer_name == VIA.name:
-            return "via"
-        # Contact: look at what lies underneath.
-        for piece in self.extraction.connectivity.pieces:
-            if piece.layer in (NDIFF, PDIFF) and piece.rect.touches(cut_shape.rect):
-                return "contact_diff"
-            if piece.layer == POLY and piece.rect.touches(cut_shape.rect):
-                return "contact_poly"
-        return "contact_diff"
-
-    def _extract_cut_opens(self) -> list:
-        connectivity = self.extraction.connectivity
-        faults: list = []
-        next_id = 20_000
-
-        # Group graph edges by the cut shape that creates them.
-        edges_by_cut: dict[int, list[tuple[int, int]]] = {}
-        cut_shape_by_id: dict[int, Shape] = {}
-        cut_layer_by_id: dict[int, str] = {}
-        for u, v, data in connectivity.graph.edges():
-            cut = data.get("cut")
-            if cut is None:
-                continue
-            key = id(cut)
-            edges_by_cut.setdefault(key, []).append((u, v))
-            cut_shape_by_id[key] = cut
-            cut_layer_by_id[key] = data.get("cut_layer", CONTACT.name)
-
-        for key, edges in edges_by_cut.items():
-            cut_shape = cut_shape_by_id[key]
-            mechanism = self._cut_mechanism(cut_shape, cut_layer_by_id[key])
-            density = self.statistics.density(mechanism, "open")
-            if density <= 0.0:
-                continue
-            self.report.candidate_cut_opens += 1
-            area = weighted_contact_area(self.distribution,
-                                         cut_shape.rect.min_dimension)
-            probability = failure_probability(area, density)
-            fault = self._open_effect(edges[0][0], probability, mechanism,
-                                      removed_nodes=(), removed_edges=edges,
-                                      fault_id=next_id)
-            if fault is not None:
-                faults.append(fault)
-            next_id += 1
-        return faults
-
-    # ------------------------------------------------------------------
-    def _open_effect(self, seed_piece: int, probability: float,
-                     layer_name: str, removed_nodes: Sequence[int],
-                     removed_edges: Sequence[tuple[int, int]],
-                     fault_id: int) -> Fault | None:
-        """Classify the electrical effect of removing nodes/edges around the
-        net containing ``seed_piece`` (see :func:`open_effect`)."""
-        anchor_map = self._anchor_map
-        if anchor_map is None:
-            raise ExtractionError("anchors not built; call run()")
-        fault = open_effect(self.extraction.connectivity, anchor_map,
-                            self.schematic, seed_piece,
-                            removed_nodes=removed_nodes,
-                            removed_edges=removed_edges)
-        if fault is None:
-            self.report.ineffective_opens += 1
-            return None
-        fault.fault_id = fault_id
-        fault.probability = probability
-        fault.origin_layer = layer_name
-        return fault
 
 
 def extract_faults(layout: Layout, extraction: ExtractionResult,

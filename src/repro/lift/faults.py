@@ -23,12 +23,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import FaultError
+from ..errors import FaultError, ReproError
+from ..spice.netlist import normalize_node
 
 #: Terminal order of a MOSFET in the circuit data model.
 MOSFET_TERMINALS = ("drain", "gate", "source", "bulk")
 #: Terminal order of two-terminal elements.
 TWO_TERMINALS = ("pos", "neg")
+
+
+def _node(net: str) -> str:
+    """``net`` as the circuit knows it: case-folded, ground aliases mapped
+    to ``"0"``; a name that is no node name is kept as written."""
+    try:
+        return normalize_node(net)
+    except ReproError:
+        return net
 
 
 def terminal_index(terminal: str, num_terminals: int) -> int:
@@ -82,7 +92,12 @@ class Fault:
         return self.probability if self.weight is None else self.weight
 
     def signature(self) -> tuple:
-        """Electrical identity used for merging equivalent faults."""
+        """Electrical identity: two faults with the same signature make
+        :class:`~repro.anafault.FaultInjector` build the identical faulty
+        circuit.  Net names are compared as nodes (``OUT`` is ``out``,
+        ``gnd`` is ``0``).  ``FaultList.merge_equivalent``, the
+        generator's collapsing stage and the ``equivalent-faults`` lint
+        rule all group by it."""
         raise NotImplementedError
 
     def label(self) -> str:
@@ -115,7 +130,8 @@ class BridgingFault(Fault):
         return "local short" if self.scope == "local" else "global short"
 
     def signature(self) -> tuple:
-        return ("bridge", self.net_a, self.net_b)
+        net_a, net_b = sorted((_node(self.net_a), _node(self.net_b)))
+        return ("bridge", net_a, net_b)
 
     def label(self) -> str:
         return (f"#{self.fault_id} BRI {self.origin_layer or 'net'}_short "
@@ -166,7 +182,7 @@ class SplitNodeFault(Fault):
         return "split node"
 
     def signature(self) -> tuple:
-        return ("split", self.net, self.group_b)
+        return ("split", _node(self.net), self.group_b)
 
     def label(self) -> str:
         members = ",".join(f"{d}.{t}" for d, t in self.group_b)

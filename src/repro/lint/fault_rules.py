@@ -263,30 +263,6 @@ def check_noop_fault(ctx: FaultListContext) -> Iterable[Diagnostic]:
                     fixit="bridge two electrically distinct nets")
 
 
-def normalized_signature(fault: Fault) -> Tuple[object, ...]:
-    """Electrical signature with net names normalised.
-
-    ``Fault.signature`` compares raw net strings; ``OUT`` and ``out``
-    would not merge even though they are the same node.  This is the
-    equivalence key both the ``equivalent-faults`` rule and the collapsing
-    stage of :mod:`repro.anafault.faultgen` use: two faults with the same
-    normalized signature make :class:`repro.anafault.FaultInjector` build
-    the identical faulty circuit.
-    """
-    def norm(net: str) -> str:
-        try:
-            return normalize_node(net)
-        except ReproError:
-            return net
-
-    if isinstance(fault, BridgingFault):
-        nets = sorted((norm(fault.net_a), norm(fault.net_b)))
-        return ("bridge", nets[0], nets[1])
-    if isinstance(fault, SplitNodeFault):
-        return ("split", norm(fault.net), fault.group_b)
-    return tuple(fault.signature())
-
-
 @register_rule("equivalent-faults", FAMILY_FAULTLIST, SEVERITY_WARNING,
                "faults with identical electrical signatures")
 def check_equivalent_faults(ctx: FaultListContext) -> Iterable[Diagnostic]:
@@ -298,7 +274,7 @@ def check_equivalent_faults(ctx: FaultListContext) -> Iterable[Diagnostic]:
     """
     groups: Dict[Tuple[object, ...], List[Fault]] = {}
     for fault in ctx.faults:
-        groups.setdefault(normalized_signature(fault), []).append(fault)
+        groups.setdefault(fault.signature(), []).append(fault)
     for signature in sorted(groups, key=repr):
         faults = groups[signature]
         if len(faults) < 2:

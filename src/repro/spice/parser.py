@@ -140,8 +140,9 @@ def _split_params(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
 _SHAPE_RE = re.compile(r"^(pulse|sin|pwl|exp|dc)\((.*)\)$", re.IGNORECASE)
 
 
-def _parse_source_tokens(tokens: list[str]) -> tuple[object, float, float]:
-    """Parse the value part of a V/I card.
+def _parse_source_tokens(name: str, tokens: list[str]
+                         ) -> tuple[object, float, float]:
+    """Parse the value part of the V/I card of device ``name``.
 
     Returns (shape_or_value, ac_magnitude, ac_phase).
     """
@@ -157,7 +158,7 @@ def _parse_source_tokens(tokens: list[str]) -> tuple[object, float, float]:
         if match:
             kind = match.group(1)
             args = [a for a in re.split(r"[\s,]+", match.group(2).strip()) if a]
-            shape = _build_shape(kind, args)
+            shape = _build_shape(name, kind, args)
             index += 1
             continue
         if lower == "dc":
@@ -182,7 +183,7 @@ def _parse_source_tokens(tokens: list[str]) -> tuple[object, float, float]:
         if lower in ("pulse", "sin", "pwl", "exp"):
             # Shape keyword with space-separated args until end of card.
             args = tokens[index + 1:]
-            shape = _build_shape(lower, args)
+            shape = _build_shape(name, lower, args)
             index = len(tokens)
             continue
         # Bare number: DC value.
@@ -193,17 +194,26 @@ def _parse_source_tokens(tokens: list[str]) -> tuple[object, float, float]:
     return shape, ac_magnitude, ac_phase
 
 
-def _build_shape(kind: str, args: list[str]):
+#: Transient shapes taking positional values: class, fewest, most values.
+_SHAPE_ARITY = {
+    "pulse": (PulseShape, 2, 7),
+    "sin": (SinShape, 3, 5),
+    "exp": (ExpShape, 2, 6),
+}
+
+
+def _build_shape(name: str, kind: str, args: list[str]):
     values = [parse_value(a) for a in args]
     kind = kind.lower()
     if kind == "dc":
         return DCShape(values[0] if values else 0.0)
-    if kind == "pulse":
-        return PulseShape(*values)
-    if kind == "sin":
-        return SinShape(*values)
-    if kind == "exp":
-        return ExpShape(*values)
+    if kind in _SHAPE_ARITY:
+        cls, fewest, most = _SHAPE_ARITY[kind]
+        if not fewest <= len(values) <= most:
+            raise NetlistError(
+                f"source {name!r}: {kind.upper()} takes {fewest} to {most} "
+                f"values, got {len(values)}")
+        return cls(*values)
     if kind == "pwl":
         if len(values) % 2:
             raise NetlistError("PWL needs an even number of values")
@@ -236,7 +246,7 @@ def _build_element(tokens: list[str]) -> object:
     if letter in ("v", "i"):
         if len(positional) < 2:
             raise NetlistError(f"source {name!r} needs two nodes")
-        shape, ac_mag, ac_phase = _parse_source_tokens(positional[2:])
+        shape, ac_mag, ac_phase = _parse_source_tokens(name, positional[2:])
         cls = VoltageSource if letter == "v" else CurrentSource
         return cls(name, positional[0], positional[1], shape,
                    ac_magnitude=ac_mag, ac_phase=ac_phase)

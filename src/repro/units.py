@@ -86,16 +86,15 @@ def parse_value(text: str | float | int) -> float:
         raise UnitError(f"cannot parse numeric value {text!r}")
     value = float(match.group("number"))
     suffix = match.group("suffix").lower()
-    if not suffix:
-        return value
     if suffix.startswith("meg"):
-        return value * 1e6
-    if suffix.startswith("mil"):
-        return value * 25.4e-6
-    first = suffix[0]
-    if first in _SUFFIXES:
-        return value * _SUFFIXES[first]
-    # Unknown suffix letters are unit names (e.g. "ohm", "v", "hz").
+        value *= 1e6
+    elif suffix.startswith("mil"):
+        value *= 25.4e-6
+    elif suffix and suffix[0] in _SUFFIXES:
+        value *= _SUFFIXES[suffix[0]]
+    # Any other suffix letters are unit names (e.g. "ohm", "v", "hz").
+    if not math.isfinite(value):
+        raise UnitError(f"numeric value {text!r} overflows a float")
     return value
 
 

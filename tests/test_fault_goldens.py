@@ -14,6 +14,7 @@ the fault lists.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -62,3 +63,60 @@ def test_faultgen_reproduces_the_golden_universe(vco_layout_pair,
                                    lvs=vco_lvs)
     digest = hashlib.sha256(universe.dumps().encode("utf-8")).hexdigest()
     assert digest == _golden("vco_faultgen.sha256").strip()
+
+
+# ---------------------------------------------------------------------------
+# Full-precision pins
+# ---------------------------------------------------------------------------
+#
+# ``dumps()`` writes ``p=%.6g``, so the text goldens above cannot see float
+# drift below six significant digits -- yet ``FaultList.top``,
+# ``sorted_by_probability`` and weighted coverage read the full float.  These
+# digests hash every field of every fault with ``repr`` (full precision), in
+# list order.
+
+def _full_precision_digest(faults) -> str:
+    lines = []
+    for fault in faults:
+        fields = [(f.name, repr(getattr(fault, f.name)))
+                  for f in dataclasses.fields(fault)]
+        lines.append(repr((fault.kind, repr(fault.effective_weight), fields)))
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+FULL_PRECISION_DIGESTS = {
+    "glrfm":
+        "ab741b1c4413d06b719586e1b9163db16e9659406e4c8447fbdaecc8fdd8e8ed",
+    "realistic":
+        "078b6c5a978eb47dda81446a213b0749ba62ebba5ae5a36ed4a2e6bf08240d7f",
+    "faultgen_collapsed":
+        "0ca3ec2fa2fbbaf9a7e91a5ca8976a853d3c935d9670ac69861488973fdc362a",
+    "faultgen_uncollapsed":
+        "f5e6a109f7eb5eb88a12249c00589e0a0ed4a2b758ea0d452e6e566484b15d97",
+}
+
+
+@pytest.fixture(scope="module")
+def full_precision_lists(vco_layout_pair, vco_extraction, vco_lvs,
+                         vco_flow_result):
+    circuit, layout = vco_layout_pair
+
+    def faultgen(collapse: bool):
+        return generate_fault_list(layout, vco_extraction, schematic=circuit,
+                                   lvs=vco_lvs, collapse=collapse)
+
+    return {
+        "glrfm": FaultExtractor(
+            layout, vco_extraction, circuit, vco_lvs,
+            options=FaultExtractionOptions(min_probability=1e-9)).run(),
+        "realistic": vco_flow_result.realistic_faults,
+        "faultgen_collapsed": faultgen(True),
+        "faultgen_uncollapsed": faultgen(False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FULL_PRECISION_DIGESTS))
+def test_fault_lists_are_pinned_at_full_precision(full_precision_lists,
+                                                  name):
+    assert (_full_precision_digest(full_precision_lists[name])
+            == FULL_PRECISION_DIGESTS[name])

@@ -1,6 +1,6 @@
-"""Derandomised fuzzers for the three text inputs a campaign reads from disk
-or the wire: LIFT fault-list text, checkpoint JSONL lines and the settings
-wire dict.
+"""Derandomised fuzzers for the text inputs a campaign reads from disk or
+the wire: SPICE netlists, LIFT fault-list text, checkpoint JSONL lines and
+the settings wire dict.
 
 The contract under test is the library's error invariant: every input
 either loads or raises a :class:`~repro.errors.ReproError` — never a
@@ -28,10 +28,13 @@ from repro.anafault import (
 )
 from repro.errors import ReproError
 from repro.lift import FaultList
+from repro.spice import parse_netlist
 
 from test_streaming import LEGACY_CHECKPOINT, _fault_list, _settings
 
 DATA = pathlib.Path(__file__).parent / "data"
+NETLISTS = sorted((pathlib.Path(__file__).parent.parent / "examples"
+                   / "netlists").glob("*.cir"))
 
 #: Arbitrary JSON values (NaN and infinities included: Python's ``json``
 #: reads and writes them).
@@ -55,6 +58,15 @@ SPLICE = st.one_of(
                      "* meta weight.1=", "{", "}", "null", "[", ":"]),
     st.text(max_size=6))
 
+#: Words spliced into a netlist card: source shapes (complete, opened or
+#: with a wrong value count), keywords, impossible numbers and punctuation.
+SPICE_WORD = st.one_of(
+    st.sampled_from(["PULSE(", "SIN(0 1)", "EXP(1)", "PWL(0", "PULSE()",
+                     "SIN", "DC", "AC", "(", ")", "=", "w=", "1e999",
+                     "1e308meg", "nan", "-1", "0", "1meg", "nch", ".model",
+                     ".subckt", ".ends", "+", "*"]),
+    st.text(max_size=6))
+
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
                                        HealthCheck.too_slow])
@@ -74,6 +86,34 @@ def _mutate_lift_line(draw, line: str) -> str:
         match = draw(st.sampled_from(values))
         return line[:match.start(1)] + draw(VALUE) + line[match.end(1):]
     return _splice(draw, line)
+
+
+def _mutate_spice_line(draw, line: str) -> str:
+    """``line`` with one word replaced, deleted or repeated, or one word
+    inserted."""
+    words = line.split(" ")
+    index = draw(st.integers(0, len(words) - 1))
+    action = draw(st.sampled_from(["replace", "delete", "repeat",
+                                   "insert"]))
+    if action == "replace":
+        words[index] = draw(SPICE_WORD)
+    elif action == "delete":
+        del words[index]
+    elif action == "repeat":
+        words.insert(index, words[index])
+    else:
+        words.insert(index, draw(SPICE_WORD))
+    return " ".join(words)
+
+
+@st.composite
+def spice_texts(draw) -> str:
+    path = draw(st.sampled_from(NETLISTS))
+    lines = path.read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(lines) - 1))
+        lines[index] = _mutate_spice_line(draw, lines[index])
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -116,6 +156,14 @@ def settings_wires(draw):
 
 
 class TestInputFuzz:
+    @FUZZ
+    @given(text=spice_texts())
+    def test_netlist_text_parses_or_raises_repro_error(self, text):
+        try:
+            parse_netlist(text)
+        except ReproError:
+            return
+
     @FUZZ
     @given(text=lift_texts())
     def test_fault_list_text_loads_or_raises_repro_error(self, text):

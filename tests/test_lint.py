@@ -22,6 +22,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -298,6 +299,28 @@ class TestFaultRules:
         assert "#1" in equivalent[0].message
         assert "#2" in equivalent[0].message
         assert "merge_equivalent" in equivalent[0].fixit
+
+    def test_equivalent_faults_agree_with_merge_equivalent(self):
+        # Net names compare as nodes: OUT is out, gnd is 0.  The rule's
+        # groups are exactly the ones merge_equivalent() collapses.
+        circuit = _divider()
+        faults = FaultList.from_faults([
+            BridgingFault(1, net_a="OUT", net_b="in", origins=["1"]),
+            BridgingFault(2, net_a="out", net_b="IN", origins=["2"]),
+            BridgingFault(3, net_a="gnd", net_b="out", origins=["3"]),
+            BridgingFault(4, net_a="0", net_b="out", origins=["4"]),
+        ])
+        merged = faults.merge_equivalent()
+        assert len(merged) == 2
+        merged_groups = {frozenset(int(o) for o in fault.origins)
+                         for fault in merged}
+        report = lint_fault_list(circuit, faults)
+        flagged_groups = {
+            frozenset(int(i) for i in re.findall(r"#(\d+)",
+                                                 d.message.split(" share")[0]))
+            for d in report if d.code == "equivalent-faults"}
+        assert flagged_groups == merged_groups == {frozenset({1, 2}),
+                                                   frozenset({3, 4})}
 
     def test_fault_topology_source_model_bridge(self):
         # A source-model bridge across V1 injects a 0 V source in parallel

@@ -185,6 +185,28 @@ X2 mid low divider
             parse_netlist(text)
 
 
+class TestSourceShapes:
+    @pytest.mark.parametrize("card, expected", [
+        ("PULSE(0 5 1n 1n 1n 1n 1n 1n)", "PULSE takes 2 to 7 values, got 8"),
+        ("PULSE()", "PULSE takes 2 to 7 values, got 0"),
+        ("SIN(0 1)", "SIN takes 3 to 5 values, got 2"),
+        ("SIN(0 1 1meg 0 0 0 0)", "SIN takes 3 to 5 values, got 7"),
+        ("EXP(1)", "EXP takes 2 to 6 values, got 1"),
+        ("EXP 0 1 1n 1n 1n 1n 1n", "EXP takes 2 to 6 values, got 7"),
+    ])
+    def test_wrong_value_count_names_device_and_shape(self, card, expected):
+        with pytest.raises(NetlistError, match="source 'V1'") as info:
+            parse_netlist(f"t\nV1 a 0 {card}\nR1 a 0 1k\n.end\n")
+        assert expected in str(info.value)
+
+    @pytest.mark.parametrize("card", [
+        "PULSE(0 5)", "PULSE(0 5 1n 1n 1n 1n 1n)", "SIN(0 1 1meg)",
+        "SIN(0 1 1meg 0 0)", "EXP(0 1)", "EXP(0 1 1n 1n 1n 1n)",
+    ])
+    def test_accepted_value_counts_parse(self, card):
+        parse_netlist(f"t\nV1 a 0 {card}\nR1 a 0 1k\n.end\n")
+
+
 class TestWriter:
     def test_roundtrip_simple(self):
         circuit = Circuit("roundtrip")

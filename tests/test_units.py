@@ -1,6 +1,8 @@
 """Tests for engineering-unit parsing and formatting."""
 
 
+import re
+
 import pytest
 
 from repro.errors import UnitError
@@ -73,6 +75,11 @@ class TestParseValue:
 
     def test_positive_sign(self):
         assert parse_value("+3u") == pytest.approx(3e-6)
+
+    @pytest.mark.parametrize("text", ["1e999", "1e308meg", "-1e308k"])
+    def test_overflowing_literal_raises(self, text):
+        with pytest.raises(UnitError, match=re.escape(repr(text))):
+            parse_value(text)
 
 
 class TestFormatValue:
