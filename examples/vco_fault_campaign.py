@@ -66,7 +66,7 @@ def main() -> None:
     print(f"\nrunning AnaFAULT campaign "
           f"({'all' if fault_limit is None else fault_limit} faults, "
           f"{args.workers} workers) ...")
-    executor = PoolExecutor(args.workers) if args.workers > 1 else None
+    executor = PoolExecutor(args.workers) if args.workers != 1 else None
     result = flow.run(fault_limit=fault_limit,
                       fault_list=extraction.realistic_faults, executor=executor)
     print()

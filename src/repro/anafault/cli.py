@@ -7,7 +7,7 @@ fault-list file and an rsync'd directory.  Three subcommands mirror the
 plan/execute/collect stages of :mod:`repro.anafault.executors`:
 
 ``run``
-    the single-host campaign (optionally checkpointed and pool-parallel),
+    the single-host campaign (checkpointed, batched, pool-parallel),
 ``shard``
     one deterministic ``--shard-index/--shard-count`` slice of the fault
     list, written as a fingerprint-keyed JSONL shard file,
@@ -74,7 +74,7 @@ from ..units import parse_value
 from .calibration import calibrate_tolerance
 from .checkpoint import CampaignCheckpoint, campaign_fingerprint, read_header
 from .comparator import ToleranceSettings
-from .executors import BatchedExecutor, PoolExecutor, merge_shards
+from .executors import BatchedExecutor, merge_shards
 from .models import RESISTOR_MODEL, SOURCE_MODEL, FaultModelOptions
 from .remote import (RemoteExecutor, ServiceClient, WorkerClient,
                      chaos_crash_after, chaos_hang_after)
@@ -304,46 +304,64 @@ def _calibrate_or_refuse(simulator: FaultSimulator, out):
     return report
 
 
-def _cmd_run(args, out) -> int:
+def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags ``run`` and ``shard`` share: how to execute (free per
+    host — records match a serial run) and the calibration gate."""
+    execute = parser.add_argument_group("execution (see docs/batching.md)")
+    execute.add_argument("--workers", type=int, default=1, metavar="N",
+                         help="process-pool workers (default: in-process)")
+    execute.add_argument("--batch-width", type=int, default=1, metavar="K",
+                         help="simulate up to K fault variants in lockstep "
+                         "(default: one at a time)")
+    execute.add_argument("--early-abort", action="store_true",
+                         help="stop a variant as soon as its verdict is "
+                         "certain (verdicts and detection times are "
+                         "unchanged; deviations and step counters cover "
+                         "the simulated prefix only)")
+    parser.add_argument("--calibrate", action="store_true",
+                        help="with --timestep adaptive: bound the verdict "
+                        "sensitivity on a seeded probe subset first and "
+                        "refuse the campaign if calibration fails (see "
+                        "docs/campaigns.md)")
+
+
+def _run_campaign(args, out, **run_options) -> CampaignResult | None:
+    """The body ``run`` and ``shard`` share: build the executor (a count
+    below 1 is refused before anything simulates) and the simulator, pass
+    the ``--calibrate`` gate, run and print the preflight diagnostics.
+    ``None`` means calibration refused the campaign (exit 1)."""
+    executor = None  # the defaultable path REPRO_FORCE_BATCHED may batch
+    if (args.workers, args.batch_width, args.early_abort) != (1, 1, False):
+        executor = BatchedExecutor(batch_width=args.batch_width,
+                                   early_abort=args.early_abort,
+                                   workers=args.workers)
     simulator = _load_campaign(args)
     report = None
     if args.calibrate:
         report = _calibrate_or_refuse(simulator, out)
         if report is None:
-            return 1
-    if args.batch_width is not None:
-        if args.workers != 1:
-            raise ReproError(
-                "--batch-width batches fault variants inside one process; "
-                "it cannot be combined with --workers")
-        executor = BatchedExecutor(batch_width=args.batch_width,
-                                   early_abort=args.early_abort)
-        result = simulator.run(executor=executor, checkpoint=args.checkpoint)
-    elif args.early_abort:
-        raise ReproError("--early-abort needs --batch-width: only the "
-                         "batched executor streams verdicts")
-    else:
-        # None keeps the defaultable serial path (REPRO_FORCE_BATCHED).
-        executor = PoolExecutor(args.workers) if args.workers > 1 else None
-        result = simulator.run(executor=executor,
-                               checkpoint=args.checkpoint)
+            return None
+    result = simulator.run(executor=executor, **run_options)
     if report is not None:
         result.calibration.update(report.to_dict())
     _print_preflight(result, out)
+    return result
+
+
+def _cmd_run(args, out) -> int:
+    result = _run_campaign(args, out, checkpoint=args.checkpoint)
+    if result is None:
+        return 1
     print(format_overview(result), file=out)
     return 0
 
 
 def _cmd_shard(args, out) -> int:
-    simulator = _load_campaign(args)
-    if args.calibrate and _calibrate_or_refuse(simulator, out) is None:
-        return 1
-    # None keeps the defaultable serial path (REPRO_FORCE_BATCHED).
-    executor = PoolExecutor(args.workers) if args.workers > 1 else None
-    result = simulator.run(executor=executor, checkpoint=args.out,
+    result = _run_campaign(args, out, checkpoint=args.out,
                            shard_index=args.shard_index,
                            shard_count=args.shard_count)
-    _print_preflight(result, out)
+    if result is None:
+        return 1
     counts = ", ".join(f"{status}={count}" for status, count
                        in sorted(result.count_by_status().items()))
     print(f"shard {args.shard_index}/{args.shard_count}: "
@@ -599,25 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the whole campaign on this host and print the "
         "overview report.")
     _add_campaign_arguments(run)
-    run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="process-pool workers (default: serial)")
+    _add_execution_arguments(run)
     run.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="JSONL checkpoint to append to / resume from")
-    run.add_argument("--batch-width", type=int, default=None, metavar="K",
-                     help="simulate up to K fault variants in lockstep "
-                     "with the batched executor (excludes --workers; "
-                     "adaptive campaigns advance each variant on its own "
-                     "grid and sync at print rows; see docs/batching.md)")
-    run.add_argument("--early-abort", action="store_true",
-                     help="with --batch-width: stop a variant's transient "
-                     "as soon as its detection verdict is certain "
-                     "(verdicts and detection times are unchanged; "
-                     "max_deviation covers the simulated prefix only)")
-    run.add_argument("--calibrate", action="store_true",
-                     help="with --timestep adaptive: bound the verdict "
-                     "sensitivity on a seeded probe subset first and "
-                     "refuse the campaign if calibration fails (see "
-                     "docs/campaigns.md)")
 
     shard = commands.add_parser(
         "shard", help="run one shard of a campaign",
@@ -629,12 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--shard-count", type=int, required=True, metavar="N")
     shard.add_argument("--out", required=True, metavar="PATH",
                        help="shard JSONL output file")
-    shard.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="process-pool workers for this shard")
-    shard.add_argument("--calibrate", action="store_true",
-                       help="with --timestep adaptive: calibrate the "
-                       "verdict tolerance on a probe subset before "
-                       "simulating the shard (refuses on failure)")
+    _add_execution_arguments(shard)
 
     merge = commands.add_parser(
         "merge", help="merge shard files into one result",

@@ -15,10 +15,12 @@ those concerns a seam:
   campaigns on a workstation cluster); ``FaultSimulator.run`` takes the
   slice as two arguments.
 * **execute** — a :class:`CampaignExecutor` decides *how* the pending
-  faults are simulated.  :class:`SerialExecutor` runs them in-process one
-  at a time, :class:`BatchedExecutor` in lockstep batches, and
-  :class:`PoolExecutor` distributes them over a local process pool.  Every
-  executor runs any slice.
+  faults are simulated.  :class:`BatchedExecutor` is the one local
+  implementation: plan-order batches of ``batch_width`` faults run in
+  lockstep, in-process or over ``workers`` pool processes, optionally
+  with ``early_abort``.  :class:`SerialExecutor` (one fault at a time)
+  and :class:`PoolExecutor` (one fault at a time over a pool) are its
+  width-1 presets.  Every executor runs any slice.
 * **collect** — :func:`merge_shards` assembles N shard files back into one
   :class:`~repro.anafault.simulator.CampaignResult`, record for record
   identical to the unsharded run; it refuses fingerprint mismatches and
@@ -33,6 +35,8 @@ directory lives in :mod:`repro.anafault.cli`.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
 import pathlib
@@ -233,33 +237,16 @@ class CampaignExecutor(Protocol):
     faults, reporting each finished record through ``emit`` — in plan
     order, as soon as it is available, so the campaign manager can
     checkpoint incrementally.  It returns an :class:`ExecutionInfo`
-    describing how the work was performed.  Executors never build results,
+    describing how the work was performed (its ``executor`` label is what
+    the campaign telemetry reports).  Executors never build results,
     open checkpoints, choose the shard slice or fire progress callbacks;
     those stay with ``FaultSimulator.run``.
     """
-
-    #: Short label reported in the campaign telemetry.
-    name: str
 
     def execute(self, simulator, plan: CampaignPlan, nominal: dict,
                 emit: EmitCallback) -> ExecutionInfo:
         """Simulate ``plan.pending`` and emit every record as it finishes."""
         ...  # pragma: no cover - protocol
-
-
-class SerialExecutor:
-    """Simulate every pending fault in-process, one after the other
-    (each a one-variant lockstep run, see
-    :meth:`~repro.anafault.FaultSimulator.simulate_fault`)."""
-
-    name = "serial"
-
-    def execute(self, simulator, plan: CampaignPlan, nominal: dict,
-                emit: EmitCallback) -> ExecutionInfo:
-        """Run the pending faults of ``plan`` sequentially in this process."""
-        for index in plan.pending:
-            emit(index, simulator.simulate_fault(plan.faults[index], nominal))
-        return ExecutionInfo(executor=self.name)
 
 
 #: Target number of map batches handed to each pool worker over a
@@ -281,133 +268,137 @@ def _positive_count(name: str, value) -> int:
 
 
 def campaign_chunksize(num_faults: int, workers: int) -> int:
-    """Chunk size for ``ProcessPoolExecutor.map`` over a fault list."""
-    if workers <= 0:
-        return 1
+    """Chunk size for ``ProcessPoolExecutor.map`` over ``num_faults``
+    tasks (faults or batches) and ``workers >= 1`` processes."""
     return max(1, num_faults // (workers * BATCHES_PER_WORKER))
 
 
 def _init_worker(circuit, settings, nominal) -> None:
-    """Pool initialiser: build one simulator per worker process and keep
-    the nominal waveforms (pickled into the worker once) beside it."""
+    """Pool initialiser: build one simulator per worker process and bind
+    it, with the nominal waveforms (pickled into the worker once), to
+    :func:`_simulate_batch`."""
     from .simulator import FaultSimulator
 
-    _WORKER_STATE["simulator"] = FaultSimulator.for_worker(circuit, settings)
-    _WORKER_STATE["nominal"] = nominal
+    _WORKER_STATE["simulate"] = functools.partial(
+        _simulate_batch, FaultSimulator.for_worker(circuit, settings),
+        nominal)
 
 
-def _simulate_in_worker(fault: Fault) -> FaultSimulationRecord:
-    """Pool task: simulate one fault and stamp its IPC cost."""
-    simulator = _WORKER_STATE["simulator"]
-    record = simulator.simulate_fault(fault, _WORKER_STATE["nominal"])
-    # What this record costs to send home.  Setting the field afterwards
-    # perturbs the measured size by a few bytes at most; it is telemetry,
-    # not an invariant.
-    record.payload_bytes = len(pickle.dumps(record))
-    return record
+def _simulate_batch(simulator, nominal: dict, early_abort: bool,
+                    faults: list[Fault]) -> tuple[list, int]:
+    """Records of one lockstep batch (in ``faults`` order) and the number
+    of variants stopped early.  A lone fault without early abort goes
+    through :meth:`~repro.anafault.FaultSimulator.simulate_fault`, the
+    per-fault entry point, which is the same one-variant lockstep run."""
+    if len(faults) == 1 and not early_abort:
+        return [simulator.simulate_fault(faults[0], nominal)], 0
+    return simulator._simulate_lockstep(faults, nominal,
+                                        early_abort=early_abort)
 
 
-class PoolExecutor:
-    """Distribute the pending faults over a local process pool.
+def _simulate_batch_in_worker(early_abort: bool,
+                              faults: list[Fault]) -> tuple[list, int]:
+    """Pool task: one batch on the worker's simulator, each record
+    stamped with its IPC cost."""
+    records, aborted = _WORKER_STATE["simulate"](early_abort, faults)
+    for record in records:
+        # Stamping the field perturbs the measured size by a few bytes.
+        record.payload_bytes = len(pickle.dumps(record))
+    return records, aborted
 
-    Every worker receives the nominal waveforms and builds its simulator
-    once, in the pool initialiser; the faults travel through
-    ``ProcessPoolExecutor.map`` in :func:`campaign_chunksize` batches, and
-    the records come back in plan order as they complete.  With one
-    worker — or at most one pending fault — everything runs in-process
-    and no pool is started, exactly like :class:`SerialExecutor`.
+
+class BatchedExecutor:
+    """The local campaign executor: the pending faults, cut into
+    plan-order batches of ``batch_width``, each run as one lockstep
+    transient (:meth:`~repro.anafault.FaultSimulator._simulate_lockstep`:
+    one :class:`~repro.spice.analysis.BatchedTransient` over the batch's
+    variants, every print row streamed into a per-variant
+    :class:`~repro.anafault.StreamingDetector`), in this process or over
+    ``workers`` pool processes; records are emitted in plan order as their
+    batch finishes.  :class:`SerialExecutor` and :class:`PoolExecutor` are
+    its width-1 presets.
+
+    The settings compose, and without ``early_abort`` every record field
+    but ``elapsed_seconds`` equals the serial record (the lockstep Newton
+    rounds hand each variant bitwise the floats it computes alone;
+    ``tests/test_batched.py`` locks this down, fixed and adaptive).
+    ``elapsed_seconds`` is the fault's injection time plus an equal share
+    of its batch's kernel time.  ``early_abort=True`` stops a variant the
+    moment its verdict is decided: status, detection time and detected
+    signal are unchanged (the persistence run that fired cannot unfire),
+    while the deviations and step counters cover only the simulated
+    prefix.  A variant that fails to converge is evicted to the failure
+    record serial execution produces, without perturbing its siblings.
+    See ``docs/campaigns.md`` (the one executor) and ``docs/batching.md``.
     """
 
-    name = "pool"
-
-    def __init__(self, workers: int):
+    def __init__(self, batch_width: int = 8, early_abort: bool = False,
+                 workers: int = 1):
+        self.batch_width = _positive_count("batch_width", batch_width)
+        self.early_abort = bool(early_abort)
         self.workers = _positive_count("workers", workers)
 
     def execute(self, simulator, plan: CampaignPlan, nominal: dict,
                 emit: EmitCallback) -> ExecutionInfo:
-        """Run the pending faults over the pool (serial fallback included)."""
-        pending = plan.pending
-        if self.workers <= 1 or len(pending) <= 1:
-            return SerialExecutor().execute(simulator, plan, nominal, emit)
-        from concurrent.futures import ProcessPoolExecutor
+        """Run ``plan.pending`` in batches, emitting in plan order."""
+        width = self.batch_width
+        chunks = [plan.pending[start:start + width]
+                  for start in range(0, len(plan.pending), width)]
+        batches = [[plan.faults[i] for i in chunk] for chunk in chunks]
+        workers = max(1, min(self.workers, len(chunks)))
+        info = ExecutionInfo(  # the label names what actually ran
+            executor=("batched" if width > 1 else
+                      "pool" if workers > 1 else "serial"),
+            workers=workers, batch_width=width if width > 1 else 0)
+        with contextlib.ExitStack() as stack:
+            if workers == 1:
+                # Lazy: each batch runs inside its own _execute_batch.
+                outcomes = map(functools.partial(
+                    _simulate_batch, simulator, nominal, self.early_abort),
+                    batches)
+            else:
+                from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(self.workers, len(pending))
-        info = ExecutionInfo(executor=self.name, workers=workers,
-                             nominal_ipc_bytes=len(pickle.dumps(nominal)))
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(simulator.circuit, simulator.settings,
-                          nominal)) as pool:
-            records = pool.map(
-                _simulate_in_worker, [plan.faults[i] for i in pending],
-                chunksize=campaign_chunksize(len(pending), workers))
-            for index, record in zip(pending, records):
-                emit(index, record)
+                info.nominal_ipc_bytes = len(pickle.dumps(nominal))
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=workers, initializer=_init_worker,
+                    initargs=(simulator.circuit, simulator.settings,
+                              nominal)))
+                outcomes = pool.map(
+                    functools.partial(_simulate_batch_in_worker,
+                                      self.early_abort),
+                    batches, chunksize=campaign_chunksize(len(batches),
+                                                          workers))
+            for chunk in chunks:
+                self._execute_batch(outcomes, emit, chunk, info)
         return info
 
-
-class BatchedExecutor:
-    """Simulate the pending faults in lockstep batches of ``batch_width``.
-
-    The concurrent-fault-simulation executor (conf_date_SebekeTO95): each
-    batch injects up to ``batch_width`` faults, builds one
-    :class:`~repro.spice.analysis.BatchedTransient` over the variants and
-    advances them print interval by print interval, feeding every fresh
-    print row to a per-variant
-    :class:`~repro.anafault.StreamingDetector` — the incremental form of
-    the campaign comparator's persistence scan.
-
-    In the default configuration every record — verdict, detection time,
-    ``max_deviation``, step counters, ``trace_bytes`` — is identical to a
-    :class:`SerialExecutor` run of the same campaign (the lockstep Newton
-    rounds fuse the variants' device evaluations and solves, but hand each
-    variant bitwise the floats it computes alone; the differential suite
-    in ``tests/test_batched.py`` locks this down).  One opt-in lever
-    trades part of that identity for throughput: ``early_abort=True``
-    stops a variant the moment its verdict is decided.  Verdict, detection
-    time and detected signal are provably unchanged (the persistence run
-    that fired cannot unfire); the reported ``max_deviation`` and step
-    counters then cover only the simulated prefix.
-
-    A variant that fails to converge mid-batch (including
-    ``SingularMatrixError`` and the ``dt_min`` floor) is evicted to the
-    same failure record serial execution produces, without perturbing its
-    siblings.  Adaptive-timestep campaigns batch too: each variant
-    integrates on its own adaptive step/order grid while the lockstep
-    loop synchronises on the shared print grid, so verdicts (evaluated on
-    print rows) match serial adaptive execution exactly.
-
-    Per-record ``elapsed_seconds`` is the variant's injection time plus an
-    equal share of the batch's kernel time (lockstep work is not
-    attributable per-variant); every other telemetry field is exact.
-    """
-
-    name = "batched"
-
-    def __init__(self, batch_width: int = 8, early_abort: bool = False):
-        self.batch_width = _positive_count("batch_width", batch_width)
-        self.early_abort = bool(early_abort)
-
-    def execute(self, simulator, plan: CampaignPlan, nominal: dict,
-                emit: EmitCallback) -> ExecutionInfo:
-        """Run ``plan.pending`` in lockstep batches, emitting in plan order."""
-        info = ExecutionInfo(executor=self.name,
-                             batch_width=self.batch_width)
-        pending = plan.pending
-        for start in range(0, len(pending), self.batch_width):
-            self._execute_batch(simulator, plan, nominal, emit,
-                                pending[start:start + self.batch_width], info)
-        return info
-
-    def _execute_batch(self, simulator, plan: CampaignPlan, nominal: dict,
-                       emit: EmitCallback, chunk: list[int],
-                       info: ExecutionInfo) -> None:
-        records, aborted = simulator._simulate_lockstep(
-            [plan.faults[index] for index in chunk], nominal,
-            early_abort=self.early_abort)
+    def _execute_batch(self, outcomes, emit: EmitCallback,
+                       chunk: list[int], info: ExecutionInfo) -> None:
+        """Take the next batch outcome and emit its records."""
+        records, aborted = next(outcomes)
         info.early_aborted += aborted
         for index, record in zip(chunk, records):
             emit(index, record)
+
+
+class SerialExecutor(BatchedExecutor):
+    """Preset: every pending fault in-process, one after the other."""
+
+    # Bound on the preset itself so ``SerialExecutor.execute`` stays an
+    # entry point of its own (the perf benchmark's layer tracer wraps it).
+    execute = BatchedExecutor.execute
+
+    def __init__(self):
+        super().__init__(batch_width=1)
+
+
+class PoolExecutor(BatchedExecutor):
+    """Preset: the pending faults one at a time over ``workers`` local
+    pool processes (in-process when only one fault is pending)."""
+
+    def __init__(self, workers: int):
+        super().__init__(batch_width=1, workers=workers)
 
 
 # ---------------------------------------------------------------------------

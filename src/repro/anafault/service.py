@@ -51,6 +51,7 @@ from ..errors import CampaignError, ReproError
 from ..lift.faultlist import FaultList
 from ..spice.parser import parse_netlist
 from .checkpoint import CampaignCheckpoint, campaign_fingerprint
+from .executors import record_from_payload
 from .simulator import STATUS_DETECTED, STATUS_SIM_FAILED
 from .wire import settings_from_wire
 
@@ -104,8 +105,9 @@ class LeaseMachine:
                 "unique ids; merge the fault list first (merge_equivalent())")
         if int(max_attempts) < 1:
             raise CampaignError("max_attempts must be >= 1")
-        if float(lease_ttl) <= 0.0:
-            raise CampaignError("lease_ttl must be > 0")
+        if not 0.0 < float(lease_ttl) < float("inf"):  # NaN too
+            raise CampaignError(
+                f"lease_ttl must be a finite number > 0, got {lease_ttl!r}")
         if int(lease_size) < 1:
             raise CampaignError("lease_size must be >= 1")
         self.max_attempts = int(max_attempts)
@@ -463,7 +465,11 @@ class CampaignJob:
             return {"accepted": False, "duplicate": False,
                     "cancelled": True, "done": True}
         self.sweep(now)
-        fault_id = int(fault_id)
+        if fault_id in self.faults_by_id:
+            # Refuse a malformed record before the lease machine counts
+            # it (the machine refuses unknown ids itself).
+            record_from_payload(self.faults_by_id[fault_id], payload,
+                                source=f"worker {worker!r}")
         stats = self._worker(worker)
         accepted = self.machine.complete(fault_id, str(worker), now)
         if accepted:
@@ -682,23 +688,24 @@ class CampaignService:
 
     def _op_complete(self, request: dict) -> dict:
         job = self._job(request)
-        record = request.get("record")
-        if not isinstance(record, dict):
-            raise CampaignError("complete needs a record payload object")
         return job.complete(str(request.get("worker") or "anonymous"),
-                            int(request.get("fault_id", -1)), record,
-                            self.clock())
+                            _fault_id(request.get("fault_id"), "complete"),
+                            request.get("record"), self.clock())
 
     def _op_fail(self, request: dict) -> dict:
         job = self._job(request)
         return job.fail(str(request.get("worker") or "anonymous"),
-                        int(request.get("fault_id", -1)),
+                        _fault_id(request.get("fault_id"), "fail"),
                         str(request.get("message") or ""), self.clock())
 
     def _op_release(self, request: dict) -> dict:
         job = self._job(request)
+        fault_ids = request.get("fault_ids", [])
+        if not isinstance(fault_ids, list):
+            raise CampaignError(
+                f"release needs a list of fault_ids, got {fault_ids!r}")
         released = job.machine.release(
-            [int(fault_id) for fault_id in request.get("fault_ids") or []],
+            [_fault_id(value, "release", "fault_ids") for value in fault_ids],
             str(request.get("worker") or "anonymous"))
         return {"released": released}
 
@@ -728,6 +735,13 @@ class CampaignService:
         with self.lock:
             for job in self.jobs.values():
                 job.close()
+
+
+def _fault_id(value, op: str, name: str = "fault_id") -> int:
+    """``value`` if it is an integer fault id (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CampaignError(f"{op} needs integer {name}, got {value!r}")
+    return value
 
 
 class ServiceServer(socketserver.ThreadingTCPServer):

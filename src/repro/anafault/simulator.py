@@ -740,12 +740,13 @@ BatchedExecutor`).
         file: :func:`~repro.anafault.merge_shards` reassembles them.
 
         The *execute* stage is pluggable, and ``executor`` is the single
-        execution seam (:mod:`repro.anafault.executors`): pass
-        ``PoolExecutor(N)`` for a process pool (section II mentions the
+        execution seam (:mod:`repro.anafault.executors`): pass a
+        ``BatchedExecutor(batch_width, early_abort, workers)`` for lockstep
+        batches over a process pool (section II mentions the
         workstation-cluster parallelisation of AnaFAULT; fault-level
-        parallelism is embarrassingly parallel), a ``BatchedExecutor`` for
-        lockstep batches, or nothing for the ``SerialExecutor`` default.
-        Any executor runs any slice.
+        parallelism is embarrassingly parallel), one of its width-1
+        presets ``PoolExecutor(N)``/``SerialExecutor()``, or nothing for
+        the serial default.  Any executor runs any slice.
 
         The *collect* stage assembles the ordered records, the executor's
         telemetry and the timings into the :class:`CampaignResult`.
@@ -759,18 +760,14 @@ BatchedExecutor`).
         from .executors import BatchedExecutor, SerialExecutor
 
         if executor is None:
-            executor = SerialExecutor()
-            # CI leg: REPRO_FORCE_BATCHED=<width> substitutes the batched
-            # executor for the serial default, so the whole tier-1 suite
-            # doubles as a batched-vs-serial differential harness — for
-            # fixed *and* adaptive campaigns (lockstep synchronises
-            # adaptive variants on the shared print grid).  Only the
-            # defaultable case is forced (explicit executors keep their
-            # path).
+            # CI leg: REPRO_FORCE_BATCHED=<width> batches the serial
+            # default, so the whole tier-1 suite doubles as a
+            # batched-vs-serial differential harness, fixed and adaptive.
+            # Explicit executors are never forced.
             forced = os.environ.get("REPRO_FORCE_BATCHED", "").strip()
-            if forced and forced != "0":
-                width = int(forced) if forced.isdigit() else 4
-                executor = BatchedExecutor(batch_width=max(1, width))
+            width = int(forced) if forced.isdigit() else 4 if forced else 1
+            executor = (BatchedExecutor(batch_width=width) if width > 1
+                        else SerialExecutor())
 
         start = _time.perf_counter()
         checkpoint_store = None

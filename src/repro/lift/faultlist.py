@@ -111,6 +111,11 @@ class FaultList:
         return FaultList(self.name, ranked, dict(self.metadata))
 
     def top(self, count: int) -> "FaultList":
+        """The ``count`` most probable faults; a negative count (which a
+        slice would read as "all but the last") raises
+        :class:`~repro.errors.FaultError`."""
+        if count < 0:
+            raise FaultError(f"top needs a fault count >= 0, got {count}")
         return FaultList(f"{self.name} (top {count})",
                          self.sorted_by_probability().faults[:count],
                          dict(self.metadata))

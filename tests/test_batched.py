@@ -46,6 +46,7 @@ from repro.anafault import (
     ToleranceSettings,
     WaveformComparator,
 )
+from repro.anafault.checkpoint import RECORD_FIELDS
 from repro.anafault.cli import main as cli_main
 from repro.circuits.library import build_cmos_inverter, build_rc_lowpass
 from repro.errors import CampaignError, SingularMatrixError, TransientError
@@ -126,6 +127,17 @@ def _assert_identical(circuit, faults, settings, width, **kwargs):
     return serial, batched
 
 
+def _inverter_campaign(input_voltage: float = 2.5):
+    faults = FaultList("inverter faults")
+    faults.add(OpenFault(1, probability=1e-7, device="MN", terminal="drain"))
+    faults.add(BridgingFault(2, probability=1e-8, net_a="out", net_b="vdd"))
+    faults.add(BridgingFault(3, probability=1e-9, net_a="out", net_b="0"))
+    faults.add(OpenFault(4, probability=1e-9, device="MP", terminal="gate"))
+    settings = _settings(tstop=1e-4, tstep=1e-6,
+                         tolerances=ToleranceSettings(1.0, 4e-6))
+    return build_cmos_inverter(input_voltage=input_voltage), faults, settings
+
+
 # ---------------------------------------------------------------------------
 # Differential suite: batched == serial, record for record
 # ---------------------------------------------------------------------------
@@ -157,17 +169,7 @@ class TestDifferential:
     def test_inverter_family_differential(self, input_voltage, width):
         """The nonlinear (Newton-iterating) family: a CMOS inverter with
         opens and bridges on its transistors."""
-        circuit = build_cmos_inverter(input_voltage=input_voltage)
-        faults = FaultList("inverter faults")
-        faults.add(OpenFault(1, probability=1e-7, device="MN",
-                             terminal="drain"))
-        faults.add(BridgingFault(2, probability=1e-8, net_a="out",
-                                 net_b="vdd"))
-        faults.add(BridgingFault(3, probability=1e-9, net_a="out",
-                                 net_b="0"))
-        settings = _settings(tstop=1e-4, tstep=1e-6,
-                             tolerances=ToleranceSettings(1.0, 4e-6))
-        _assert_identical(circuit, faults, settings, width)
+        _assert_identical(*_inverter_campaign(input_voltage), width)
 
     def test_vco_family_differential(self, vco_circuit, vco_fault_list,
                                      fast_campaign_settings):
@@ -182,6 +184,81 @@ class TestDifferential:
         assert batched.nominal_stats == serial.nominal_stats
         assert batched.executor == "batched"
         assert serial.executor == "serial"
+
+
+# ---------------------------------------------------------------------------
+# Composition: batch width x workers x early abort, one executor
+# ---------------------------------------------------------------------------
+
+CAMPAIGNS = {
+    "rc": lambda: (build_rc_lowpass(capacitance=1e-6), _fault_list(),
+                   _settings()),
+    "inverter": _inverter_campaign,
+}
+
+
+def _campaign(name: str, timestep: str):
+    circuit, faults, settings = CAMPAIGNS[name]()
+    if timestep == "adaptive":
+        settings = dataclasses.replace(
+            settings, timestep=TransientOptions(mode="adaptive"))
+    return circuit, faults, settings
+
+
+def _fields(record, names) -> tuple:
+    return tuple(getattr(record, name) for name in names)
+
+
+class TestComposition:
+    """Every setting combination of the one executor against the serial
+    preset, on the rc and CMOS-inverter campaigns, fixed and adaptive."""
+
+    @pytest.mark.parametrize("timestep", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+    def test_records_match_serial_at_every_width_and_worker_count(
+            self, campaign, timestep):
+        circuit, faults, settings = _campaign(campaign, timestep)
+        names = [name for name in RECORD_FIELDS if name != "elapsed_seconds"]
+        serial = _run(circuit, faults, settings, SerialExecutor())
+        reference = [_fields(r, names) for r in serial.records]
+        for width in (1, 3, 8):
+            for workers in (1, 2):
+                result = _run(circuit, faults, settings, BatchedExecutor(
+                    batch_width=width, workers=workers))
+                assert [_fields(r, names) for r in result.records] \
+                    == reference, (width, workers)
+                assert result.workers == min(workers,
+                                             -(-len(faults) // width))
+
+    @pytest.mark.parametrize("timestep", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+    def test_early_abort_keeps_verdicts_at_every_width(self, campaign,
+                                                       timestep):
+        circuit, faults, settings = _campaign(campaign, timestep)
+        serial = _run(circuit, faults, settings, SerialExecutor())
+        for width, workers in ((1, 1), (3, 1), (8, 1), (1, 2), (3, 2)):
+            result = _run(circuit, faults, settings, BatchedExecutor(
+                batch_width=width, early_abort=True, workers=workers))
+            assert ([_verdict(r) for r in result.records]
+                    == [_verdict(r) for r in serial.records]), (width,
+                                                                workers)
+
+    def test_pool_batches_stamp_record_ipc_cost(self, rc_circuit):
+        result = _run(rc_circuit, _fault_list(), _settings(),
+                      BatchedExecutor(batch_width=3, workers=2))
+        assert (result.executor, result.workers, result.batch_width) == \
+            ("batched", 2, 3)
+        assert result.nominal_ipc_bytes > 0
+        assert all(record.payload_bytes > 0 for record in result.records)
+
+    def test_width_one_runs_report_per_fault_execution(self, rc_circuit):
+        """The presets are width-1 configurations of the one executor and
+        keep their telemetry labels."""
+        for executor, label in ((SerialExecutor(), "serial"),
+                                (BatchedExecutor(batch_width=1), "serial"),
+                                (PoolExecutor(2), "pool")):
+            result = _run(rc_circuit, _fault_list(), _settings(), executor)
+            assert (result.executor, result.batch_width) == (label, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -835,14 +912,58 @@ class TestCommandLine:
         assert "AnaFAULT campaign overview" in out
         assert self._records(batched) == self._records(serial)
 
-    def test_early_abort_requires_batch_width(self, campaign_files, capsys):
+    def test_early_abort_runs_without_batch_width(self, campaign_files,
+                                                  tmp_path):
+        """Early abort needs no batch: one fault at a time keeps every
+        verdict field of the serial run."""
         netlist, faults = campaign_files
+        serial = tmp_path / "serial.jsonl"
+        aborted = tmp_path / "aborted.jsonl"
+        self._cli("run", netlist, faults, *self.FLAGS,
+                  "--checkpoint", serial)
         self._cli("run", netlist, faults, *self.FLAGS, "--early-abort",
-                  expect=2)
-        assert "--batch-width" in capsys.readouterr().err
+                  "--checkpoint", aborted)
+        assert ({key: value[:3] for key, value
+                 in self._records(aborted).items()}
+                == {key: value[:3] for key, value
+                    in self._records(serial).items()})
 
-    def test_batch_width_excludes_workers(self, campaign_files, capsys):
+    @pytest.mark.parametrize("command", ["run", "shard"])
+    def test_batch_width_composes_with_workers(self, campaign_files,
+                                               tmp_path, command):
         netlist, faults = campaign_files
-        self._cli("run", netlist, faults, *self.FLAGS, "--batch-width", 2,
-                  "--workers", 2, expect=2)
-        assert "--workers" in capsys.readouterr().err
+        serial = tmp_path / "serial.jsonl"
+        pooled = tmp_path / "pooled.jsonl"
+        self._cli("run", netlist, faults, *self.FLAGS,
+                  "--checkpoint", serial)
+        target = (["--checkpoint", pooled] if command == "run" else
+                  ["--shard-index", 0, "--shard-count", 1, "--out", pooled])
+        self._cli(command, netlist, faults, *self.FLAGS, "--batch-width", 2,
+                  "--workers", 2, *target)
+        assert self._records(pooled) == self._records(serial)
+
+    def test_negative_top_is_refused(self, campaign_files, capsys):
+        """``--top -1`` used to simulate all faults but the least probable
+        one; it is refused naming the count."""
+        netlist, faults = campaign_files
+        self._cli("run", netlist, faults, *self.FLAGS, "--top", -1,
+                  expect=2)
+        assert "fault count >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "shard"])
+    @pytest.mark.parametrize("flag", ["--workers", "--batch-width"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_are_refused(self, campaign_files, tmp_path,
+                                          capsys, command, flag, value):
+        """``--workers 0`` used to fall back to a serial run silently; it
+        is refused exactly like ``--batch-width 0``."""
+        netlist, faults = campaign_files
+        target = ([] if command == "run" else
+                  ["--shard-index", 0, "--shard-count", 2,
+                   "--out", tmp_path / "s.jsonl"])
+        self._cli(command, netlist, faults, *self.FLAGS, flag, value,
+                  *target, expect=2)
+        name = flag[2:].replace("-", "_")
+        assert (f"{name} must be an integer >= 1, got {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "s.jsonl").exists()

@@ -175,7 +175,7 @@ class TestExecutorSeam:
         assert pool.workers == 2
         assert pool.nominal_ipc_bytes > 0
 
-    def test_pool_executor_serial_fallback(self, rc_circuit):
+    def test_one_worker_pool_runs_in_process(self, rc_circuit):
         result = FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
             executor=PoolExecutor(1))
         assert result.executor == "serial"

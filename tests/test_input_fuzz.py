@@ -1,11 +1,13 @@
 """Derandomised fuzzers for the text inputs a campaign reads from disk or
-the wire: SPICE netlists, LIFT fault-list text, checkpoint JSONL lines and
-the settings wire dict.
+the wire: SPICE netlists, LIFT fault-list text, checkpoint JSONL lines,
+the settings wire dict and every campaign-service request.
 
 The contract under test is the library's error invariant: every input
 either loads or raises a :class:`~repro.errors.ReproError` — never a
 ``ValueError``, ``KeyError`` or ``OverflowError`` from deep inside a
-parser.  Each fuzzer starts from a well-formed input and mutates it, so
+parser.  For the campaign service the invariant is its protocol's: every
+request gets a response dict, so the TCP handler always has a reply to
+send.  Each fuzzer starts from a well-formed input and mutates it, so
 most examples stay close enough to valid to reach the field checks.  The
 runs are derandomised with a fixed example budget, so the suite is
 reproducible and its cost bounded.
@@ -18,6 +20,7 @@ import math
 import pathlib
 import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.anafault import (
@@ -26,10 +29,13 @@ from repro.anafault import (
     settings_from_wire,
     settings_to_wire,
 )
+from repro.anafault.service import CampaignService
+from repro.circuits.library import build_rc_lowpass
 from repro.errors import ReproError
 from repro.lift import FaultList
 from repro.spice import parse_netlist
 
+from test_service import _record_payload, _submit_payload
 from test_streaming import LEGACY_CHECKPOINT, _fault_list, _settings
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -155,6 +161,60 @@ def settings_wires(draw):
     return wire
 
 
+#: One well-formed request per service op (``shutdown`` is answered by the
+#: TCP layer, never by ``CampaignService.handle``) against the submitted
+#: rc job, whose fingerprint replaces ``JOB``.
+JOB = "<job>"
+SUBMIT = {**_submit_payload(build_rc_lowpass(capacitance=1e-6)),
+          "lease_ttl": 10.0, "max_attempts": 3, "lease_size": 2}
+SERVICE_REQUESTS = {
+    "ping": {},
+    "submit": SUBMIT,
+    "campaign": {"job": JOB},
+    "lease": {"worker": "w1"},
+    "complete": {"job": JOB, "worker": "w1", "fault_id": 1,
+                 "record": _record_payload(1)},
+    "fail": {"job": JOB, "worker": "w1", "fault_id": 2, "message": "boom"},
+    "release": {"job": JOB, "worker": "w1", "fault_ids": [3, 4]},
+    "status": {"job": JOB},
+    "results": {"job": JOB},
+    "cancel": {"job": JOB},
+}
+
+#: Every ``(op, field path)`` the service fuzzer mutates: each top-level
+#: field (``op`` included) and each field of the record payload.
+SERVICE_FIELDS = [
+    (op, path)
+    for op, fields in sorted(SERVICE_REQUESTS.items())
+    for key, value in {"op": op, **fields}.items()
+    for path in [(key,)] + ([(key, inner) for inner in value]
+                            if key == "record" else [])]
+
+#: Marks a field the mutation leaves out of the request.
+MISSING = object()
+
+#: Replacement field values: wrong types, impossible numbers, or absence.
+FIELD_VALUE = st.one_of(
+    st.sampled_from([MISSING, None, True, 1.5, -1, 0, 2**70, "x", "", [],
+                     [1, "x"], {}, float("nan"), float("inf")]),
+    JSON)
+
+
+def _service_request(op: str, path: tuple, value, job: str) -> dict:
+    """The well-formed ``op`` request with the field at ``path`` set to
+    ``value`` (or removed)."""
+    request = json.loads(json.dumps(
+        {"op": op, **SERVICE_REQUESTS[op]}).replace(JOB, job))
+    target = request
+    for key in path[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return request
+
+
 class TestInputFuzz:
     @FUZZ
     @given(text=spice_texts())
@@ -198,3 +258,19 @@ class TestInputFuzz:
             return
         assert isinstance(loaded, CampaignSettings)
 
+    @pytest.mark.parametrize("op, path", SERVICE_FIELDS,
+                             ids=["-".join((op,) + path)
+                                  for op, path in SERVICE_FIELDS])
+    @settings(FUZZ, max_examples=15)
+    @given(value=FIELD_VALUE)
+    def test_every_service_request_gets_a_response_dict(
+            self, tmp_path_factory, op, path, value):
+        service = CampaignService(tmp_path_factory.mktemp("spool"))
+        try:
+            job = service.handle({"op": "submit", **SUBMIT})["job"]
+            service.handle({"op": "lease", "worker": "w1"})
+            reply = service.handle(_service_request(op, path, value, job))
+            assert isinstance(reply, dict)
+            json.dumps(reply)  # the TCP handler can send it
+        finally:
+            service.close()

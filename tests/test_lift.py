@@ -86,6 +86,11 @@ class TestFaultList:
         assert faults[0].fault_id == 1
         assert len(faults.top(2)) == 2
 
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_top_refuses_a_negative_count(self, count):
+        with pytest.raises(FaultError, match=f"got {count}"):
+            self._sample().top(count)
+
     def test_filter_probability(self):
         assert len(self._sample().filter_probability(1e-8)) == 2
 

@@ -465,6 +465,58 @@ class TestCampaignServiceProtocol:
         assert "error" in service.handle({"op": "status", "job": "nope"})
         assert "error" in service.handle([1, 2, 3])
 
+    @pytest.mark.parametrize("op, field, value", [
+        ("complete", "fault_id", "x"), ("complete", "fault_id", None),
+        ("complete", "fault_id", 1.5), ("complete", "fault_id", True),
+        ("fail", "fault_id", "x"), ("fail", "fault_id", None),
+        ("fail", "fault_id", 1.5), ("fail", "fault_id", True),
+        ("release", "fault_ids", 5), ("release", "fault_ids", None),
+        ("release", "fault_ids", [1.5]), ("release", "fault_ids", [True]),
+    ])
+    def test_non_integer_fault_ids_are_errors(self, rc_circuit, tmp_path,
+                                              op, field, value):
+        """A malformed id is answered with an error naming the op and the
+        field, never raised out of ``handle`` (the TCP handler would drop
+        the connection) nor read as fault 1."""
+        service, _ = self._service(tmp_path)
+        job = service.handle({"op": "submit",
+                              **_submit_payload(rc_circuit)})["job"]
+        service.handle({"op": "lease", "worker": "w1"})
+        response = service.handle({"op": op, "job": job, "worker": "w1",
+                                   "record": _record_payload(1),
+                                   field: value})
+        assert set(response) == {"error"}
+        assert op in response["error"] and field in response["error"]
+        status = service.handle({"op": "status", "job": job})
+        assert status["completed"] == 0 and status["retries"] == 0
+        assert status["leased"] > 0
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), -1.0])
+    def test_submit_refuses_a_lease_ttl_that_cannot_time(self, rc_circuit,
+                                                         tmp_path, ttl):
+        """A NaN TTL used to expire every lease at the next request, so
+        the job finished with every fault exhausted and none simulated."""
+        service, _ = self._service(tmp_path)
+        response = service.handle({"op": "submit", "lease_ttl": ttl,
+                                   **_submit_payload(rc_circuit)})
+        assert "lease_ttl" in response["error"]
+        assert not service.jobs
+
+    def test_malformed_record_payload_is_an_error(self, rc_circuit,
+                                                  tmp_path):
+        """The record is checked before the lease machine counts it: a
+        refused completion leaves the fault leased, not completed."""
+        service, _ = self._service(tmp_path)
+        job = service.handle({"op": "submit",
+                              **_submit_payload(rc_circuit)})["job"]
+        service.handle({"op": "lease", "worker": "w1"})
+        response = service.handle({
+            "op": "complete", "job": job, "worker": "w1", "fault_id": 1,
+            "record": _record_payload(1, seconds="x")})
+        assert "elapsed_seconds" in response["error"]
+        assert service.handle({"op": "status",
+                               "job": job})["completed"] == 0
+
     def test_bad_submit_payload_is_an_error(self, tmp_path):
         service, _ = self._service(tmp_path)
         response = service.handle({"op": "submit", "netlist": "not spice",
