@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke examples perf-smoke perf-diff docs-check lint lint-static lint-examples
+.PHONY: test bench bench-smoke examples perf-smoke perf-diff record-identity docs-check lint lint-static lint-examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -42,6 +42,14 @@ PERF_OUT ?= benchmarks/perf/out/perf-diff.json
 perf-diff:
 	$(PYTHON) benchmarks/perf/run.py --repeats 3 --out $(PERF_OUT)
 	$(PYTHON) benchmarks/perf/diff.py $(BASE) $(PERF_OUT)
+
+## record identity: every case of CASES (ci: the 24 most probable faults,
+## full: all 99, plus fig. 3 transients) simulated on git revision BASE,
+## extracted with git archive, and on the working tree; fails naming each
+## case and field that differs (give BASE=<rev>, e.g. BASE=main)
+CASES ?= ci
+record-identity:
+	$(PYTHON) tools/record_identity.py check --base $(BASE) --cases $(CASES)
 
 ## docs-rot check only (links, paths, dotted names, doctests)
 docs-check:

@@ -98,21 +98,26 @@ class LeaseMachine:
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  lease_size: int = DEFAULT_LEASE_SIZE,
                  costs: dict | None = None):
-        fault_ids = [int(fault_id) for fault_id in fault_ids]
+        fault_ids = [_fault_id(fault_id, "the lease machine")
+                     for fault_id in fault_ids]
         if len(set(fault_ids)) != len(fault_ids):
             raise CampaignError(
                 "the lease machine keys its queue by fault id and needs "
                 "unique ids; merge the fault list first (merge_equivalent())")
-        if int(max_attempts) < 1:
-            raise CampaignError("max_attempts must be >= 1")
-        if not 0.0 < float(lease_ttl) < float("inf"):  # NaN too
+        for name, value in (("max_attempts", max_attempts),
+                            ("lease_size", lease_size)):
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise CampaignError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        if (isinstance(lease_ttl, bool)
+                or not isinstance(lease_ttl, (int, float))
+                or not 0.0 < lease_ttl < float("inf")):  # NaN too
             raise CampaignError(
                 f"lease_ttl must be a finite number > 0, got {lease_ttl!r}")
-        if int(lease_size) < 1:
-            raise CampaignError("lease_size must be >= 1")
-        self.max_attempts = int(max_attempts)
+        self.max_attempts = max_attempts
         self.lease_ttl = float(lease_ttl)
-        self.lease_size = int(lease_size)
+        self.lease_size = lease_size
         #: fault id -> state (:data:`PENDING` .. :data:`EXHAUSTED`).
         self.state: dict[int, str] = {fid: PENDING for fid in fault_ids}
         self._order = list(fault_ids)
@@ -238,9 +243,7 @@ class LeaseMachine:
         counted in :attr:`duplicates`.  A completion also revalidates the
         worker's other leases (:meth:`touch`).
         """
-        fault_id = int(fault_id)
-        if fault_id not in self.state:
-            raise CampaignError(f"unknown fault id {fault_id}")
+        fault_id = self._known(fault_id, "complete")
         self.leases.pop(fault_id, None)
         self.touch(worker, now)
         if self.state[fault_id] in (COMPLETED, EXHAUSTED):
@@ -255,9 +258,7 @@ class LeaseMachine:
         """Report a failed attempt; returns ``"retry"``, ``"exhausted"``
         or ``"stale"`` (the fault already completed elsewhere — nothing to
         retry)."""
-        fault_id = int(fault_id)
-        if fault_id not in self.state:
-            raise CampaignError(f"unknown fault id {fault_id}")
+        fault_id = self._known(fault_id, "fail")
         if self.state[fault_id] in (COMPLETED, EXHAUSTED):
             return "stale"
         self.leases.pop(fault_id, None)
@@ -274,7 +275,7 @@ class LeaseMachine:
         shutdown); consumes no attempt.  Returns how many were requeued."""
         released = 0
         for fault_id in fault_ids:
-            fault_id = int(fault_id)
+            fault_id = _fault_id(fault_id, "release")
             lease = self.leases.get(fault_id)
             if lease is None or lease[0] != worker:
                 continue
@@ -296,7 +297,15 @@ class LeaseMachine:
     # -- queries -------------------------------------------------------
     def attempt_number(self, fault_id: int) -> int:
         """1-based attempt a lease of ``fault_id`` would be running."""
-        return self.failures[int(fault_id)] + 1
+        return self.failures[self._known(fault_id, "attempt_number")] + 1
+
+    def _known(self, fault_id, op: str) -> int:
+        """``fault_id`` if it is the integer id of a fault of this queue
+        (never a bool or a float that ``int()`` would truncate)."""
+        fault_id = _fault_id(fault_id, op)
+        if fault_id not in self.state:
+            raise CampaignError(f"unknown fault id {fault_id}")
+        return fault_id
 
     @property
     def done(self) -> bool:
@@ -497,11 +506,11 @@ class CampaignJob:
         if self.state == JOB_CANCELLED:
             return {"outcome": "cancelled", "done": True}
         self.sweep(now)
-        outcome = self.machine.fail(int(fault_id), str(worker), now,
+        outcome = self.machine.fail(fault_id, str(worker), now,
                                     message=str(message or ""))
         self._worker(worker)["failed"] += 1
         if outcome == "exhausted":
-            self._record_exhaustion(int(fault_id))
+            self._record_exhaustion(fault_id)
         if self.machine.done and self.state == JOB_OPEN:
             self.state = JOB_DONE
             self._write_descriptor()
@@ -593,13 +602,8 @@ class CampaignService:
                 raise CampaignError(f"its payload is "
                                     f"{type(payload).__name__}, not a JSON "
                                     "object")
-            job = CampaignJob(
-                self.spool, payload,
-                lease_ttl=float(descriptor.get("lease_ttl", self.lease_ttl)),
-                max_attempts=int(descriptor.get("max_attempts",
-                                                self.max_attempts)),
-                lease_size=int(descriptor.get("lease_size",
-                                              self.lease_size)))
+            job = CampaignJob(self.spool, payload,
+                              **self._lease_knobs(descriptor))
         except (ReproError, ValueError, KeyError, TypeError,
                 OverflowError) as exc:
             detail = (str(exc) if isinstance(exc, ReproError)
@@ -608,6 +612,14 @@ class CampaignService:
                 f"spool descriptor {path} is damaged ({detail}); repair or "
                 "remove it to start the daemon") from exc
         return job, descriptor.get("state")
+
+    def _lease_knobs(self, source: dict) -> dict:
+        """``lease_ttl``, ``max_attempts`` and ``lease_size`` of a submit
+        request or a spool descriptor.  Only an absent key takes the
+        daemon default; a present one (null included) goes to the lease
+        machine's checks as sent, never coerced."""
+        return {name: source.get(name, getattr(self, name))
+                for name in ("lease_ttl", "max_attempts", "lease_size")}
 
     def _job(self, request: dict) -> CampaignJob:
         fingerprint = str(request.get("job", ""))
@@ -643,12 +655,8 @@ class CampaignService:
                    "faults": request.get("faults", ""),
                    "settings": request.get("settings") or {}}
         try:
-            job = CampaignJob(
-                self.spool, payload,
-                lease_ttl=float(request.get("lease_ttl") or self.lease_ttl),
-                max_attempts=int(request.get("max_attempts")
-                                 or self.max_attempts),
-                lease_size=int(request.get("lease_size") or self.lease_size))
+            job = CampaignJob(self.spool, payload,
+                              **self._lease_knobs(request))
         except CampaignError:
             raise
         except Exception as exc:

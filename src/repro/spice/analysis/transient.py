@@ -229,6 +229,80 @@ class _LRUCache:
         return len(self._data)
 
 
+class _History:
+    """The newest accepted points of one run and their divided differences.
+
+    Keeps at most ``capacity`` points (``max_order + 2``: the highest-order
+    predictor needs ``max_order + 1``, the raise-order estimate one more)
+    and the triangular table of their divided differences, stored by
+    column: ``_columns[k][m]`` is the order-``m`` difference over points
+    ``k-m .. k``.  Each accepted point adds one column, O(k*n), through the
+    recurrence ``dd[j..k] = (dd[j+1..k] - dd[j..k-1]) / (t_k - t_j)``, so
+    every entry is computed once.  The predictors, the LTE test, the order
+    etas and the dense output all read this one table.
+
+    With ``states=False`` only the times are kept: the fixed preset's
+    order ramp needs nothing but the count of accepted points.
+    """
+
+    def __init__(self, capacity: int, t: float, x: np.ndarray,
+                 states: bool = True):
+        self.capacity = capacity
+        #: Accepted times, oldest first.
+        self.times: list[float] = []
+        self._columns: list[list[np.ndarray]] | None = [] if states else None
+        self.push(t, x)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def push(self, t: float, x: np.ndarray) -> None:
+        """Append the accepted point ``(t, x)``, dropping the oldest one
+        beyond the capacity."""
+        times, columns = self.times, self._columns
+        if len(times) == self.capacity:
+            times.pop(0)
+            if columns is not None:
+                columns.pop(0)
+        times.append(t)
+        if columns is None:
+            return
+        column = [x.copy()]
+        if columns:
+            previous = columns[-1]
+            for level in range(1, len(times)):
+                column.append((column[level - 1] - previous[level - 1])
+                              / (t - times[-1 - level]))
+        columns.append(column)
+
+    def difference(self, m: int) -> np.ndarray:
+        """Order-``m`` divided difference over the newest ``m+1`` points
+        (an estimate of ``x^(m)/m!``)."""
+        return self._columns[-1][m]
+
+    def newton(self, t: float, points: int,
+               slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """Value (and, with ``slope``, derivative) at ``t`` of the Newton
+        polynomial through the newest ``points`` points, by Horner's rule
+        from the oldest of them."""
+        columns, times = self._columns, self.times
+        first = len(times) - points
+        value = columns[-1][points - 1].copy()
+        deriv = np.zeros_like(value) if slope else None
+        for i in range(points - 2, -1, -1):
+            span = t - times[first + i]
+            if slope:
+                deriv = deriv * span + value
+            value = value * span + columns[first + i][i]
+        return value, deriv
+
+    def interpolate(self, t: float, order: int) -> np.ndarray:
+        """Dense output at ``t`` inside the newest step, matching its
+        order: quadratic through the newest three points at orders <= 2
+        (linear while there are only two), degree ``order`` above."""
+        return self.newton(t, min(max(order, 2) + 1, len(self.times)))[0]
+
+
 def quantize_step(dt: float, tstep: float) -> float:
     """Snap ``dt`` down onto the geometric ladder ``tstep * 2^(k/2)``.
 
@@ -464,91 +538,6 @@ class TransientAnalysis:
             return self.timestep.dt_min
         return self.tstep * self.options.min_step_fraction
 
-    # ------------------------------------------------------------------
-    # LTE estimator helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _predict(history_t: list[float], history_x: list[np.ndarray],
-                 t_new: float, order: int) -> np.ndarray | None:
-        """Divided-difference (Newton polynomial) predictor at ``t_new``.
-
-        Extrapolates the accepted state history: linear through the last
-        two points for backward Euler (order 1), quadratic through the
-        last three for trapezoidal (order 2).  Returns ``None`` while the
-        history is too short, which disables LTE control for that step.
-        """
-        needed = order + 1
-        if len(history_t) < needed:
-            return None
-        ts = history_t[-needed:]
-        xs = history_x[-needed:]
-        if order == 1:
-            (t0, t1), (x0, x1) = ts, xs
-            slope = (x1 - x0) / (t1 - t0)
-            return x1 + slope * (t_new - t1)
-        (t0, t1, t2), (x0, x1, x2) = ts, xs
-        d01 = (x1 - x0) / (t1 - t0)
-        d12 = (x2 - x1) / (t2 - t1)
-        d012 = (d12 - d01) / (t2 - t0)
-        return x2 + d12 * (t_new - t2) + d012 * (t_new - t2) * (t_new - t1)
-
-    def _lte_ratio(self, corrected: np.ndarray, predicted: np.ndarray,
-                   previous: np.ndarray, builder: MNABuilder,
-                   history_t: list[float], dt: float, order: int) -> float:
-        """Worst per-node ratio of estimated LTE to tolerance.
-
-        The corrector-minus-predictor difference is proportional to the
-        method's local truncation error; the proportionality constant
-        follows from the error terms of both polynomials over the actual
-        (non-uniform) step history:
-
-        * trapezoidal: ``LTE = h^2 / (h^2 + 2(h+h1)(h+h1+h2)) * |x_c-x_p|``
-        * backward Euler: ``LTE = h / (2h + h1) * |x_c - x_p|``
-
-        where ``h`` is the present step and ``h1``/``h2`` the previous
-        ones.  Only node-voltage rows are tested (per-node control);
-        branch currents follow the nodes they connect.
-        """
-        topts = self.timestep
-        if order == 2:
-            h1 = history_t[-1] - history_t[-2]
-            h2 = history_t[-2] - history_t[-3]
-            coefficient = dt * dt / (dt * dt
-                                     + 2.0 * (dt + h1) * (dt + h1 + h2))
-        else:
-            h1 = history_t[-1] - history_t[-2]
-            coefficient = dt / (2.0 * dt + h1)
-        nodes = builder.num_nodes
-        if nodes == 0:
-            return 0.0
-        error = coefficient * np.abs(corrected[:nodes] - predicted[:nodes])
-        reference = np.maximum(np.abs(corrected[:nodes]),
-                               np.abs(previous[:nodes]))
-        tolerance = topts.lte_reltol * reference + topts.lte_abstol
-        return float(np.max(error / tolerance))
-
-    @staticmethod
-    def _interpolate(history_t: list[float], history_x: list[np.ndarray],
-                     t_new: float, x_new: np.ndarray,
-                     t_out: float) -> np.ndarray:
-        """Dense output inside the accepted step ``(history tail, t_new]``.
-
-        Quadratic through the last two accepted history points and the new
-        endpoint (matching the trapezoidal order); linear when only one
-        history point exists yet.
-        """
-        t1 = history_t[-1]
-        x1 = history_x[-1]
-        if len(history_t) < 2:
-            weight = (t_out - t1) / (t_new - t1)
-            return x1 + weight * (x_new - x1)
-        t0 = history_t[-2]
-        x0 = history_x[-2]
-        d01 = (x1 - x0) / (t1 - t0)
-        d12 = (x_new - x1) / (t_new - t1)
-        d012 = (d12 - d01) / (t_new - t0)
-        return x1 + d01 * (t_out - t1) + d012 * (t_out - t1) * (t_out - t0)
-
     def _recorded_columns(self, builder: MNABuilder):
         """Resolve ``record_nodes`` to ``(column indices, [(name,
         is_branch)])`` or ``None`` for full recording.
@@ -691,12 +680,10 @@ class TransientRun:
         dt_cap = topts.dt_max if topts.dt_max is not None \
             else 8.0 * analysis.tstep
         self._dt_cap = max(dt_cap, self._min_step)
-        #: Accepted state history (time-ascending, most recent last).  The
-        #: capacity covers the highest-order predictor (max_order+1 points)
-        #: plus one extra point for the raise-order error estimate.
-        self._history_cap = self._max_order + 2
-        self._history_t: list[float] = [0.0]
-        self._history_x: list[np.ndarray] = [state.x.copy()]
+        #: Accepted points and their divided differences (times only in
+        #: fixed mode, which reads nothing but their count).
+        self._history = _History(self._max_order + 2, 0.0, state.x,
+                                 states=adaptive)
         if topts.dt_initial is not None:
             step = topts.dt_initial
         else:
@@ -772,7 +759,7 @@ class TransientRun:
         """
         if not self._first_step_done:
             return 1
-        avail = len(self._history_t)
+        avail = len(self._history)
         k = min(max(self._desired_order, self._min_order), self._max_order)
         while k > 1 and avail < self._min_history(k):
             k -= 1
@@ -806,55 +793,43 @@ class TransientRun:
             self._order_changes += 1
         self._last_order = order
 
-    def _divided_difference(self, m: int) -> np.ndarray:
-        """Order-``m`` divided difference over the newest ``m+1`` accepted
-        points (an estimate of ``x^(m)/m!`` used by the order selector)."""
-        ts = self._history_t[-(m + 1):]
-        table = [x for x in self._history_x[-(m + 1):]]
-        for level in range(1, m + 1):
-            for i in range(m - level + 1):
-                table[i] = ((table[i + 1] - table[i])
-                            / (ts[i + level] - ts[i]))
-        return table[0]
+    def _lte_coefficient(self, method: str, order: int, dt: float) -> float:
+        """Factor turning the corrector-predictor difference of a step of
+        size ``dt`` into its local truncation error.
 
-    def _predictor_poly(self, order: int,
-                        t_new: float) -> tuple[np.ndarray, np.ndarray]:
-        """Value and derivative at ``t_new`` of the degree-``order`` Newton
-        polynomial through the newest ``order+1`` accepted points."""
-        n = order + 1
-        ts = self._history_t[-n:]
-        coeffs = [x for x in self._history_x[-n:]]
-        for level in range(1, n):
-            for i in range(n - 1, level - 1, -1):
-                coeffs[i] = ((coeffs[i] - coeffs[i - 1])
-                             / (ts[i] - ts[i - level]))
-        value = coeffs[-1].copy()
-        deriv = np.zeros_like(value)
-        for i in range(n - 2, -1, -1):
-            span = t_new - ts[i]
-            deriv = deriv * span + value
-            value = value * span + coeffs[i]
-        return value, deriv
+        It follows from the error terms of both polynomials over the
+        actual (non-uniform) history, ``h1``/``h2`` being the previous
+        steps:
 
-    def _lte_ratio_bdf(self, corrected: np.ndarray, predicted: np.ndarray,
-                       previous: np.ndarray, dt: float, order: int) -> float:
-        """BDF-``order`` counterpart of the trap/BE corrector-predictor
-        LTE estimate (same tolerance semantics, generalized coefficient).
-
-        The predictor misses the true solution by the interpolation
-        remainder ``x^(k+1)/(k+1)! * prod(t_n - t_hist)`` while the
-        corrector's LTE is ``h^(k+1)/((k+1)*alpha_s(k)) * x^(k+1)``, so
-        the LTE is the corrector-predictor difference scaled by
-        ``num / (prod/(k+1)! + num)`` — which reduces exactly to the
-        legacy BE/trap coefficients at orders 1/2.
+        * backward Euler: ``h / (2h + h1)``;
+        * trapezoidal: ``h^2 / (h^2 + 2(h+h1)(h+h1+h2))``;
+        * BDF-k: the predictor misses the solution by the interpolation
+          remainder ``x^(k+1)/(k+1)! * prod(t_n - t_hist)`` while the
+          corrector's LTE is ``num = h^(k+1)/((k+1)*alpha_s(k)) *
+          x^(k+1)``, so the factor is ``num / (prod/(k+1)! + num)`` (which
+          reduces to the two above at orders 1/2 on their own methods).
         """
-        topts = self._topts
+        times = self._history.times
+        if method == "be":
+            return dt / (2.0 * dt + (times[-1] - times[-2]))
+        if method == "trap":
+            h1 = times[-1] - times[-2]
+            h2 = times[-2] - times[-3]
+            return dt * dt / (dt * dt + 2.0 * (dt + h1) * (dt + h1 + h2))
         t_new = self.state.time
         prod = 1.0
         for i in range(1, order + 2):
-            prod *= t_new - self._history_t[-i]
+            prod *= t_new - times[-i]
         num = dt ** (order + 1) / ((order + 1) * _ALPHA_S[order])
-        coefficient = num / (prod / math.factorial(order + 1) + num)
+        return num / (prod / math.factorial(order + 1) + num)
+
+    def _lte_ratio(self, coefficient: float, corrected: np.ndarray,
+                   predicted: np.ndarray, previous: np.ndarray) -> float:
+        """Worst per-node ratio of estimated LTE (``coefficient`` times the
+        corrector-predictor difference) to tolerance.  Only node-voltage
+        rows are tested (per-node control); branch currents follow the
+        nodes they connect."""
+        topts = self._topts
         nodes = self.builder.num_nodes
         if nodes == 0:
             return 0.0
@@ -876,9 +851,9 @@ class TransientRun:
         tolerances (or a step pinned at ``dt_max``) never flap the order.
         """
         topts = self._topts
-        if len(self._history_t) < order + 2:
+        if len(self._history) < order + 2:
             return 0.0
-        dd = self._divided_difference(order + 1)
+        dd = self._history.difference(order + 1)
         if order == 1:
             # BE: LTE = h^2/2 * x'' and x'' ~ 2*dd2.
             weight = dt * dt
@@ -930,7 +905,7 @@ class TransientRun:
         can_raise = (not clamped
                      and order < self._max_order
                      and dt < self._dt_cap * (1.0 - 1e-12)
-                     and len(self._history_t) >= order + 3)
+                     and len(self._history) >= order + 3)
         if can_raise:
             eta_up = self._order_eta(order + 1, dt)
             if eta_up > best_eta * self.ORDER_BIAS:
@@ -940,27 +915,6 @@ class TransientRun:
             self._order_hold = best_order + 1
         else:
             self._desired_order = order
-
-    def _interpolate_output(self, t_out: float, order: int) -> np.ndarray:
-        """Dense output at ``t_out`` inside the just-accepted step,
-        matching the integration order (legacy quadratic at orders <= 2)."""
-        state = self.state
-        if order <= 2:
-            return TransientAnalysis._interpolate(
-                self._history_t, self._history_x, state.time, state.x, t_out)
-        points = min(order, len(self._history_t))
-        ts = self._history_t[-points:] + [state.time]
-        xs = self._history_x[-points:] + [state.x]
-        coeffs = list(xs)
-        n = len(ts)
-        for level in range(1, n):
-            for i in range(n - 1, level - 1, -1):
-                coeffs[i] = ((coeffs[i] - coeffs[i - 1])
-                             / (ts[i] - ts[i - level]))
-        value = coeffs[-1].copy()
-        for i in range(n - 2, -1, -1):
-            value = value * (t_out - ts[i]) + coeffs[i]
-        return value
 
     def advance(self) -> bool:
         """Take accepted steps until at least one new print row is emitted.
@@ -1042,6 +996,7 @@ class TransientRun:
         analysis = self.analysis
         topts = self._topts
         state = self.state
+        history = self._history
         times = self.times
         tstop = self._tstop
         eps = self._eps
@@ -1056,14 +1011,16 @@ class TransientRun:
             while True:
                 order = self._effective_order()
                 method = self._method_for(order)
+                # BDF always has its order+1 points (_effective_order).
+                predicted = slope = None
+                if self._error_control and len(history) > order:
+                    predicted, slope = history.newton(
+                        state.time + dt, order + 1, slope=method == "bdf")
                 if method == "bdf":
                     state.integ_c0 = _ALPHA_S[order] / dt
                     state.integ_c1 = 0.0
-                    pred_x, pred_dx = self._predictor_poly(
-                        order, state.time + dt)
-                    state.integ_pred_x = pred_x
-                    state.integ_pred_dx = pred_dx
-                    predicted = pred_x
+                    state.integ_pred_x = predicted
+                    state.integ_pred_dx = slope
                 else:
                     state.integ_pred_x = None
                     state.integ_pred_dx = None
@@ -1073,11 +1030,6 @@ class TransientRun:
                     else:
                         state.integ_c0 = 1.0 / dt
                         state.integ_c1 = 0.0
-                    predicted = None
-                    if self._error_control:
-                        predicted = TransientAnalysis._predict(
-                            self._history_t, self._history_x,
-                            state.time + dt, order)
                 state.dt = dt
                 saved_time = state.time
                 saved_x = state.x.copy()
@@ -1117,13 +1069,9 @@ class TransientRun:
                     continue
                 ratio = 0.0
                 if predicted is not None:
-                    if method == "bdf":
-                        ratio = self._lte_ratio_bdf(state.x, predicted,
-                                                    saved_x, dt, order)
-                    else:
-                        ratio = analysis._lte_ratio(
-                            state.x, predicted, saved_x, self.builder,
-                            self._history_t, dt, order)
+                    ratio = self._lte_ratio(
+                        self._lte_coefficient(method, order, dt), state.x,
+                        predicted, saved_x)
                     self._last_ratio = ratio
                 if ratio > 1.0:
                     if dt <= dt_floor * (1.0 + 1e-9):
@@ -1167,6 +1115,8 @@ class TransientRun:
             self._dt_largest = max(self._dt_largest, dt)
             self._record_order(order, dt)
 
+            history.push(state.time, state.x)
+
             # Print points covered by this step: interpolate (or copy the
             # endpoint when the step landed on one).
             while (self._output_index < len(times)
@@ -1176,15 +1126,9 @@ class TransientRun:
                     self._write(self._output_index, state.x)
                 else:
                     self._write(self._output_index,
-                                self._interpolate_output(t_out, order))
+                                history.interpolate(t_out, order))
                 self._output_index += 1
                 emitted = True
-
-            self._history_t.append(state.time)
-            self._history_x.append(state.x.copy())
-            if len(self._history_t) > self._history_cap:
-                self._history_t.pop(0)
-                self._history_x.pop(0)
 
             # Step-size controller for the next step.
             if ratio > 0.0:

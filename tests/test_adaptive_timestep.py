@@ -4,8 +4,10 @@ Covers the tentpole invariants of the adaptive engine
 (:class:`repro.spice.TransientOptions`): convergence against an analytic
 RC solution as the tolerance tightens, reject/grow telemetry, exact
 degeneration to the fixed-step driver when pinned, the ``dt_min`` floor
-error, step quantisation and the bounded factorisation cache, and the
-campaign-level fixed-step pinning that checkpoint resume relies on.
+error, the divided-difference history against a from-scratch table and
+the formulas it replaced, step quantisation and the bounded
+factorisation cache, and the campaign-level fixed-step pinning that
+checkpoint resume relies on.
 """
 
 import dataclasses
@@ -35,7 +37,8 @@ from repro.spice import (
     TransientOptions,
     VoltageSource,
 )
-from repro.spice.analysis.transient import _LRUCache, quantize_step
+from repro.spice.analysis.transient import _History, _LRUCache, \
+    quantize_step
 from repro.spice.devices import PulseShape
 
 
@@ -261,6 +264,151 @@ class TestDtMinFloor:
         result = TransientAnalysis(circuit, tstop=5e-6, tstep=5e-8,
                                    timestep=topts).run()
         assert result.stats["dt_min"] >= 5e-8 * (1.0 - 1e-9)
+
+
+# -- reference formulas for the history table --------------------------------
+
+def _reference_table(ts, xs) -> dict:
+    """``dd[j, k]`` over points ``j..k``, from scratch by the recurrence
+    ``dd[j..k] = (dd[j+1..k] - dd[j..k-1]) / (t_k - t_j)``."""
+    dd = {(j, j): xs[j] for j in range(len(ts))}
+    for width in range(1, len(ts)):
+        for j in range(len(ts) - width):
+            k = j + width
+            dd[j, k] = (dd[j + 1, k] - dd[j, k - 1]) / (ts[k] - ts[j])
+    return dd
+
+
+def _trap_be_predictor(ts, xs, t_new, order):
+    """The BE/trap predictor as the integrator computed it before the table:
+    linear (order 1) or quadratic (order 2) from the newest point."""
+    if order == 1:
+        (t0, t1), (x0, x1) = ts[-2:], xs[-2:]
+        return x1 + (x1 - x0) / (t1 - t0) * (t_new - t1)
+    (t0, t1, t2), (x0, x1, x2) = ts[-3:], xs[-3:]
+    d01 = (x1 - x0) / (t1 - t0)
+    d12 = (x2 - x1) / (t2 - t1)
+    d012 = (d12 - d01) / (t2 - t0)
+    return x2 + d12 * (t_new - t2) + d012 * (t_new - t2) * (t_new - t1)
+
+
+def _bdf_predictor(ts, xs, order, t_new):
+    """Value and derivative of the BDF predictor as computed before the
+    table: an in-place Newton table over the newest ``order+1`` points,
+    then Horner's rule."""
+    n = order + 1
+    ts = ts[-n:]
+    coeffs = list(xs[-n:])
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (ts[i] - ts[i - level])
+    value = coeffs[-1].copy()
+    deriv = np.zeros_like(value)
+    for i in range(n - 2, -1, -1):
+        span = t_new - ts[i]
+        deriv = deriv * span + value
+        value = value * span + coeffs[i]
+    return value, deriv
+
+
+def _dense_output(ts, xs, t_new, x_new, t_out, order):
+    """Dense output inside ``(ts[-1], t_new]`` as computed before the
+    table (``ts``/``xs`` exclude the new point)."""
+    if order <= 2:
+        t1, x1 = ts[-1], xs[-1]
+        if len(ts) < 2:
+            return x1 + (t_out - t1) / (t_new - t1) * (x_new - x1)
+        t0, x0 = ts[-2], xs[-2]
+        d01 = (x1 - x0) / (t1 - t0)
+        d12 = (x_new - x1) / (t_new - t1)
+        d012 = (d12 - d01) / (t_new - t0)
+        return x1 + d01 * (t_out - t1) + d012 * (t_out - t1) * (t_out - t0)
+    points = min(order, len(ts))
+    nodes = list(ts[-points:]) + [t_new]
+    coeffs = list(xs[-points:]) + [x_new]
+    n = len(nodes)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coeffs[i] = ((coeffs[i] - coeffs[i - 1])
+                         / (nodes[i] - nodes[i - level]))
+    value = coeffs[-1].copy()
+    for i in range(n - 2, -1, -1):
+        value = value * (t_out - nodes[i]) + coeffs[i]
+    return value
+
+
+def _bitwise(a, b) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _close(a, b) -> bool:
+    """Within 1e-12 of the reference, relative to its largest entry."""
+    return float(np.max(np.abs(a - b))) <= 1e-12 * float(np.max(np.abs(b)))
+
+
+class TestHistoryTable:
+    """The one divided-difference table the adaptive integrator reads: each
+    entry bitwise equal to a from-scratch table; the BDF predictor and the
+    order >= 3 dense output, which were Newton/Horner forms before, bitwise
+    equal to the formulas they replaced; the BE/trap predictor and the
+    order <= 2 dense output, which were anchored at another point, within
+    1e-12."""
+
+    @pytest.mark.parametrize("max_order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_table_and_readers_match_the_references(self, max_order, seed):
+        rng = np.random.default_rng(seed)
+        capacity = max_order + 2
+        ts = [0.0]
+        # Node-voltage-like states (a few volts) on a nanosecond grid.
+        xs = [2.5 + rng.normal(size=6)]
+        history = _History(capacity, ts[0], xs[0])
+        # 4 * capacity points: the window overflows and slides many times.
+        for _ in range(4 * capacity):
+            window = len(history)
+            assert window == min(len(ts), capacity)
+            wts, wxs = ts[-window:], xs[-window:]
+            dd = _reference_table(wts, wxs)
+            for k in range(window):
+                for m in range(k + 1):
+                    assert _bitwise(history._columns[k][m], dd[k - m, k])
+            for m in range(window):
+                assert _bitwise(history.difference(m), dd[window - 1 - m,
+                                                          window - 1])
+
+            t_new = ts[-1] + rng.uniform(0.2, 3.0) * 1e-8
+            x_new = xs[-1] + rng.normal(scale=0.3, size=6)
+            for order in range(1, max_order + 1):
+                if window < order + 1:
+                    continue
+                value, slope = history.newton(t_new, order + 1, slope=True)
+                ref_value, ref_slope = _bdf_predictor(wts, wxs, order, t_new)
+                assert _bitwise(value, ref_value)
+                assert _bitwise(slope, ref_slope)
+                if order <= 2:
+                    assert _close(value, _trap_be_predictor(wts, wxs, t_new,
+                                                            order))
+
+            history.push(t_new, x_new)
+            for order in range(1, max_order + 1):
+                if order > 2 and window < order + 1:
+                    continue
+                same = _close if order <= 2 else _bitwise
+                for fraction in (0.1, 0.5, 0.93):
+                    t_out = ts[-1] + fraction * (t_new - ts[-1])
+                    assert same(history.interpolate(t_out, order),
+                                _dense_output(wts, wxs, t_new, x_new, t_out,
+                                              order))
+            ts.append(t_new)
+            xs.append(x_new)
+
+    def test_fixed_preset_keeps_no_states(self):
+        run = TransientAnalysis(rc_decay_circuit(), tstop=1e-6,
+                                tstep=1e-7).start()
+        while run.advance():
+            pass
+        assert run._history._columns is None
+        assert len(run._history) == run._history.capacity == 4
 
 
 class TestQuantisationAndCache:

@@ -1,6 +1,7 @@
 """Derandomised fuzzers for the text inputs a campaign reads from disk or
 the wire: SPICE netlists, LIFT fault-list text, checkpoint JSONL lines,
-the settings wire dict and every campaign-service request.
+the settings wire dict, every campaign-service request, and the fault
+ids the lease machine takes from library callers.
 
 The contract under test is the library's error invariant: every input
 either loads or raises a :class:`~repro.errors.ReproError` — never a
@@ -29,9 +30,9 @@ from repro.anafault import (
     settings_from_wire,
     settings_to_wire,
 )
-from repro.anafault.service import CampaignService
+from repro.anafault.service import CampaignService, LeaseMachine
 from repro.circuits.library import build_rc_lowpass
-from repro.errors import ReproError
+from repro.errors import CampaignError, ReproError
 from repro.lift import FaultList
 from repro.spice import parse_netlist
 
@@ -215,6 +216,16 @@ def _service_request(op: str, path: tuple, value, job: str) -> dict:
     return request
 
 
+def _valid_knob(knob: str, value) -> bool:
+    """The lease machine's rule for a ``submit`` knob: a finite
+    ``lease_ttl`` above 0, non-bool integers of at least 1 otherwise."""
+    if isinstance(value, bool):
+        return False
+    if knob == "lease_ttl":
+        return isinstance(value, (int, float)) and 0.0 < value < math.inf
+    return isinstance(value, int) and value >= 1
+
+
 class TestInputFuzz:
     @FUZZ
     @given(text=spice_texts())
@@ -274,3 +285,49 @@ class TestInputFuzz:
             json.dumps(reply)  # the TCP handler can send it
         finally:
             service.close()
+
+    @pytest.mark.parametrize("knob", ["lease_ttl", "max_attempts",
+                                      "lease_size"])
+    @settings(FUZZ, max_examples=30)
+    @given(value=FIELD_VALUE)
+    def test_submit_knob_is_taken_as_sent_or_refused(
+            self, tmp_path_factory, knob, value):
+        """An absent knob takes the daemon default, a present one is kept
+        exactly or refused with an error naming it."""
+        service = CampaignService(tmp_path_factory.mktemp("spool"))
+        try:
+            reply = service.handle(_service_request("submit", (knob,),
+                                                    value, JOB))
+            if value is not MISSING and not _valid_knob(knob, value):
+                assert knob in reply["error"] and not service.jobs
+                return
+            want = getattr(service, knob) if value is MISSING else value
+            assert getattr(service.jobs[reply["job"]].machine, knob) == want
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("method", ["complete", "fail", "release",
+                                        "attempt_number"])
+    @settings(FUZZ, max_examples=30)
+    @given(value=FIELD_VALUE)
+    def test_lease_machine_takes_integer_ids_or_refuses(self, method, value):
+        """Driven directly, every lease-machine method either acts on an
+        integer id or raises a CampaignError naming the id, leaving the
+        queue as it was."""
+        value = None if value is MISSING else value
+        machine = LeaseMachine([1, 2, 3, 4], max_attempts=3, lease_size=2)
+        machine.lease("w1", 0.0)
+        before = (dict(machine.state), dict(machine.failures))
+        calls = {"complete": lambda: machine.complete(value, "w1", 1.0),
+                 "fail": lambda: machine.fail(value, "w1", 1.0),
+                 "release": lambda: machine.release([value], "w1"),
+                 "attempt_number": lambda: machine.attempt_number(value)}
+        integer = isinstance(value, int) and not isinstance(value, bool)
+        try:
+            calls[method]()
+        except CampaignError as exc:
+            assert (repr(value) in str(exc) if not integer
+                    else f"unknown fault id {value}" in str(exc))
+            assert (dict(machine.state), dict(machine.failures)) == before
+            return
+        assert integer

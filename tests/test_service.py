@@ -29,6 +29,7 @@ The multi-process chaos harness (SIGKILL mid-lease) lives in
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -237,6 +238,41 @@ class TestLeaseMachine:
             LeaseMachine([1], lease_ttl=0.0)
         with pytest.raises(CampaignError):
             LeaseMachine([1], lease_size=0)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("max_attempts", 1.5), ("max_attempts", True), ("max_attempts", None),
+        ("lease_size", False), ("lease_size", "2"), ("lease_size", 2.0),
+        ("lease_ttl", True), ("lease_ttl", "10"), ("lease_ttl", None)])
+    def test_knobs_are_checked_as_given_never_coerced(self, knob, value):
+        with pytest.raises(CampaignError, match=knob):
+            LeaseMachine([1], **{knob: value})
+
+    @pytest.mark.parametrize("method", ["complete", "fail", "release",
+                                        "attempt_number"])
+    @pytest.mark.parametrize("fault_id", [1.5, True, 1.0, "1", None])
+    def test_non_integer_ids_are_refused(self, method, fault_id):
+        """``complete(1.5, ...)`` used to complete fault 1 and
+        ``fail(True, ...)`` to burn one of its attempts."""
+        machine = LeaseMachine([1, 2], max_attempts=2)
+        machine.lease("w1", now=0.0)
+        calls = {"complete": lambda: machine.complete(fault_id, "w1", 1.0),
+                 "fail": lambda: machine.fail(fault_id, "w1", 1.0),
+                 "release": lambda: machine.release([fault_id], "w1"),
+                 "attempt_number": lambda: machine.attempt_number(fault_id)}
+        with pytest.raises(CampaignError, match=re.escape(repr(fault_id))):
+            calls[method]()
+        assert machine.state == {1: LEASED, 2: LEASED}
+        assert machine.failures == {1: 0, 2: 0}
+
+    @pytest.mark.parametrize("fault_id", [1.5, True, "3"])
+    def test_queue_ids_are_not_coerced(self, fault_id):
+        """``LeaseMachine([1.5, 3])`` used to queue faults 1 and 3."""
+        with pytest.raises(CampaignError, match=re.escape(repr(fault_id))):
+            LeaseMachine([fault_id, 7])
+
+    def test_attempt_number_of_an_unknown_id_is_refused(self):
+        with pytest.raises(CampaignError, match="unknown fault id 7"):
+            LeaseMachine([1]).attempt_number(7)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +538,32 @@ class TestCampaignServiceProtocol:
         assert "lease_ttl" in response["error"]
         assert not service.jobs
 
+    @pytest.mark.parametrize("knob, value", [
+        ("lease_ttl", 0), ("lease_ttl", ""), ("lease_ttl", False),
+        ("lease_ttl", None), ("max_attempts", 0), ("max_attempts", 1.5),
+        ("max_attempts", None), ("lease_size", False), ("lease_size", 0),
+        ("lease_size", "")])
+    def test_submit_refuses_a_present_knob_that_breaks_the_rules(
+            self, rc_circuit, tmp_path, knob, value):
+        """Only an absent knob takes the daemon default: a present 0, ""
+        or false used to become the default silently, and 1.5 attempts
+        became 1."""
+        service, _ = self._service(tmp_path)
+        response = service.handle({"op": "submit", knob: value,
+                                   **_submit_payload(rc_circuit)})
+        assert knob in response["error"]
+        assert not service.jobs
+
+    def test_submit_takes_present_knobs_and_defaults_absent_ones(
+            self, rc_circuit, tmp_path):
+        service, _ = self._service(tmp_path, max_attempts=5, lease_size=3)
+        status = service.handle({"op": "submit", "lease_ttl": 7,
+                                 "max_attempts": 1,
+                                 **_submit_payload(rc_circuit)})
+        machine = service.jobs[status["job"]].machine
+        assert (machine.lease_ttl, machine.max_attempts,
+                machine.lease_size) == (7.0, 1, 3)
+
     def test_malformed_record_payload_is_an_error(self, rc_circuit,
                                                   tmp_path):
         """The record is checked before the lease machine counts it: a
@@ -679,8 +741,10 @@ class TestCampaignServiceProtocol:
         (lambda text: json.dumps([1, 2]), "not a JSON object"),
         (lambda text: json.dumps({"payload": {"faults": ""}}),
          "KeyError: 'settings'"),
+        (lambda text: json.dumps({**json.loads(text), "max_attempts": 1.5}),
+         "max_attempts must be an integer >= 1, got 1.5"),
     ], ids=["torn", "no-payload", "list-payload", "list-descriptor",
-            "missing-key"])
+            "missing-key", "fractional-attempts"])
     def test_damaged_descriptor_names_the_file(self, rc_circuit, tmp_path,
                                                damage, named):
         service, _ = self._service(tmp_path)
