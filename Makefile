@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke examples perf-smoke perf-diff record-identity docs-check lint lint-static lint-examples
+.PHONY: test bench bench-smoke examples perf-smoke perf-diff perf-ab record-identity docs-check lint lint-static lint-examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -42,6 +42,15 @@ PERF_OUT ?= benchmarks/perf/out/perf-diff.json
 perf-diff:
 	$(PYTHON) benchmarks/perf/run.py --repeats 3 --out $(PERF_OUT)
 	$(PYTHON) benchmarks/perf/diff.py $(BASE) $(PERF_OUT)
+
+## paired A/B of one perf workload: git revision BASE (extracted with git
+## archive) against the working tree, PAIRS pairs of run.py --repeats 1,
+## order alternating; prints both medians and quartiles and the pairs won
+## (give BASE=<rev>, e.g. make perf-ab BASE=main WORKLOAD=fig3_nominal)
+WORKLOAD ?= fig3_nominal
+PAIRS ?= 10
+perf-ab:
+	$(PYTHON) tools/perf_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ## record identity: every case of CASES (ci: the 24 most probable faults,
 ## full: all 99, plus fig. 3 transients) simulated on git revision BASE,

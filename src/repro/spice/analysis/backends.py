@@ -55,6 +55,7 @@ import functools
 import importlib
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ...errors import AnalysisError, SingularMatrixError
 
@@ -125,6 +126,55 @@ def make_lu_solver(matrix: np.ndarray):
     return solve
 
 
+def _raise_singular(error, flag):
+    # The message must stay byte-equal to the SingularMatrixError that
+    # np.linalg.solve's LinAlgError maps to elsewhere in this module;
+    # tests/test_dense_kernel.py pins it.
+    raise SingularMatrixError("MNA matrix is singular: Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _gesv(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(matrix, rhs)`` for float64 or complex128 systems,
+    without its per-call dtype dispatch: the LAPACK ``gesv`` gufunc it
+    calls, under the same error state, so the same solution, or
+    :class:`SingularMatrixError` where it raises ``LinAlgError``.  A 1-D
+    ``rhs`` is one vector, any other a stack of ``(n, k)`` right-hand
+    sides.
+
+    The gufuncs live in numpy's private ``numpy.linalg._umath_linalg``
+    module; the dependency is bounded below numpy 3 (``pyproject.toml``),
+    so a new major release is taken deliberately, after
+    ``tests/test_dense_kernel.py`` and ``make record-identity`` pass on it.
+    """
+    gufunc = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
+    if matrix.dtype.kind == "c" or rhs.dtype.kind == "c":
+        return gufunc(matrix, rhs, signature="DD->D")
+    return gufunc(matrix, rhs, signature="dd->d")
+
+
+#: Index maps a dense system keeps flattened (one per device bank and
+#: system in practice); more distinct maps start the cache over.
+FLAT_INDEX_CACHE = 8
+
+
+def _flat_index(cache: dict, rows: np.ndarray, cols: np.ndarray,
+                stride: int) -> np.ndarray:
+    """``rows * stride + cols``, computed once per ``(rows, cols)`` pair.
+
+    The banks pass the same map arrays on every stamp, so the pair is
+    keyed by identity; the cache holds both arrays, so an id it holds is
+    never reused by another array.
+    """
+    entry = cache.get(id(rows))
+    if entry is None or entry[1] is not cols:
+        if len(cache) >= FLAT_INDEX_CACHE:
+            cache.clear()
+        entry = cache[id(rows)] = (rows, cols, rows * stride + cols)
+    return entry[2]
+
+
 class MNASystem:
     """Dense MNA matrix and right-hand side with ground-aware stamping.
 
@@ -135,12 +185,20 @@ class MNASystem:
     (``np.add.at`` lives here and nowhere else; ``tools/repro_lint.py``
     enforces it) — and the solver side is :meth:`solve` (one-shot) or
     :meth:`freeze_solver` (cached factorisation for the linear-bypass path).
+
+    :meth:`scatter` accumulates on the raveled matrix at ``row * size +
+    col``, the flat index of each bank's map computed once per system;
+    :meth:`solve` calls the ``gesv`` gufunc behind ``np.linalg.solve``
+    directly.  Both give exactly the floats of the 2-D ``np.add.at`` and
+    of ``np.linalg.solve``.
     """
 
     def __init__(self, size: int, dtype=float):
         self.size = size
         self.matrix = np.zeros((size, size), dtype=dtype)
         self.rhs = np.zeros(size, dtype=dtype)
+        self._raveled = self.matrix.reshape(-1)
+        self._flat: dict = {}
 
     @classmethod
     def over(cls, matrix: np.ndarray, rhs: np.ndarray) -> "MNASystem":
@@ -150,6 +208,8 @@ class MNASystem:
         system.size = len(rhs)
         system.matrix = matrix
         system.rhs = rhs
+        system._raveled = matrix.reshape(-1)
+        system._flat = {}
         return system
 
     def clear(self) -> None:
@@ -175,7 +235,8 @@ class MNASystem:
         Ground entries must already be dropped; the banks precompute their
         index maps that way.
         """
-        np.add.at(self.matrix, (rows, cols), values)
+        np.add.at(self._raveled,
+                  _flat_index(self._flat, rows, cols, self.size), values)
 
     def scatter_rhs(self, rows: np.ndarray, values: np.ndarray) -> None:
         np.add.at(self.rhs, rows, values)
@@ -192,10 +253,7 @@ class MNASystem:
     def solve(self) -> np.ndarray:
         """Solve the linear system, raising :class:`SingularMatrixError` on a
         singular or numerically unusable matrix."""
-        try:
-            solution = np.linalg.solve(self.matrix, self.rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"MNA matrix is singular: {exc}") from exc
+        solution = _gesv(self.matrix, self.rhs)
         if not np.isfinite(solution).all():
             raise SingularMatrixError("MNA solution contains NaN/Inf")
         return solution
@@ -221,14 +279,16 @@ class StackedMNASystem:
         self.size = size
         self.matrices = np.zeros((count, size, size))
         self.rhs = np.zeros((count, size))
-        self._rows = self.matrices.reshape(count * size, size)
+        self._raveled = self.matrices.reshape(-1)
         self._rhs = self.rhs.reshape(count * size)
+        self._flat: dict = {}
         self.members = [MNASystem.over(matrix, rhs)
                         for matrix, rhs in zip(self.matrices, self.rhs)]
 
     def scatter(self, rows: np.ndarray, cols: np.ndarray,
                 values: np.ndarray) -> None:
-        np.add.at(self._rows, (rows, cols), values)
+        np.add.at(self._raveled,
+                  _flat_index(self._flat, rows, cols, self.size), values)
 
     def scatter_rhs(self, rows: np.ndarray, values: np.ndarray) -> None:
         np.add.at(self._rhs, rows, values)
@@ -241,10 +301,9 @@ class StackedMNASystem:
         fails the check) is re-solved on its own, so an error reaches only
         the member it belongs to, with its usual message."""
         try:
-            solutions = np.linalg.solve(self.matrices,
-                                        self.rhs[..., None])[..., 0]
+            solutions = _gesv(self.matrices, self.rhs[..., None])[..., 0]
             finite = np.isfinite(solutions).all(axis=1)
-        except np.linalg.LinAlgError:
+        except SingularMatrixError:
             solutions = finite = [False] * len(self.members)
         outcomes = []
         for member, solution, ok in zip(self.members, solutions, finite):

@@ -217,6 +217,10 @@ class MNABuilder:
         for device in self.devices:
             entries.extend(device.companion_entries())
         self.cap_bank = CompanionCapacitorBank(entries)
+        # Devices with transient history beyond what the banks own.
+        self._init_devices = [
+            d for d in self.devices
+            if type(d).init_state is not _Device.init_state]
         # Devices the transient driver must still call accept_timestep on:
         # everything with a non-default override whose state is not fully
         # covered by the companion bank.
@@ -301,6 +305,20 @@ class MNABuilder:
         it (also on failure).  The banks own their Newton state, so the
         last linearisation is already where AC analysis and reporting read
         it and nothing is flushed."""
+
+    def init_state(self, state: SimState) -> None:
+        """Initialise the transient history from the initial solution
+        ``state.x``.
+
+        The companion bank starts every capacitance at once and each
+        iteration bank zeros its members' limiting history; only devices
+        with history of their own (diodes, inductors) are visited.
+        """
+        self.cap_bank.init_state(state)
+        for bank in self.iteration_banks:
+            bank.init_state()
+        for device in self._init_devices:
+            device.init_state(state)
 
     def accept_timestep(self, state: SimState) -> None:
         """Commit the accepted transient sub-step to device history.

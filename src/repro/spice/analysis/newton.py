@@ -57,6 +57,9 @@ def newton_iterations(builder: MNABuilder, state: SimState,
         return state.x
 
     abs_tolerance = builder.begin_iterations()
+    # A 0-d operand: numpy 2 wraps a Python float anew on every call.
+    reltol = np.array(options.reltol)
+    max_step = options.max_voltage_step
     try:
         previous = state.x.copy()
         for iteration in range(1, limit + 1):
@@ -71,25 +74,30 @@ def newton_iterations(builder: MNABuilder, state: SimState,
                 continue
 
             delta = solution - state.x
+            abs_delta = np.abs(delta)
             # Damp excessive node-voltage excursions to keep the device
             # linearisations in a sane region.
-            max_step = options.max_voltage_step
             if max_step > 0.0 and num_nodes > 0:
-                worst = np.abs(delta[:num_nodes]).max()
+                worst = abs_delta[:num_nodes].max()
                 if worst > max_step:
                     delta *= max_step / worst
                     solution = state.x + delta
+                    abs_delta = np.abs(delta)
 
-            reference = np.maximum(np.abs(solution), np.abs(state.x))
-            tolerance = options.reltol * reference + abs_tolerance
-            converged = (bool((np.abs(delta) <= tolerance).all())
-                         and not state.limited)
+            # Convergence counts from the second iteration on, and never
+            # while a device limited its step: only then is it tested.
+            converged = (
+                iteration > 1 and not state.limited
+                and bool((abs_delta
+                          <= reltol * np.maximum(np.abs(solution),
+                                                 np.abs(state.x))
+                          + abs_tolerance).all()))
 
             # state.x is rebound, never written in place: no copy needed.
             previous = state.x
             state.x = solution
 
-            if converged and iteration > 1:
+            if converged:
                 state.last_newton_iterations = iteration
                 return state.x
     finally:

@@ -618,8 +618,7 @@ class TransientRun:
         state.use_ic = analysis.use_ic
         state.x = x0.copy()
         state.time = 0.0
-        for device in builder.devices:
-            device.init_state(state)
+        builder.init_state(state)
         self.state = state
 
         self.times = analysis.print_grid()

@@ -54,11 +54,12 @@ class Device:
     companion_only_accept = False
     #: Optional class implementing vectorized per-iteration stamping for all
     #: devices of this type at once: ``bank_cls(devices)`` builds the bank
-    #: once per analysis and ``stamp_iteration(system, state)`` stamps every
-    #: member per Newton iteration.  The bank owns the members' Newton
-    #: state across solves; the devices keep views of it, so the scalar
-    #: path reads and writes the same numbers.  ``None`` keeps the scalar
-    #: :meth:`stamp_iteration` path.
+    #: once per analysis, ``stamp_iteration(system, state)`` stamps every
+    #: member per Newton iteration and ``init_state()`` resets their
+    #: Newton state at the start of a transient.  The bank owns the
+    #: members' Newton state across solves; the devices keep views of it,
+    #: so the scalar path reads and writes the same numbers.  ``None``
+    #: keeps the scalar :meth:`stamp_iteration` path.
     ITERATION_BANK: type | None = None
 
     def __init__(self, name: str, nodes: Sequence[str]):
@@ -145,7 +146,13 @@ class Device:
     # Dynamic state (transient history)
     # ------------------------------------------------------------------
     def init_state(self, state) -> None:
-        """Initialise transient history from the initial solution."""
+        """Initialise transient history from the initial solution.
+
+        Companion capacitances announced through :meth:`companion_entries`
+        and the Newton state of an :attr:`ITERATION_BANK` are initialised
+        by the builder's banks (:meth:`~repro.spice.analysis.mna.\
+MNABuilder.init_state`); a device overrides this only for history of
+        its own."""
 
     def accept_timestep(self, state) -> None:
         """Commit the accepted solution of the current timestep to history."""
@@ -268,37 +275,43 @@ class CompanionCapacitor:
     at every order.
 
     ``v_prev``/``i_prev`` are views of one slot of a
-    :class:`CompanionHistory`: a private one-slot holder until a
-    :class:`CompanionCapacitorBank` adopts the capacitance and assigns it a
-    slot of its own holder.
+    :class:`CompanionHistory`: the slot a :class:`CompanionCapacitorBank`
+    assigns when it adopts the capacitance, or a private one-slot holder
+    allocated (at zero) when the scalar path first touches a capacitance
+    no bank adopted.  ``initial_voltage`` is the ``ic=`` the bank starts
+    the history from under ``use_ic`` (``None``: the initial solution).
     """
 
-    def __init__(self, capacitance: float):
+    def __init__(self, capacitance: float,
+                 initial_voltage: float | None = None):
         self.capacitance = float(capacitance)
-        self._history = CompanionHistory.zeros(1)
+        self.initial_voltage = initial_voltage
+        self._history: CompanionHistory | None = None
         self._slot = 0
+
+    def _holder(self) -> CompanionHistory:
+        history = self._history
+        if history is None:
+            history = self._history = CompanionHistory.zeros(1)
+        return history
 
     @property
     def v_prev(self) -> float:
-        return float(self._history.v_prev[self._slot])
+        return float(self._holder().v_prev[self._slot])
 
     @v_prev.setter
     def v_prev(self, value: float) -> None:
-        history = self._history
+        history = self._holder()
         history.v_prev = replaced_slot(history.v_prev, self._slot, value)
 
     @property
     def i_prev(self) -> float:
-        return float(self._history.i_prev[self._slot])
+        return float(self._holder().i_prev[self._slot])
 
     @i_prev.setter
     def i_prev(self, value: float) -> None:
-        history = self._history
+        history = self._holder()
         history.i_prev = replaced_slot(history.i_prev, self._slot, value)
-
-    def init_state(self, v_initial: float) -> None:
-        self.v_prev = v_initial
-        self.i_prev = 0.0
 
     def _ieq(self, state, pos: int, neg: int, geq: float) -> float:
         if state.integ_pred_x is not None:
@@ -351,57 +364,50 @@ class CompanionCapacitorBank:
 
     The bank owns the companion history: one :class:`CompanionHistory`
     holds ``v_prev``/``i_prev`` of every member as arrays, the stamp reads
-    them directly and :meth:`accept` rebinds them.  It starts from zero
-    history, as the devices' ``prepare`` leaves their freshly built
-    capacitances, and points every member's ``v_prev``/``i_prev`` views at
-    its slot of the shared holder, so the scalar path
-    (``CompanionCapacitor.stamp_tran``/``accept``, device ``init_state``)
-    keeps reading and writing the same numbers.
+    them directly, :meth:`init_state` starts them from the initial
+    solution and :meth:`accept` rebinds them.  It points every member's
+    ``v_prev``/``i_prev`` views at its slot of the shared holder, so the
+    scalar path (``CompanionCapacitor.stamp_tran``/``accept``) keeps
+    reading and writing the same numbers.
     """
 
+    #: Matrix entries of one capacitance, in stamp order (p,p), (n,n),
+    #: (p,n), (n,p): row and column terminal (0: pos, 1: neg) and sign.
+    _MATRIX_ROWS = np.array([0, 1, 0, 1])
+    _MATRIX_COLS = np.array([0, 1, 1, 0])
+    _MATRIX_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+    #: stamp_current_source(pos, neg, ieq): extracted at pos, injected at
+    #: neg.
+    _RHS_SIGNS = np.array([-1.0, 1.0])
+
     def __init__(self, entries):
-        entries = [(cap, pos, neg) for cap, pos, neg in entries
-                   if cap.capacitance > 0.0]
-        self.caps = [cap for cap, _, _ in entries]
-        self.capacitance = np.array([cap.capacitance for cap in self.caps])
-        self.history = CompanionHistory.zeros(len(self.caps))
-        for slot, cap in enumerate(self.caps):
+        entries = [entry for entry in entries if entry[0].capacitance > 0.0]
+        caps, pos, neg = zip(*entries) if entries else ((), (), ())
+        self.caps = list(caps)
+        self.capacitance = np.array([cap.capacitance for cap in caps])
+        self.history = CompanionHistory.zeros(len(caps))
+        for slot, cap in enumerate(caps):
             cap._history = self.history
             cap._slot = slot
-        m_rows: list[int] = []
-        m_cols: list[int] = []
-        m_cap: list[int] = []
-        m_sign: list[float] = []
-        r_rows: list[int] = []
-        r_cap: list[int] = []
-        r_sign: list[float] = []
-        for k, (_cap, pos, neg) in enumerate(entries):
-            for row, col, sign in ((pos, pos, 1.0), (neg, neg, 1.0),
-                                   (pos, neg, -1.0), (neg, pos, -1.0)):
-                if row >= 0 and col >= 0:
-                    m_rows.append(row)
-                    m_cols.append(col)
-                    m_cap.append(k)
-                    m_sign.append(sign)
-            # stamp_current_source(pos, neg, ieq): extracted at pos,
-            # injected at neg.
-            if pos >= 0:
-                r_rows.append(pos)
-                r_cap.append(k)
-                r_sign.append(-1.0)
-            if neg >= 0:
-                r_rows.append(neg)
-                r_cap.append(k)
-                r_sign.append(1.0)
-        self._m_index = (np.asarray(m_rows, dtype=int),
-                         np.asarray(m_cols, dtype=int))
-        self._m_cap = np.asarray(m_cap, dtype=int)
-        self._m_sign = np.asarray(m_sign)
-        self._r_rows = np.asarray(r_rows, dtype=int)
-        self._r_cap = np.asarray(r_cap, dtype=int)
-        self._r_sign = np.asarray(r_sign)
-        pos = np.asarray([p for _, p, _ in entries], dtype=int)
-        neg = np.asarray([n for _, _, n in entries], dtype=int)
+        ic = [(slot, cap.initial_voltage) for slot, cap in enumerate(caps)
+              if cap.initial_voltage is not None]
+        self._ic_slots = np.array([slot for slot, _ in ic], dtype=int)
+        self._ic_values = np.array([value for _, value in ic], dtype=float)
+        # Terminal rows as (count, 2): pos, neg (-1: ground).  Entries are
+        # kept capacitance-major, each in stamp order, as np.nonzero walks
+        # a (capacitance x entry) mask.
+        nodes = np.array((pos, neg), dtype=int).T.copy()
+        rows = nodes[:, self._MATRIX_ROWS]
+        cols = nodes[:, self._MATRIX_COLS]
+        m_cap, m_entry = np.nonzero((rows >= 0) & (cols >= 0))
+        self._m_index = (rows[m_cap, m_entry], cols[m_cap, m_entry])
+        self._m_cap = m_cap
+        self._m_sign = self._MATRIX_SIGNS[m_entry]
+        r_cap, r_entry = np.nonzero(nodes >= 0)
+        self._r_rows = nodes[r_cap, r_entry]
+        self._r_cap = r_cap
+        self._r_sign = self._RHS_SIGNS[r_entry]
+        pos, neg = nodes.T
         self._pos_clipped = np.maximum(pos, 0)
         self._neg_clipped = np.maximum(neg, 0)
         self._pos_grounded = pos < 0
@@ -433,6 +439,16 @@ class CompanionCapacitorBank:
         v_pos = np.where(self._pos_grounded, 0.0, x[self._pos_clipped])
         v_neg = np.where(self._neg_grounded, 0.0, x[self._neg_clipped])
         return v_pos - v_neg
+
+    def init_state(self, state) -> None:
+        """Start the history from the initial solution ``state.x``: every
+        ``v_prev`` the branch voltage (the capacitor's ``ic=`` instead
+        under ``state.use_ic``), every ``i_prev`` zero."""
+        v_prev = self._gather(state.x)
+        if state.use_ic and len(self._ic_slots):
+            v_prev[self._ic_slots] = self._ic_values
+        self.history.v_prev = v_prev
+        self.history.i_prev = np.zeros(len(self.caps))
 
     def accept(self, state) -> None:
         """Equivalent of calling ``CompanionCapacitor.accept`` on every

@@ -113,9 +113,9 @@ class Diode(Device):
         self._companion.stamp_ac(system, state, anode, cathode)
 
     def init_state(self, state) -> None:
-        v0 = state.v(self._idx[0]) - state.v(self._idx[1])
-        self._companion.init_state(v0)
-        self._v_last = v0
+        """Start the limiting history at the initial junction voltage (the
+        builder's companion bank initialises the capacitance)."""
+        self._v_last = state.v(self._idx[0]) - state.v(self._idx[1])
 
     def accept_timestep(self, state) -> None:
         self._companion.accept(state, self._idx[0], self._idx[1])

@@ -63,14 +63,9 @@ class Capacitor(Device):
         return twin
 
     def prepare(self, circuit) -> None:
-        self._companion = CompanionCapacitor(self.capacitance)
-
-    def init_state(self, state) -> None:
-        if self.initial_voltage is not None and state.use_ic:
-            v0 = self.initial_voltage
-        else:
-            v0 = state.v(self._idx[0]) - state.v(self._idx[1])
-        self._companion.init_state(v0)
+        # The companion bank honours ic= under use_ic (init_state).
+        self._companion = CompanionCapacitor(self.capacitance,
+                                             self.initial_voltage)
 
     def stamp(self, system, state) -> None:
         if state.mode != "tran":

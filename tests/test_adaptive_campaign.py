@@ -162,6 +162,24 @@ class TestCalibration:
         assert telemetry["calibration"]["passed"] is True
         json.dumps(telemetry["calibration"])  # wire/JSON-safe
 
+    @pytest.mark.parametrize("adaptive, phrase", [
+        (3220, "adaptive saves 50% of the 6440 fixed-grid solves"),
+        (6440, "adaptive saves 0% of the 6440 fixed-grid solves"),
+        (12300, "adaptive costs 91% more than the 6440 fixed-grid solves"),
+    ])
+    def test_summary_names_the_cost_against_the_fixed_grid(self, adaptive,
+                                                           phrase):
+        report = CalibrationReport(
+            passed=True, seed=1, probe_ids=(1, 2, 3, 4),
+            reltols=(3e-3, 1e-3, 9e-3), max_margin_shift=0.0,
+            margin_budget=0.5, max_detection_shift=5e-8,
+            detection_budget=2e-7, verdicts_identical=True,
+            newton_fixed=6440, newton_adaptive=adaptive)
+        summary = report.summary()
+        assert summary.endswith(phrase)
+        assert "saves -" not in summary and "costs -" not in summary
+        assert "reference" not in summary
+
 
 # ---------------------------------------------------------------------------
 # Adaptive checkpoints: kill / resume round trip

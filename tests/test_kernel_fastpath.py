@@ -121,8 +121,7 @@ class TestFastPathAssembly:
         state.dt = 1e-8
         state.integ_c0 = 2.0 / state.dt
         state.integ_c1 = 1.0
-        for device in builder.devices:
-            device.init_state(state)
+        builder.init_state(state)
 
         legacy = builder.build(state)
         legacy_matrix = legacy.matrix.copy()
@@ -130,8 +129,7 @@ class TestFastPathAssembly:
 
         # Re-run the device limiting history so both paths linearise around
         # the same point.
-        for device in builder.devices:
-            device.init_state(state)
+        builder.init_state(state)
         builder.assemble_constant(state)
         fast = builder.build_iteration(state)
 

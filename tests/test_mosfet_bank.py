@@ -54,6 +54,7 @@ from repro.spice.devices import DCShape
 from repro.spice.devices.base import CompanionCapacitorBank
 from repro.spice.devices.mosfet import OP_KEYS
 from repro.spice.netlist import Model
+from test_dense_kernel import per_device_init_state
 
 #: The LTE settings of the adaptive fig. 3 / fig. 5 studies.
 ADAPTIVE = TransientOptions(mode="adaptive", lte_reltol=3e-3,
@@ -313,7 +314,11 @@ class LegacyBuilder(MNABuilder):
     """The per-solve history round trip the legacy bank needs: gather the
     limiting history from the devices before the Newton loop, write it
     and the linearisation back after.  The constant part visits every
-    device, as it used to."""
+    device, as it used to, and so does the transient initialisation (the
+    devices' own per-device loop, :func:`per_device_init_state`)."""
+
+    def init_state(self, state):
+        per_device_init_state(self, state)
 
     def assemble_constant(self, state):
         base = self._base

@@ -275,22 +275,32 @@ def snapshot(tree: pathlib.Path, case_set: str, out: pathlib.Path) -> dict:
     return json.loads(pathlib.Path(out).read_text(encoding="utf-8"))
 
 
+def extract(revision: str, into: pathlib.Path) -> str:
+    """``git archive`` of ``revision`` extracted into ``into``; the full
+    commit id.  :class:`ValueError` when ``revision`` names no commit."""
+    resolved = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}"],
+        cwd=REPO_ROOT, capture_output=True, text=True)
+    if resolved.returncode != 0:
+        raise ValueError(f"{revision!r} is not a git revision "
+                         "(give BASE=<rev>)")
+    commit = resolved.stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             cwd=REPO_ROOT, capture_output=True,
+                             check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return commit
+
+
 def check(base: str, case_set: str) -> int:
     """Snapshot ``git archive base`` and the working tree; compare."""
-    revision = subprocess.run(
-        ["git", "rev-parse", "--verify", "--quiet", f"{base}^{{commit}}"],
-        cwd=REPO_ROOT, capture_output=True, text=True)
-    if revision.returncode != 0:
-        raise SystemExit(f"record_identity: {base!r} is not a git revision "
-                         "(give BASE=<rev>)")
-    commit = revision.stdout.strip()
     with tempfile.TemporaryDirectory(prefix="record-identity-") as scratch:
         work = pathlib.Path(scratch)
-        archive = subprocess.run(["git", "archive", "--format=tar", commit],
-                                 cwd=REPO_ROOT, capture_output=True,
-                                 check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(work / "base", filter="data")
+        try:
+            commit = extract(base, work / "base")
+        except ValueError as exc:
+            raise SystemExit(f"record_identity: {exc}") from None
         start = time.perf_counter()
         first = snapshot(work / "base", case_set, work / "base.json")
         second = snapshot(REPO_ROOT, case_set, work / "head.json")
