@@ -157,7 +157,6 @@ class FaultInjector:
             return
         if isinstance(device, Capacitor) and parameter in ("c", "value", "capacitance"):
             device.capacitance *= factor
-            device.prepare(circuit)
             return
         if isinstance(device, Inductor) and parameter in ("l", "value", "inductance"):
             device.inductance *= factor

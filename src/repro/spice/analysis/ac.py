@@ -78,7 +78,9 @@ class ACAnalysis:
         op_solution = solve_operating_point(builder)
         op_state = builder.new_state("op")
         op_state.x = op_solution
-        builder.build(op_state)  # refresh device linearisations at the OP
+        # Refresh the device linearisations at the operating point.
+        builder.assemble_constant(op_state)
+        builder.build_iteration(op_state)
 
         freqs = self.frequencies()
         traces = {name: np.zeros(freqs.size, dtype=complex)

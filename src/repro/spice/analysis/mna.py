@@ -18,7 +18,7 @@ import numpy as np
 from ...errors import AnalysisError
 from ...units import DEFAULT_TEMPERATURE_C
 from ..devices.base import CompanionCapacitorBank, Device as _Device
-from ..devices.mosfet import FusedMosfetBanks
+from ..devices.mosfet import FusedMosfetBanks, Mosfet, MosfetBank
 from ..netlist import Circuit
 from .backends import (MNASystem, SolverBackend, StackedMNASystem,
                        make_lu_solver, select_backend)
@@ -158,9 +158,9 @@ class SimState:
 class MNABuilder:
     """Binds a circuit to matrix indices and assembles MNA systems.
 
-    Besides the legacy :meth:`build` (full reassembly from scratch), the
-    builder offers the Newton fast path used by
-    :func:`~repro.spice.analysis.newton.solve_newton`:
+    Every large-signal system (operating point, DC sweep, transient, and
+    the AC analysis's refresh at the operating point) is built in two
+    parts, as :func:`~repro.spice.analysis.newton.solve_newton` does:
 
     * :meth:`assemble_constant` stamps everything that is fixed across the
       Newton iterations of one solve (linear devices, source values at the
@@ -168,15 +168,16 @@ class MNABuilder:
       companion capacitances go through one vectorized
       :class:`~repro.spice.devices.base.CompanionCapacitorBank` scatter.
     * :meth:`build_iteration` copies the base into a reused work system and
-      stamps only the nonlinear device linearisations on top.
+      stamps only the nonlinear device linearisations on top: every MOSFET
+      through :attr:`mosfet_bank`, then each other nonlinear device.
 
     The representation of the base/work systems (dense matrix vs sparse COO
     accumulation) is delegated to a solver backend
     (:mod:`repro.spice.analysis.backends`); ``solver_backend`` is ``"auto"``
     (select by matrix size), ``"dense"``, ``"sparse"`` or an explicit
     :class:`~repro.spice.analysis.backends.SolverBackend` instance.  The
-    legacy :meth:`build` and the complex-valued :meth:`build_ac` always use
-    dense systems regardless of the backend.
+    complex-valued :meth:`build_ac` always uses a dense system regardless
+    of the backend.
     """
 
     def __init__(self, circuit: Circuit, options: SimulationOptions | None = None,
@@ -195,18 +196,14 @@ class MNABuilder:
         self.num_nodes = len(self.node_names)
         self.size = next_index
         self.nonlinear_devices = [d for d in self.devices if d.is_nonlinear()]
-        # Group nonlinear devices into vectorized per-iteration banks where
-        # the device type provides one; the rest stay on the scalar path.
-        bank_groups: dict[type, list] = {}
-        self._scalar_nonlinear = []
-        for device in self.nonlinear_devices:
-            bank_cls = type(device).ITERATION_BANK
-            if bank_cls is None:
-                self._scalar_nonlinear.append(device)
-            else:
-                bank_groups.setdefault(bank_cls, []).append(device)
-        self.iteration_banks = [cls(group)
-                                for cls, group in bank_groups.items()]
+        # Every MOSFET is linearised by one vectorized bank; the other
+        # nonlinear devices stamp their own iterations.
+        mosfets = [d for d in self.nonlinear_devices if isinstance(d, Mosfet)]
+        #: The :class:`~repro.spice.devices.mosfet.MosfetBank` of the
+        #: circuit's MOSFETs (``None``: the circuit has none).
+        self.mosfet_bank = MosfetBank(mosfets) if mosfets else None
+        self._scalar_nonlinear = [d for d in self.nonlinear_devices
+                                  if not isinstance(d, Mosfet)]
         # Devices whose stamp_constant stamps something: nonlinear devices
         # on the default stamp_constant contribute nothing there.
         self._constant_devices = [
@@ -221,13 +218,10 @@ class MNABuilder:
         self._init_devices = [
             d for d in self.devices
             if type(d).init_state is not _Device.init_state]
-        # Devices the transient driver must still call accept_timestep on:
-        # everything with a non-default override whose state is not fully
-        # covered by the companion bank.
+        # Devices with history of their own to commit on accepted steps.
         self._accept_devices = [
             d for d in self.devices
-            if type(d).accept_timestep is not _Device.accept_timestep
-            and not d.companion_only_accept]
+            if type(d).accept_timestep is not _Device.accept_timestep]
         self._diagonal = np.arange(self.num_nodes)
         if isinstance(solver_backend, SolverBackend):
             self.backend = solver_backend
@@ -244,15 +238,6 @@ class MNABuilder:
     # ------------------------------------------------------------------
     def new_state(self, mode: str) -> SimState:
         return SimState(self.size, self.options, mode)
-
-    def build(self, state: SimState) -> MNASystem:
-        """Assemble the (real) MNA system for the present state."""
-        system = MNASystem(self.size)
-        state.limited = False
-        for device in self.devices:
-            device.stamp(system, state)
-        self._stamp_gmin(system, state)
-        return system
 
     def assemble_constant(self, state: SimState):
         """Assemble the iteration-constant base system for one Newton solve."""
@@ -273,8 +258,8 @@ class MNABuilder:
         work = self._work
         work.copy_from(self._base)
         state.limited = False
-        for bank in self.iteration_banks:
-            bank.stamp_iteration(work, state)
+        if self.mosfet_bank is not None:
+            self.mosfet_bank.stamp_iteration(work, state)
         for device in self._scalar_nonlinear:
             device.stamp_iteration(work, state)
         return work
@@ -282,11 +267,10 @@ class MNABuilder:
     def fusion_key(self):
         """Builders with the same key (not ``None``) may have their Newton
         iterations built and solved together by :class:`FusedIteration`:
-        dense systems of one size, all with or all without a MOSFET bank
-        (the one kind of iteration bank)."""
+        dense systems of one size, all with or all without a MOSFET bank."""
         if not isinstance(self._work, MNASystem):
             return None
-        return (self.size, len(self.iteration_banks))
+        return (self.size, self.mosfet_bank is not None)
 
     def begin_iterations(self) -> np.ndarray:
         """Per-solve setup of the build_iteration loop; call once before it.
@@ -310,13 +294,13 @@ class MNABuilder:
         """Initialise the transient history from the initial solution
         ``state.x``.
 
-        The companion bank starts every capacitance at once and each
-        iteration bank zeros its members' limiting history; only devices
-        with history of their own (diodes, inductors) are visited.
+        The companion bank starts every capacitance at once and the MOSFET
+        bank zeros its members' limiting history; only devices with
+        history of their own (diodes, inductors) are visited.
         """
         self.cap_bank.init_state(state)
-        for bank in self.iteration_banks:
-            bank.init_state()
+        if self.mosfet_bank is not None:
+            self.mosfet_bank.init_state()
         for device in self._init_devices:
             device.init_state(state)
 
@@ -369,9 +353,9 @@ class FusedIteration:
     :class:`~repro.spice.analysis.backends.StackedMNASystem`, which then
     solves all of them with one LAPACK call.  Each member gets exactly
     what the variant's own ``build_iteration`` stamps, in the same order:
-    the base copy, the bank stamps, then the scalar nonlinear devices.
-    The difference is that the MOSFET banks (the one kind of iteration
-    bank) are evaluated once for all variants
+    the base copy, the MOSFET bank stamps, then the other nonlinear
+    devices.  The difference is that the MOSFET banks are evaluated once
+    for all variants
     (:class:`~repro.spice.devices.mosfet.FusedMosfetBanks`), setting each
     variant's ``limited`` flag on its own.  The object is reused for every
     round with the same builders and states.
@@ -382,10 +366,9 @@ class FusedIteration:
         self._states = list(states)
         self.system = StackedMNASystem(len(self._builders),
                                        self._builders[0].size)
-        self._fused = [
-            FusedMosfetBanks(banks, self.system, self._states)
-            for banks in zip(*(builder.iteration_banks
-                               for builder in self._builders))]
+        banks = [builder.mosfet_bank for builder in self._builders]
+        self._fused = (None if banks[0] is None
+                       else FusedMosfetBanks(banks, self.system, self._states))
 
     def build(self) -> StackedMNASystem:
         """The stacked system, every member linearised around its
@@ -395,8 +378,8 @@ class FusedIteration:
                                           members):
             member.copy_from(builder._base)
             state.limited = False
-        for fused in self._fused:
-            fused.stamp_iteration()
+        if self._fused is not None:
+            self._fused.stamp_iteration()
         for builder, state, member in zip(self._builders, self._states,
                                           members):
             for device in builder._scalar_nonlinear:

@@ -173,9 +173,10 @@ class NewtonRound:
     a whole print row of :meth:`~repro.spice.analysis.transient.\
 TransientRun.iterations`); :meth:`solve` serves one round of them.
     Variants sharing a :meth:`~repro.spice.analysis.mna.MNABuilder.\
-fusion_key` (dense systems of one size, the same device banks) are
-    linearised by one :class:`~repro.spice.analysis.mna.FusedIteration`
-    (one MOSFET evaluation) and solved by one stacked LAPACK call; any
+fusion_key` (dense systems of one size, all with or all without
+    MOSFETs) are linearised by one
+    :class:`~repro.spice.analysis.mna.FusedIteration` (one MOSFET
+    evaluation) and solved by one stacked LAPACK call; any
     other variant, and a round of one, is built and solved on its own as
     :func:`solve_newton` would.  Either way each variant gets the floats
     :func:`solve_newton` computes for it.

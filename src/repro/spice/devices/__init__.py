@@ -1,6 +1,6 @@
 """Device library of the SPICE substrate."""
 
-from .base import CompanionCapacitor, Device
+from .base import Device
 from .controlled import (
     CurrentControlledCurrentSource,
     CurrentControlledVoltageSource,
@@ -24,7 +24,6 @@ from .switch import VoltageControlledSwitch
 
 __all__ = [
     "Device",
-    "CompanionCapacitor",
     "Resistor",
     "Capacitor",
     "Inductor",

@@ -3,16 +3,6 @@
 Every device knows how to *stamp* itself into a modified-nodal-analysis (MNA)
 system for the analysis modes supported by the simulator:
 
-``stamp(system, state)``
-    Large-signal stamp used by the operating point, DC sweep and transient
-    analyses.  Nonlinear devices linearise themselves around the present
-    Newton guess found in ``state.x``.
-``stamp_ac(system, state)``
-    Small-signal stamp used by the AC analysis.  Nonlinear devices use the
-    conductances stored during the last operating-point stamp.
-
-The Newton fast path additionally splits the large-signal stamp in two:
-
 ``stamp_constant(system, state)``
     Contributions that do not depend on the Newton iterate ``state.x`` and
     therefore stay fixed across all iterations of one solve (linear device
@@ -20,11 +10,18 @@ The Newton fast path additionally splits the large-signal stamp in two:
 ``stamp_iteration(system, state)``
     Contributions that must be re-linearised around the present iterate
     (nonlinear device characteristics).
+``stamp_ac(system, state)``
+    Small-signal stamp used by the AC analysis.  Nonlinear devices use the
+    conductances stored during the last operating-point stamp.
 
-``stamp_constant + stamp_iteration + companion capacitances`` must always be
-equivalent to ``stamp``; companion capacitances announced through
-:meth:`Device.companion_entries` are stamped once per solve by the builder's
-:class:`CompanionCapacitorBank` instead of per device.
+A device that is all one or the other implements ``stamp(system, state)``
+instead: the defaults route it to ``stamp_constant`` for a linear device
+and to ``stamp_iteration`` for a nonlinear one.  Capacitances are no
+device's stamp: devices announce them through
+:meth:`Device.companion_entries` and the builder's
+:class:`CompanionCapacitorBank` stamps and commits all of them at once.
+MOSFETs stamp nothing themselves either: the builder's
+:class:`~repro.spice.devices.mosfet.MosfetBank` linearises all of them.
 
 Node and branch matrix indices are resolved once per analysis by
 :meth:`Device.bind` and :meth:`Device.assign_branches`.
@@ -47,20 +44,6 @@ class Device:
     PREFIX = "?"
     #: Number of terminals; subclasses with a variable count override checks.
     NUM_TERMINALS: int | None = None
-    #: True when :meth:`accept_timestep` commits nothing beyond the
-    #: companion capacitances announced via :meth:`companion_entries`; the
-    #: builder then handles the commit through its vectorized bank instead
-    #: of calling the device.
-    companion_only_accept = False
-    #: Optional class implementing vectorized per-iteration stamping for all
-    #: devices of this type at once: ``bank_cls(devices)`` builds the bank
-    #: once per analysis, ``stamp_iteration(system, state)`` stamps every
-    #: member per Newton iteration and ``init_state()`` resets their
-    #: Newton state at the start of a transient.  The bank owns the
-    #: members' Newton state across solves; the devices keep views of it,
-    #: so the scalar path reads and writes the same numbers.  ``None``
-    #: keeps the scalar :meth:`stamp_iteration` path.
-    ITERATION_BANK: type | None = None
 
     def __init__(self, name: str, nodes: Sequence[str]):
         if not name:
@@ -149,8 +132,8 @@ class Device:
         """Initialise transient history from the initial solution.
 
         Companion capacitances announced through :meth:`companion_entries`
-        and the Newton state of an :attr:`ITERATION_BANK` are initialised
-        by the builder's banks (:meth:`~repro.spice.analysis.mna.\
+        and the Newton state of MOSFETs are initialised by the builder's
+        banks (:meth:`~repro.spice.analysis.mna.\
 MNABuilder.init_state`); a device overrides this only for history of
         its own."""
 
@@ -161,6 +144,8 @@ MNABuilder.init_state`); a device overrides this only for history of
     # Stamps
     # ------------------------------------------------------------------
     def stamp(self, system, state) -> None:
+        """The whole large-signal stamp of a device that is all constant
+        (linear) or all iterate-dependent (nonlinear)."""
         raise NotImplementedError
 
     def stamp_constant(self, system, state) -> None:
@@ -178,9 +163,10 @@ MNABuilder.init_state`); a device overrides this only for history of
             self.stamp(system, state)
 
     def companion_entries(self):
-        """Yield ``(CompanionCapacitor, pos_index, neg_index)`` triples for
-        the builder's vectorized capacitor bank.  Only valid after
-        :meth:`bind`."""
+        """Yield ``(capacitance, pos_index, neg_index, initial_voltage)``
+        tuples for the builder's vectorized capacitor bank
+        (``initial_voltage``: the ``ic=`` honoured under ``use_ic``, or
+        ``None``).  Only valid after :meth:`bind`."""
         return ()
 
     def stamp_ac(self, system, state) -> None:
@@ -222,136 +208,6 @@ def stamp_vccs(system, out_p: int, out_n: int, in_p: int, in_n: int,
     system.add(out_n, in_n, gm)
 
 
-def replaced_slot(values: np.ndarray, slot: int, value) -> np.ndarray:
-    """A copy of ``values`` with ``values[slot] = value``.
-
-    The state arrays a bank shares with its devices (a
-    :class:`CompanionHistory`, a ``MosfetState``) are copy-on-write: never
-    written in place, a bank rebinds freshly computed arrays and a device
-    rebinds this copy.  So a bank may share one array between several
-    fields, and a device write never reaches an array the bank still uses.
-    """
-    values = values.copy()
-    values[slot] = value
-    return values
-
-
-class CompanionHistory:
-    """Companion history ``v_prev``/``i_prev`` of a group of capacitances.
-
-    One array entry per capacitance, copy-on-write (see
-    :func:`replaced_slot`).  A :class:`CompanionCapacitor` reads and writes
-    its entry through ``(holder, slot)``; a :class:`CompanionCapacitorBank`
-    owns one holder for all its members and rebinds both arrays on every
-    accepted step.  The holder references no capacitor, so a bank and its
-    capacitors never form a reference cycle and a dropped circuit is freed
-    by reference counting alone.
-    """
-
-    __slots__ = ("v_prev", "i_prev")
-
-    def __init__(self, v_prev: np.ndarray, i_prev: np.ndarray):
-        self.v_prev = v_prev
-        self.i_prev = i_prev
-
-    @classmethod
-    def zeros(cls, count: int) -> "CompanionHistory":
-        return cls(np.zeros(count), np.zeros(count))
-
-
-class CompanionCapacitor:
-    """A linear capacitance stamped via its companion model.
-
-    Used both by the explicit :class:`~repro.spice.devices.passives.Capacitor`
-    device and by the MOSFET terminal capacitances.  The companion model uses
-    the integration coefficients published by the transient driver in the
-    simulation state (``state.integ_c0``, ``state.integ_c1``).  For
-    fixed-leading-coefficient BDF steps the driver additionally publishes
-    the predictor solution/derivative vectors (``state.integ_pred_x`` /
-    ``state.integ_pred_dx``); the equivalent current then comes from the
-    predicted branch voltage and its derivative instead of the one-step
-    ``v_prev``/``i_prev`` history, while ``geq`` stays
-    ``integ_c0 * C`` — the matrix depends on the leading coefficient only,
-    at every order.
-
-    ``v_prev``/``i_prev`` are views of one slot of a
-    :class:`CompanionHistory`: the slot a :class:`CompanionCapacitorBank`
-    assigns when it adopts the capacitance, or a private one-slot holder
-    allocated (at zero) when the scalar path first touches a capacitance
-    no bank adopted.  ``initial_voltage`` is the ``ic=`` the bank starts
-    the history from under ``use_ic`` (``None``: the initial solution).
-    """
-
-    def __init__(self, capacitance: float,
-                 initial_voltage: float | None = None):
-        self.capacitance = float(capacitance)
-        self.initial_voltage = initial_voltage
-        self._history: CompanionHistory | None = None
-        self._slot = 0
-
-    def _holder(self) -> CompanionHistory:
-        history = self._history
-        if history is None:
-            history = self._history = CompanionHistory.zeros(1)
-        return history
-
-    @property
-    def v_prev(self) -> float:
-        return float(self._holder().v_prev[self._slot])
-
-    @v_prev.setter
-    def v_prev(self, value: float) -> None:
-        history = self._holder()
-        history.v_prev = replaced_slot(history.v_prev, self._slot, value)
-
-    @property
-    def i_prev(self) -> float:
-        return float(self._holder().i_prev[self._slot])
-
-    @i_prev.setter
-    def i_prev(self, value: float) -> None:
-        history = self._holder()
-        history.i_prev = replaced_slot(history.i_prev, self._slot, value)
-
-    def _ieq(self, state, pos: int, neg: int, geq: float) -> float:
-        if state.integ_pred_x is not None:
-            # BDF corrector: i = C*x' with x' = dpred + c0*(v - vpred).
-            v_pred = state.pred(pos) - state.pred(neg)
-            dv_pred = state.pred_d(pos) - state.pred_d(neg)
-            return self.capacitance * dv_pred - geq * v_pred
-        return -(geq * self.v_prev + state.integ_c1 * self.i_prev)
-
-    def stamp_tran(self, system, state, pos: int, neg: int) -> None:
-        if self.capacitance <= 0.0:
-            return
-        geq = state.integ_c0 * self.capacitance
-        ieq = self._ieq(state, pos, neg, geq)
-        stamp_conductance(system, pos, neg, geq)
-        # Branch current i = geq*v + ieq flows from pos to neg.
-        stamp_current_source(system, pos, neg, ieq)
-
-    def stamp_ac(self, system, state, pos: int, neg: int) -> None:
-        if self.capacitance <= 0.0:
-            return
-        admittance = 1j * state.omega * self.capacitance
-        stamp_conductance(system, pos, neg, admittance)
-
-    def accept(self, state, pos: int, neg: int) -> None:
-        if self.capacitance <= 0.0:
-            return
-        v_now = state.v(pos) - state.v(neg)
-        geq = state.integ_c0 * self.capacitance
-        ieq = self._ieq(state, pos, neg, geq)
-        self.i_prev = geq * v_now + ieq
-        self.v_prev = v_now
-
-    def current(self, state, pos: int, neg: int) -> float:
-        """Current through the capacitor at the present (accepted) solution."""
-        if self.capacitance <= 0.0:
-            return 0.0
-        return self.i_prev
-
-
 class CompanionCapacitorBank:
     """Vectorized transient stamp of every companion capacitance at once.
 
@@ -362,13 +218,22 @@ class CompanionCapacitorBank:
     calls (dense: ``np.add.at``; sparse: one appended COO chunk) instead of
     hundreds of per-device Python calls.
 
-    The bank owns the companion history: one :class:`CompanionHistory`
-    holds ``v_prev``/``i_prev`` of every member as arrays, the stamp reads
-    them directly, :meth:`init_state` starts them from the initial
-    solution and :meth:`accept` rebinds them.  It points every member's
-    ``v_prev``/``i_prev`` views at its slot of the shared holder, so the
-    scalar path (``CompanionCapacitor.stamp_tran``/``accept``) keeps
-    reading and writing the same numbers.
+    The bank also owns the companion history, as two arrays with one
+    entry per member: :attr:`v_prev` (branch voltage) and :attr:`i_prev`
+    (branch current) of the last accepted step.  The stamp reads them,
+    :meth:`init_state` starts them from the initial solution and
+    :meth:`accept` replaces them.
+
+    The companion model uses the integration coefficients published by
+    the transient driver in the simulation state (``state.integ_c0``,
+    ``state.integ_c1``): ``geq = integ_c0 * C`` and
+    ``ieq = -(geq * v_prev + integ_c1 * i_prev)``.  For
+    fixed-leading-coefficient BDF steps the driver additionally publishes
+    the predictor solution/derivative vectors (``state.integ_pred_x`` /
+    ``state.integ_pred_dx``); the equivalent current then comes from the
+    predicted branch voltage and its derivative instead, while ``geq``
+    stays ``integ_c0 * C``: the matrix depends on the leading coefficient
+    only, at every order.
     """
 
     #: Matrix entries of one capacitance, in stamp order (p,p), (n,n),
@@ -381,16 +246,14 @@ class CompanionCapacitorBank:
     _RHS_SIGNS = np.array([-1.0, 1.0])
 
     def __init__(self, entries):
-        entries = [entry for entry in entries if entry[0].capacitance > 0.0]
-        caps, pos, neg = zip(*entries) if entries else ((), (), ())
-        self.caps = list(caps)
-        self.capacitance = np.array([cap.capacitance for cap in caps])
-        self.history = CompanionHistory.zeros(len(caps))
-        for slot, cap in enumerate(caps):
-            cap._history = self.history
-            cap._slot = slot
-        ic = [(slot, cap.initial_voltage) for slot, cap in enumerate(caps)
-              if cap.initial_voltage is not None]
+        entries = [entry for entry in entries if entry[0] > 0.0]
+        caps, pos, neg, initial = (zip(*entries) if entries
+                                   else ((), (), (), ()))
+        self.capacitance = np.array(caps, dtype=float)
+        self.v_prev = np.zeros(len(caps))
+        self.i_prev = np.zeros(len(caps))
+        ic = [(slot, value) for slot, value in enumerate(initial)
+              if value is not None]
         self._ic_slots = np.array([slot for slot, _ in ic], dtype=int)
         self._ic_values = np.array([value for _, value in ic], dtype=float)
         # Terminal rows as (count, 2): pos, neg (-1: ground).  Entries are
@@ -414,20 +277,20 @@ class CompanionCapacitorBank:
         self._neg_grounded = neg < 0
 
     def __len__(self) -> int:
-        return len(self.caps)
+        return len(self.capacitance)
 
     def _ieq(self, state, geq: np.ndarray) -> np.ndarray:
         if state.integ_pred_x is not None:
+            # BDF corrector: i = C*x' with x' = dpred + c0*(v - vpred).
             v_pred = self._gather(state.integ_pred_x)
             dv_pred = self._gather(state.integ_pred_dx)
             return self.capacitance * dv_pred - geq * v_pred
-        history = self.history
-        return -(geq * history.v_prev + state.integ_c1 * history.i_prev)
+        return -(geq * self.v_prev + state.integ_c1 * self.i_prev)
 
     def stamp_tran(self, system, state) -> None:
-        """Equivalent of calling ``CompanionCapacitor.stamp_tran`` on every
-        registered capacitance."""
-        if not self.caps:
+        """Stamp every member's companion model: conductance ``geq`` and
+        the branch current ``ieq`` flowing from pos to neg."""
+        if not self.capacitance.size:
             return
         geq = state.integ_c0 * self.capacitance
         ieq = self._ieq(state, geq)
@@ -447,16 +310,16 @@ class CompanionCapacitorBank:
         v_prev = self._gather(state.x)
         if state.use_ic and len(self._ic_slots):
             v_prev[self._ic_slots] = self._ic_values
-        self.history.v_prev = v_prev
-        self.history.i_prev = np.zeros(len(self.caps))
+        self.v_prev = v_prev
+        self.i_prev = np.zeros(len(self))
 
     def accept(self, state) -> None:
-        """Equivalent of calling ``CompanionCapacitor.accept`` on every
-        registered capacitance: commit the accepted timestep to history."""
-        if not self.caps:
+        """Commit the accepted timestep to history: the branch voltage and
+        the companion current ``geq * v + ieq`` of every member."""
+        if not self.capacitance.size:
             return
         geq = state.integ_c0 * self.capacitance
         ieq = self._ieq(state, geq)
         v_now = self._gather(state.x)
-        self.history.i_prev = geq * v_now + ieq
-        self.history.v_prev = v_now
+        self.i_prev = geq * v_now + ieq
+        self.v_prev = v_now

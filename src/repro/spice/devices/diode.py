@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from ...units import parse_value, thermal_voltage
-from .base import CompanionCapacitor, Device, stamp_conductance, stamp_current_source
+from .base import Device, stamp_conductance, stamp_current_source
 from .limits import pnjlim
 
 #: Default saturation current [A].
@@ -25,7 +25,6 @@ class Diode(Device):
 
     PREFIX = "D"
     NUM_TERMINALS = 2
-    companion_only_accept = True
 
     def __init__(self, name, anode, cathode, model: str = "", area: float = 1.0):
         super().__init__(name, [anode, cathode])
@@ -36,12 +35,6 @@ class Diode(Device):
         self.cj0 = DEFAULT_CJ0
         self._v_last = 0.0
         self._gd = 0.0
-        self._companion = CompanionCapacitor(0.0)
-
-    def clone(self) -> "Diode":
-        twin = super().clone()
-        twin._companion = CompanionCapacitor(self._companion.capacitance)
-        return twin
 
     def is_nonlinear(self) -> bool:
         return True
@@ -57,7 +50,6 @@ class Diode(Device):
         cj0 = params.get("cjo", params.get("cj0", DEFAULT_CJ0))
         self.cj0 = float(cj0) * self.area
         self._v_last = 0.0
-        self._companion = CompanionCapacitor(self.cj0)
 
     # ------------------------------------------------------------------
     def _evaluate(self, vd: float, temperature: float) -> tuple[float, float]:
@@ -84,11 +76,6 @@ class Diode(Device):
         limited = pnjlim(vd, self._v_last, vt, v_crit)
         return limited
 
-    def stamp(self, system, state) -> None:
-        self.stamp_iteration(system, state)
-        if state.mode == "tran":
-            self._companion.stamp_tran(system, state, self._idx[0], self._idx[1])
-
     def stamp_iteration(self, system, state) -> None:
         """Linearised junction only; the capacitance is bank-stamped."""
         anode, cathode = self._idx
@@ -105,22 +92,16 @@ class Diode(Device):
         stamp_current_source(system, anode, cathode, ieq)
 
     def companion_entries(self):
-        return ((self._companion, self._idx[0], self._idx[1]),)
+        return ((self.cj0, self._idx[0], self._idx[1], None),)
 
     def stamp_ac(self, system, state) -> None:
         anode, cathode = self._idx
         stamp_conductance(system, anode, cathode, self._gd)
-        self._companion.stamp_ac(system, state, anode, cathode)
+        if self.cj0 > 0.0:
+            stamp_conductance(system, anode, cathode,
+                              1j * state.omega * self.cj0)
 
     def init_state(self, state) -> None:
         """Start the limiting history at the initial junction voltage (the
         builder's companion bank initialises the capacitance)."""
         self._v_last = state.v(self._idx[0]) - state.v(self._idx[1])
-
-    def accept_timestep(self, state) -> None:
-        self._companion.accept(state, self._idx[0], self._idx[1])
-
-    def current(self, state) -> float:
-        vd = state.v(self._idx[0]) - state.v(self._idx[1])
-        current, _ = self._evaluate(vd, state.temperature)
-        return current

@@ -1,8 +1,10 @@
-"""Voltage-step limiting helpers used by the nonlinear devices.
+"""Voltage-step limiting of the diode junction.
 
-These are the classic SPICE limiting functions: without them the exponential
-diode characteristic overflows as soon as Newton-Raphson proposes a junction
-voltage a few hundred millivolts too high.
+This is the classic SPICE ``pnjlim``: without it the exponential diode
+characteristic overflows as soon as Newton-Raphson proposes a junction
+voltage a few hundred millivolts too high.  The MOSFET limiting functions
+(``fetlim``, ``limvds``) are evaluated by the
+:class:`~repro.spice.devices.mosfet.MosfetBank`.
 """
 
 from __future__ import annotations
@@ -21,41 +23,4 @@ def pnjlim(v_new: float, v_old: float, vt: float, v_crit: float) -> float:
                 v_new = v_crit
         else:
             v_new = vt * math.log(v_new / vt)
-    return v_new
-
-
-def fetlim(v_new: float, v_old: float, vto: float) -> float:
-    """Limit the gate-source voltage update of a MOSFET."""
-    vt_old = v_old - vto
-    vt_new = v_new - vto
-    if vt_old >= 0.0:
-        if vt_new >= 0.0:
-            # Both in (or at edge of) inversion: limit the step size.
-            if vt_new > 2.0 * vt_old + 2.0:
-                vt_new = 2.0 * vt_old + 2.0
-            elif vt_old > 2.0 and vt_new < 0.5 * vt_old:
-                vt_new = 0.5 * vt_old
-        else:
-            # Leaving inversion: do not jump deeper than slightly below vto.
-            vt_new = max(vt_new, -0.5)
-    else:
-        if vt_new >= 0.0:
-            # Entering inversion: do not jump further than a little above vto.
-            vt_new = min(vt_new, 2.0)
-        # Both below threshold: no limiting required.
-    return vt_new + vto
-
-
-def limvds(v_new: float, v_old: float) -> float:
-    """Limit the drain-source voltage update of a MOSFET."""
-    if v_old >= 3.5:
-        if v_new > v_old:
-            v_new = min(v_new, 3.0 * v_old + 2.0)
-        elif v_new < 3.5:
-            v_new = max(v_new, 2.0)
-    else:
-        if v_new > v_old:
-            v_new = min(v_new, 4.0)
-        else:
-            v_new = max(v_new, -0.5)
     return v_new

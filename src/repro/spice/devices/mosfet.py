@@ -8,15 +8,11 @@ VCO test case of the paper.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ...errors import ModelError
+from ...errors import AnalysisError, ModelError
 from ...units import EPS0, EPS_SIO2, parse_value
-from .base import (CompanionCapacitor, Device, replaced_slot,
-                   stamp_current_source)
-from .limits import fetlim, limvds
+from .base import Device, stamp_conductance
 
 #: Default model parameters for the level-1 model (SPICE defaults).
 DEFAULT_MOS_PARAMS = {
@@ -48,13 +44,14 @@ class MosfetState:
     """Newton state of a group of MOSFETs, one array entry per device.
 
     ``vgs_last``/``vds_last`` are the limiting history and ``op`` is the
-    last linearisation as arrays in :data:`OP_KEYS` order, copy-on-write
-    (see :func:`~repro.spice.devices.base.replaced_slot`; the bank shares
-    the limited voltages between ``op`` and the limiting history).  A
+    last linearisation as arrays in :data:`OP_KEYS` order.  A
     :class:`MosfetBank` owns one holder for all its members and rebinds
-    the arrays on every Newton iteration; each :class:`Mosfet` reads and
-    writes its slot through ``(holder, slot)``.  The holder references no
-    device: banks and devices never form a reference cycle.
+    fresh arrays on every Newton iteration, never writing one in place (the
+    bank shares the limited voltages between ``op`` and the limiting
+    history, and a variant's holder in a lockstep round holds views of the
+    fused arrays).  Each :class:`Mosfet` reads its slot through
+    ``(holder, slot)``.  The holder references no device: banks and
+    devices never form a reference cycle.
     """
 
     __slots__ = ("vgs_last", "vds_last", "op")
@@ -77,11 +74,15 @@ class Mosfet(Device):
 
     Geometry parameters ``w`` and ``l`` are in metres, ``ad``/``as_`` in
     square metres and ``pd``/``ps`` in metres, following SPICE conventions.
+
+    The device holds the model and geometry; the builder's
+    :class:`MosfetBank` evaluates the large-signal model and owns the
+    Newton state, and the builder's companion bank stamps the terminal
+    capacitances (:meth:`companion_entries`).
     """
 
     PREFIX = "M"
     NUM_TERMINALS = 4
-    companion_only_accept = True
 
     def __init__(self, name, drain, gate, source, bulk, model: str,
                  w=10e-6, l=2e-6, ad=0.0, as_=0.0, pd=0.0, ps=0.0,
@@ -98,66 +99,23 @@ class Mosfet(Device):
         # Resolved model parameters (filled in by prepare()).
         self.polarity = 1.0
         self.params = dict(DEFAULT_MOS_PARAMS)
-        # Newton history for voltage limiting and the last linearisation
-        # (for AC analysis): one slot of a MosfetState, the bank's once a
-        # MosfetBank adopts the device (None: fresh, all zero).
+        # The Newton state holder of the MosfetBank that adopted the
+        # device and the device's slot in it (None: no bank adopted it).
         self._newton: MosfetState | None = None
         self._slot = 0
-        self._caps: dict[str, CompanionCapacitor] = {}
-
-    # ------------------------------------------------------------------
-    # Newton state (views of this device's MosfetState slot)
-    # ------------------------------------------------------------------
-    def _state(self) -> MosfetState:
-        """The holder of this device's slot; a private zero one-slot
-        holder is allocated when the scalar path first touches a device
-        no bank adopted."""
-        newton = self._newton
-        if newton is None:
-            newton = self._newton = MosfetState.zeros(1)
-        return newton
-
-    @property
-    def _vgs_last(self) -> float:
-        return float(self._state().vgs_last[self._slot])
-
-    @_vgs_last.setter
-    def _vgs_last(self, value: float) -> None:
-        newton = self._state()
-        newton.vgs_last = replaced_slot(newton.vgs_last, self._slot, value)
-
-    @property
-    def _vds_last(self) -> float:
-        return float(self._state().vds_last[self._slot])
-
-    @_vds_last.setter
-    def _vds_last(self, value: float) -> None:
-        newton = self._state()
-        newton.vds_last = replaced_slot(newton.vds_last, self._slot, value)
-
-    @property
-    def _op(self) -> dict:
-        slot = self._slot
-        return {key: values[slot].item()
-                for key, values in zip(OP_KEYS, self._state().op)}
-
-    @_op.setter
-    def _op(self, op: dict) -> None:
-        newton = self._state()
-        newton.op = tuple(replaced_slot(values, self._slot, op[key])
-                          for key, values in zip(OP_KEYS, newton.op))
+        #: Terminal capacitances [F] by CAP_TERMINALS name.
+        self._caps: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Preparation
     # ------------------------------------------------------------------
     def clone(self) -> "Mosfet":
-        """A copy with its own model parameters and fresh Newton and
-        companion state; :meth:`prepare` builds the capacitances."""
+        """A copy with its own model parameters, adopted by no bank;
+        :meth:`prepare` rebuilds the capacitances."""
         twin = super().clone()
         twin.params = dict(self.params)
         twin._newton = None
         twin._slot = 0
-        twin._caps = {}
         return twin
 
     def is_nonlinear(self) -> bool:
@@ -173,8 +131,7 @@ class Mosfet(Device):
         params = dict(DEFAULT_MOS_PARAMS)
         params.update(model.params)
         self.params = params
-        # Fresh Newton state; the builder's MosfetBank adopts the device
-        # right after.
+        # The builder's MosfetBank adopts the device right after.
         self._newton = None
         self._slot = 0
         self._build_capacitances()
@@ -189,146 +146,24 @@ class Mosfet(Device):
         cdb = float(p["cj"]) * self.ad + float(p["cjsw"]) * self.pd
         csb = float(p["cj"]) * self.as_ + float(p["cjsw"]) * self.ps
         scale = self.multiplier
-        self._caps = {
-            "gs": CompanionCapacitor(cgs * scale),
-            "gd": CompanionCapacitor(cgd * scale),
-            "gb": CompanionCapacitor(cgb * scale),
-            "db": CompanionCapacitor(cdb * scale),
-            "sb": CompanionCapacitor(csb * scale),
-        }
+        self._caps = {"gs": cgs * scale, "gd": cgd * scale,
+                      "gb": cgb * scale, "db": cdb * scale,
+                      "sb": csb * scale}
 
     def _cap_nodes(self, key: str) -> tuple[int, int]:
         pos, neg = CAP_TERMINALS[key]
         return self._idx[pos], self._idx[neg]
 
     # ------------------------------------------------------------------
-    # Large-signal evaluation (in the polarity-normalised frame)
-    # ------------------------------------------------------------------
-    def _threshold(self, vbs: float) -> tuple[float, float]:
-        """Return (von, dvon_dvbs) including body effect."""
-        p = self.params
-        # Normalise so that vto is positive in the evaluation frame.
-        vto = abs(float(p["vto"]))
-        gamma = float(p["gamma"])
-        phi = max(float(p["phi"]), 0.1)
-        if gamma == 0.0:
-            return vto, 0.0
-        if vbs <= 0.0:
-            sqrt_term = math.sqrt(phi - vbs)
-            von = vto + gamma * (sqrt_term - math.sqrt(phi))
-            dvon = -gamma / (2.0 * sqrt_term)
-        else:
-            sqrt_phi = math.sqrt(phi)
-            denom = 1.0 + vbs / (2.0 * phi)
-            sqrt_term = sqrt_phi / denom
-            von = vto + gamma * (sqrt_term - sqrt_phi)
-            dvon = -gamma * sqrt_phi / (2.0 * phi * denom * denom)
-        return von, dvon
-
-    def _drain_current(self, vgs: float, vds: float, vbs: float,
-                       threshold: tuple[float, float] | None = None
-                       ) -> tuple[float, float, float, float]:
-        """Return (ids, gm, gds, gmbs) for vds >= 0 in the normalised frame.
-
-        ``threshold`` short-circuits the body-effect evaluation when the
-        caller already computed ``(von, dvon)`` for this ``vbs``.
-        """
-        p = self.params
-        beta = float(p["kp"]) * self.multiplier * self.w / self.l
-        lam = float(p["lambda"])
-        von, dvon = threshold if threshold is not None else self._threshold(vbs)
-        vgst = vgs - von
-        if vgst <= 0.0:
-            return 0.0, 0.0, 0.0, 0.0
-        clm = 1.0 + lam * vds
-        if vgst <= vds:
-            # Saturation.
-            ids = 0.5 * beta * vgst * vgst * clm
-            gm = beta * vgst * clm
-            gds = 0.5 * beta * vgst * vgst * lam
-        else:
-            # Linear (triode).
-            ids = beta * (vgst - 0.5 * vds) * vds * clm
-            gm = beta * vds * clm
-            gds = beta * (vgst - vds) * clm + beta * (vgst - 0.5 * vds) * vds * lam
-        gmbs = -gm * dvon
-        return ids, gm, gds, gmbs
-
-    # ------------------------------------------------------------------
     # Stamping
     # ------------------------------------------------------------------
-    def stamp(self, system, state) -> None:
-        self.stamp_iteration(system, state)
-        if state.mode == "tran":
-            for key, cap in self._caps.items():
-                pos, neg = self._cap_nodes(key)
-                cap.stamp_tran(system, state, pos, neg)
-
     def companion_entries(self):
-        return [(cap, *self._cap_nodes(key)) for key, cap in self._caps.items()]
-
-    def stamp_iteration(self, system, state) -> None:
-        """Channel linearisation only; capacitances are bank-stamped."""
-        d, g, s, b = self._idx
-        pol = self.polarity
-        # Inlined terminal-voltage reads (this is the hottest loop of the
-        # whole simulator; a state.v() call per terminal is measurable).
-        x = state.x
-        vd = float(x[d]) if d >= 0 else 0.0
-        vg = float(x[g]) if g >= 0 else 0.0
-        vs = float(x[s]) if s >= 0 else 0.0
-        vb = float(x[b]) if b >= 0 else 0.0
-        vds = pol * (vd - vs)
-        reverse = vds < 0.0
-        if reverse:
-            # Exchange drain and source roles for the evaluation.
-            e_d, e_s = s, d
-            vds_f = -vds
-            vgs_f = pol * (vg - vd)
-            vbs_f = pol * (vb - vd)
-        else:
-            e_d, e_s = d, s
-            vds_f = vds
-            vgs_f = pol * (vg - vs)
-            vbs_f = pol * (vb - vs)
-
-        # Newton step limiting on the evaluation-frame voltages.
-        threshold = self._threshold(vbs_f)
-        vgs_requested, vds_requested = vgs_f, vds_f
-        vgs_f = fetlim(vgs_f, self._vgs_last, threshold[0])
-        vds_f = limvds(vds_f, self._vds_last)
-        if (abs(vgs_f - vgs_requested) > 1e-6 + 1e-3 * abs(vgs_requested)
-                or abs(vds_f - vds_requested) > 1e-6 + 1e-3 * abs(vds_requested)):
-            state.limited = True
-        self._vgs_last = vgs_f
-        self._vds_last = vds_f
-
-        ids, gm, gds, gmbs = self._drain_current(vgs_f, vds_f, vbs_f,
-                                                 threshold=threshold)
-        self._op = {"ids": ids, "gm": gm, "gds": gds, "gmbs": gmbs,
-                    "vgs": vgs_f, "vds": vds_f, "vbs": vbs_f,
-                    "reverse": reverse}
-
-        # Equivalent current of the linearised characteristic
-        # (in the evaluation frame, flowing from e_d to e_s).
-        ieq = ids - gm * vgs_f - gds * vds_f - gmbs * vbs_f
-
-        gds_tot = gds + state.gmin
-        # Conductance stamps: identical pattern for NMOS/PMOS and for
-        # normal/reverse operation (the frame change already swapped e_d/e_s).
-        system.add(e_d, g, gm)
-        system.add(e_d, e_d, gds_tot)
-        system.add(e_d, e_s, -(gm + gds_tot + gmbs))
-        system.add(e_d, b, gmbs)
-        system.add(e_s, g, -gm)
-        system.add(e_s, e_d, -gds_tot)
-        system.add(e_s, e_s, gm + gds_tot + gmbs)
-        system.add(e_s, b, -gmbs)
-        stamp_current_source(system, e_d, e_s, pol * ieq)
+        return [(cap, *self._cap_nodes(key), None)
+                for key, cap in self._caps.items()]
 
     def stamp_ac(self, system, state) -> None:
         d, g, s, b = self._idx
-        op = self._op
+        op = self.operating_point
         e_d, e_s = (s, d) if op["reverse"] else (d, s)
         gm, gds, gmbs = op["gm"], op["gds"] + state.gmin, op["gmbs"]
         system.add(e_d, g, gm)
@@ -340,41 +175,25 @@ class Mosfet(Device):
         system.add(e_s, e_s, gm + gds + gmbs)
         system.add(e_s, b, -gmbs)
         for key, cap in self._caps.items():
-            pos, neg = self._cap_nodes(key)
-            cap.stamp_ac(system, state, pos, neg)
-
-    # ------------------------------------------------------------------
-    # Transient history
-    # ------------------------------------------------------------------
-    def accept_timestep(self, state) -> None:
-        for key, cap in self._caps.items():
-            pos, neg = self._cap_nodes(key)
-            cap.accept(state, pos, neg)
+            if cap > 0.0:
+                pos, neg = self._cap_nodes(key)
+                stamp_conductance(system, pos, neg, 1j * state.omega * cap)
 
     # ------------------------------------------------------------------
     # Reporting helpers
     # ------------------------------------------------------------------
     @property
     def operating_point(self) -> dict:
-        """Last linearisation values (ids, gm, gds, gmbs ...), as a fresh
-        dict."""
-        return self._op
-
-    def drain_current(self, state) -> float:
-        """Drain current at the present solution (positive into the drain for
-        an NMOS in normal operation)."""
-        d, g, s, b = self._idx
-        pol = self.polarity
-        vds = pol * (state.v(d) - state.v(s))
-        if vds >= 0.0:
-            vgs = pol * (state.v(g) - state.v(s))
-            vbs = pol * (state.v(b) - state.v(s))
-            ids, _, _, _ = self._drain_current(vgs, vds, vbs)
-            return pol * ids
-        vgd = pol * (state.v(g) - state.v(d))
-        vbd = pol * (state.v(b) - state.v(d))
-        ids, _, _, _ = self._drain_current(vgd, -vds, vbd)
-        return -pol * ids
+        """Last linearisation values (ids, gm, gds, gmbs ...) of the
+        device's slot in its bank, as a fresh dict."""
+        newton = self._newton
+        if newton is None:
+            raise AnalysisError(
+                f"MOSFET {self.name!r} has no operating point: no analysis "
+                "has linearised it")
+        slot = self._slot
+        return {key: values[slot].item()
+                for key, values in zip(OP_KEYS, newton.op)}
 
 
 #: Operands of the bank kernels as 0-d arrays: numpy 2 wraps a Python
@@ -395,15 +214,16 @@ _LIMITED_REL = np.array(1e-3)
 
 def _fetlim_vec(v_new: np.ndarray, v_old: np.ndarray, vto: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.spice.devices.limits.fetlim`, written to
-    ``out``.
+    """SPICE ``fetlim``: limit the gate-source voltage update of every
+    MOSFET, written to ``out``.
 
-    Each branch of the scalar function clamps ``vt_new = v_new - vto`` on
-    one side at most, and every bound is a float the scalar branch would
-    return, so ``minimum``/``maximum`` select exactly its result: above by
-    ``2*vt_old + 2`` in inversion and ``2`` outside it (whichever is
-    larger), below by ``-0.5`` when leaving inversion and by ``vt_old/2``
-    when both voltages are in inversion beyond ``vt_old > 2``.
+    With ``vt = v - vto``, the step ``vt_new`` is clamped on one side at
+    most: above by ``2*vt_old + 2`` in inversion and ``2`` outside it
+    (whichever is larger; entering inversion goes no further than a
+    little above ``vto``), below by ``-0.5`` when leaving inversion and by
+    ``vt_old/2`` when both voltages are in inversion beyond
+    ``vt_old > 2``.  Every bound is the float the piecewise definition
+    returns, so ``minimum``/``maximum`` select exactly its result.
     """
     vt_old = v_old - vto
     vt_new = v_new - vto
@@ -420,14 +240,15 @@ def _fetlim_vec(v_new: np.ndarray, v_old: np.ndarray, vto: np.ndarray,
 
 def _limvds_vec(v_new: np.ndarray, v_old: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.spice.devices.limits.limvds` for
-    ``v_new >= 0`` (an evaluation-frame drain-source voltage), written to
-    ``out``.
+    """SPICE ``limvds``: limit the drain-source voltage update of every
+    MOSFET for ``v_new >= 0`` (an evaluation-frame drain-source voltage),
+    written to ``out``.
 
-    Below ``v_old = 3.5`` the step is capped at 4 V (the scalar function's
-    other lane, ``max(v_new, -0.5)``, never binds for ``v_new >= 0``);
-    from 3.5 V up ``v_new`` is clipped to ``[2, 3*v_old + 2]`` (a rising
-    value can only meet the upper bound, a falling one the lower).
+    Below ``v_old = 3.5`` the step is capped at 4 V (the falling lane of
+    the definition, ``max(v_new, -0.5)``, never binds for
+    ``v_new >= 0``); from 3.5 V up ``v_new`` is clipped to
+    ``[2, 3*v_old + 2]`` (a rising value can only meet the upper bound, a
+    falling one the lower).
     """
     np.minimum(v_new, _FOUR, out=out)
     high = v_old >= _LIMIT_HIGH
@@ -437,7 +258,7 @@ def _limvds_vec(v_new: np.ndarray, v_old: np.ndarray,
     return out
 
 
-#: Buffer row of each matrix slot of the scalar stamp, slots in the order
+#: Buffer row of each matrix slot of the channel stamp, slots in the order
 #: (d,g),(d,d),(d,s),(d,b),(s,g),(s,d),(s,s),(s,b) (see stamp_iteration).
 _BUFFER_ROW = np.array([0, 2, 3, 1, 4, 6, 7, 5])
 
@@ -451,21 +272,20 @@ class MosfetBank:
     the terminal voltages as one ``(4, n)`` array, evaluates the
     Shichman-Hodges equations and the SPICE limiting functions in array
     form, and fills the shared system with two vectorized
-    ``system.scatter`` calls.  The arithmetic mirrors
-    :meth:`Mosfet.stamp_iteration` operation for operation, so the two paths
-    produce bitwise-identical stamps: constants are precomputed only where
-    they are the leading operation of the scalar expression, lanes are
-    merged with masked copies that keep the selected floats, and the
-    drain/source exchange and the forward-bias lane are skipped when no
-    lane needs them.
+    ``system.scatter`` calls.  Every lane computes the floats of the
+    per-device model, kept operation for operation in
+    ``tests/mosfet_oracle.py``, which pins the bank bit for bit: constants
+    are precomputed only where they are the leading operation of the
+    per-device expression, lanes are merged with masked copies that keep
+    the selected floats, and the drain/source exchange and the
+    forward-bias lane are skipped when no lane needs them.
 
     The bank owns the Newton state of its members across solves: one
     :class:`MosfetState` holds the limiting history and the last
     linearisation as arrays, which each iteration reads and rebinds and
-    :meth:`init_state` zeros.  It points every member's views
-    (``_vgs_last``, ``_vds_last``, ``operating_point``) at its slot, so the
-    scalar path (legacy ``build``, the AC refresh, operating-point
-    reporting) sees the same numbers.
+    :meth:`init_state` zeros.  It points every member at its slot, where
+    :attr:`Mosfet.operating_point` and the AC stamp read the last
+    linearisation.
 
     :class:`FusedMosfetBanks` builds one bank over the banks of several
     circuit variants, evaluated once per lockstep Newton round.
@@ -505,14 +325,14 @@ class MosfetBank:
         no_body = self.gamma == 0.0
         self._no_body = no_body if no_body.any() else None
         # -0.0 * dvon is +0.0 in cut-off whenever gamma > 0 (dvon < 0), so
-        # only a bank with some other gamma needs the scalar model's
+        # only a bank with some other gamma needs the model's
         # gmbs = 0.0 restored there.  The fix-up is then a no-op on the
         # gamma > 0 lanes, which is what lets fused banks apply it to all.
         self._zero_cutoff_gmbs = not bool((self.gamma > 0.0).all())
 
         # Matrix scatter map: slot k of device i contributes value V[k, i]
         # at (rows[k][i], cols[k][i]), slot-major in the slot order of the
-        # scalar stamp (np.nonzero walks the (slot x device) mask in that
+        # channel stamp (np.nonzero walks the (slot x device) mask in that
         # order); ground entries are dropped up front.  V keeps the slots
         # in the row order of stamp_iteration's value buffer.
         slot_rows = idx[[0, 0, 0, 0, 2, 2, 2, 2]]
@@ -542,7 +362,7 @@ class MosfetBank:
 
     # ------------------------------------------------------------------
     def _threshold(self, vbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`Mosfet._threshold` (von and dvon/dvbs).
+        """Threshold voltage with body effect: ``von`` and ``dvon/dvbs``.
 
         ``von`` has the same form in both bias lanes once the square-root
         term is selected, so only that term and ``dvon`` are per lane.
@@ -573,8 +393,8 @@ class MosfetBank:
         return von, dvon
 
     def _drain_current(self, vgs, vds, von, dvon):
-        """Vectorized :meth:`Mosfet._drain_current` for the limited
-        evaluation-frame voltages.
+        """``(ids, gm, gds, gmbs)`` for the limited evaluation-frame
+        voltages (``vds >= 0``): cut-off, saturation or triode.
 
         Each quantity starts as its triode value and takes the saturation
         value on saturated lanes (then zero on cut-off lanes) in place.
@@ -602,7 +422,7 @@ class MosfetBank:
             np.copyto(values, _ZERO, where=cutoff)
         gmbs = -gm * dvon
         if self._zero_cutoff_gmbs:
-            # -0.0 * dvon is -0.0 for dvon >= 0; the scalar model returns
+            # -0.0 * dvon is -0.0 for dvon >= 0; the model has
             # gmbs = 0.0 in cutoff.
             np.copyto(gmbs, _ZERO, where=cutoff)
         return ids, gm, gds, gmbs
@@ -647,7 +467,7 @@ class MosfetBank:
         ieq = ids - gm * vgs_f - gds * vds_f - gmbs * vbs_f
         gds_tot = gds + state.gmin
         total = gm + gds_tot + gmbs
-        # Slot values match Mosfet.stamp_iteration.  Buffer rows are the
+        # Slot values in the order above.  Buffer rows are the
         # slots (d,g),(d,b),(d,d),(d,s), then the same four of the s row,
         # which is the negated d row.  A reversed channel's d row is the
         # negated forward d row with the (d,d) and (d,s) slots exchanged.
@@ -701,8 +521,8 @@ class FusedMosfetBanks:
     :attr:`x` holds the concatenated iterates, :attr:`gmin` the variants'
     gmin, and :meth:`note_limiting` sets ``limited`` per variant.  Each
     variant's :class:`MosfetState` is loaded before the evaluation and
-    afterwards holds views of the fresh fused arrays (the copy-on-write
-    rule of :func:`~repro.spice.devices.base.replaced_slot`).  The object
+    afterwards holds views of the fresh fused arrays, which is why no bank
+    writes a state array in place (see :class:`MosfetState`).  The object
     references the variants' state holders and simulation states, never a
     device, so no reference cycle forms.
     """
@@ -815,5 +635,3 @@ def _split_bounds(lengths) -> list:
     stops = np.cumsum(lengths).tolist()
     return list(zip([0] + stops[:-1], stops))
 
-
-Mosfet.ITERATION_BANK = MosfetBank

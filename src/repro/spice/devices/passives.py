@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ...errors import NetlistError
 from ...units import parse_value
-from .base import CompanionCapacitor, Device, stamp_conductance
+from .base import Device, stamp_conductance
 
 #: Smallest resistance accepted before it is clamped (avoids singular MNA).
 MIN_RESISTANCE = 1e-9
@@ -32,11 +32,6 @@ class Resistor(Device):
     def stamp_ac(self, system, state) -> None:
         stamp_conductance(system, self._idx[0], self._idx[1], self.conductance)
 
-    def current(self, state) -> float:
-        """Current flowing from the positive to the negative terminal."""
-        v = state.v(self._idx[0]) - state.v(self._idx[1])
-        return v * self.conductance
-
 
 class Capacitor(Device):
     """Linear capacitor ``C<name> n+ n- value [ic=v0]``.
@@ -46,7 +41,6 @@ class Capacitor(Device):
 
     PREFIX = "C"
     NUM_TERMINALS = 2
-    companion_only_accept = True
 
     def __init__(self, name: str, node_pos: str, node_neg: str, value,
                  ic: float | None = None):
@@ -55,37 +49,19 @@ class Capacitor(Device):
         if self.capacitance < 0.0:
             raise NetlistError(f"capacitor {name!r} has negative value")
         self.initial_voltage = None if ic is None else parse_value(ic)
-        self._companion = CompanionCapacitor(self.capacitance)
-
-    def clone(self) -> "Capacitor":
-        twin = super().clone()
-        twin._companion = CompanionCapacitor(self.capacitance)
-        return twin
-
-    def prepare(self, circuit) -> None:
-        # The companion bank honours ic= under use_ic (init_state).
-        self._companion = CompanionCapacitor(self.capacitance,
-                                             self.initial_voltage)
 
     def stamp(self, system, state) -> None:
-        if state.mode != "tran":
-            return  # open circuit at DC
-        self._companion.stamp_tran(system, state, self._idx[0], self._idx[1])
-
-    def stamp_constant(self, system, state) -> None:
-        """The companion stamp is handled by the builder's capacitor bank."""
+        """Nothing: open at DC, and in transient the builder's companion
+        bank stamps the capacitance (honouring ``ic=`` under ``use_ic``)."""
 
     def companion_entries(self):
-        return ((self._companion, self._idx[0], self._idx[1]),)
+        return ((self.capacitance, self._idx[0], self._idx[1],
+                 self.initial_voltage),)
 
     def stamp_ac(self, system, state) -> None:
-        self._companion.stamp_ac(system, state, self._idx[0], self._idx[1])
-
-    def accept_timestep(self, state) -> None:
-        self._companion.accept(state, self._idx[0], self._idx[1])
-
-    def current(self, state) -> float:
-        return self._companion.current(state, self._idx[0], self._idx[1])
+        if self.capacitance > 0.0:
+            stamp_conductance(system, self._idx[0], self._idx[1],
+                              1j * state.omega * self.capacitance)
 
 
 class Inductor(Device):
@@ -153,6 +129,3 @@ class Inductor(Device):
     def accept_timestep(self, state) -> None:
         self._i_prev = state.x[self.branch_index]
         self._v_prev = state.v(self._idx[0]) - state.v(self._idx[1])
-
-    def current(self, state) -> float:
-        return state.x[self.branch_index]

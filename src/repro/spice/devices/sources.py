@@ -227,11 +227,6 @@ class VoltageSource(IndependentSource):
         system.add(br, neg, -1.0)
         system.add_rhs(br, self.ac_value())
 
-    def current(self, state) -> float:
-        """Current delivered by the source (flowing out of the + terminal
-        through the external circuit)."""
-        return state.x[self.branch_index]
-
 
 class CurrentSource(IndependentSource):
     """Independent current source; current flows from n+ to n- internally."""

@@ -81,8 +81,7 @@ def loop_built_mosfet_maps(mosfets) -> dict:
 def loop_built_companion_maps(entries) -> dict:
     """The scatter maps of a :class:`CompanionCapacitorBank` over
     ``entries``, built capacitance by capacitance as before."""
-    entries = [(cap, pos, neg) for cap, pos, neg in entries
-               if cap.capacitance > 0.0]
+    entries = [(cap, pos, neg) for cap, pos, neg, _ in entries if cap > 0.0]
     m_rows, m_cols, m_cap, m_sign = [], [], [], []
     r_rows, r_cap, r_sign = [], [], []
     for k, (_cap, pos, neg) in enumerate(entries):
@@ -114,30 +113,45 @@ def loop_built_companion_maps(entries) -> dict:
 
 def per_device_init_state(builder: MNABuilder, state) -> None:
     """Transient initialisation as the devices' own ``init_state`` loop
-    did it: each capacitance's history through its scalar views (the
-    branch voltage, or ``ic=`` under ``use_ic``, and zero current), each
-    MOSFET's limiting history zeroed through its views, a diode's
-    limiting history at its junction voltage."""
+    did it, one float at a time: each capacitance's history (the branch
+    voltage, or ``ic=`` under ``use_ic``, and zero current), each MOSFET's
+    limiting history zeroed, a diode's limiting history at its junction
+    voltage.  The floats are collected in test-side lists, in the order
+    of the builder's banks, and handed to the banks as arrays."""
+    v_prev, i_prev, vgs_last, vds_last = [], [], [], []
     for device in builder.devices:
-        if isinstance(device, Mosfet):
-            for key, cap in device._caps.items():
-                pos, neg = device._cap_nodes(key)
-                cap.v_prev = state.v(pos) - state.v(neg)
-                cap.i_prev = 0.0
-            device._vgs_last = 0.0
-            device._vds_last = 0.0
-        elif isinstance(device, (Capacitor, Diode)):
-            pos, neg = device._idx
+        for capacitance, pos, neg, initial in device.companion_entries():
+            if capacitance <= 0.0:
+                continue
             v0 = state.v(pos) - state.v(neg)
-            initial = getattr(device, "initial_voltage", None)
             if initial is not None and state.use_ic:
                 v0 = initial
-            device._companion.v_prev = v0
-            device._companion.i_prev = 0.0
-            if isinstance(device, Diode):
-                device._v_last = v0
-        else:
+            v_prev.append(v0)
+            i_prev.append(0.0)
+        if isinstance(device, Mosfet):
+            vgs_last.append(0.0)
+            vds_last.append(0.0)
+        elif isinstance(device, Diode):
+            device._v_last = state.v(device._idx[0]) - state.v(device._idx[1])
+        elif not isinstance(device, Capacitor):
             device.init_state(state)
+    builder.cap_bank.v_prev = np.array(v_prev, dtype=float)
+    builder.cap_bank.i_prev = np.array(i_prev, dtype=float)
+    if builder.mosfet_bank is not None:
+        builder.mosfet_bank.newton.vgs_last = np.array(vgs_last)
+        builder.mosfet_bank.newton.vds_last = np.array(vds_last)
+
+
+def companion_slots(builder: MNABuilder) -> dict:
+    """Device name -> the slots of its capacitances in the builder's
+    companion bank (zero capacitances have none)."""
+    slots: dict[str, list] = {}
+    for device in builder.devices:
+        for entry in device.companion_entries():
+            if entry[0] > 0.0:
+                slots.setdefault(device.name, []).append(
+                    sum(map(len, slots.values())))
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +214,7 @@ def assert_maps_equal(bank, oracle: dict) -> None:
 @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
 def test_mosfet_bank_maps_are_the_loop_built_maps(circuit):
     builder = MNABuilder(CIRCUITS[circuit]())
-    (bank,) = builder.iteration_banks
+    bank = builder.mosfet_bank
     assert_maps_equal(bank, loop_built_mosfet_maps(bank.mosfets))
 
 
@@ -218,30 +232,16 @@ def test_the_grounded_circuit_drops_ground_entries():
     capacitance is no member."""
     circuit = grounded_circuit()
     builder = MNABuilder(circuit)
-    (bank,) = builder.iteration_banks
+    bank = builder.mosfet_bank
     grounded = bank.mosfets.index(circuit.device("M5"))
     assert grounded not in np.concatenate([bank._m_flat % len(bank),
                                            bank._r_flat % len(bank)])
     caps = builder.cap_bank
-    slot = caps.caps.index(circuit.device("C4")._companion)
+    slots = companion_slots(builder)
+    slot, = slots["C4"]
     assert slot not in caps._m_cap and slot not in caps._r_cap
-    assert circuit.device("C5")._companion not in caps.caps
-
-
-def test_prepare_allocates_no_private_holders():
-    """Devices a bank adopts get no one-slot holder of their own; the
-    scalar path allocates one, at zero, only when it touches a device or
-    capacitance no bank adopted."""
-    circuit = grounded_circuit()
-    builder = MNABuilder(circuit)
-    mosfet = circuit.device("M1")
-    assert mosfet._newton is builder.iteration_banks[0].newton
-    zero_cap = circuit.device("C5")._companion
-    assert zero_cap._history is None
-    assert zero_cap.v_prev == 0.0 and zero_cap._history is not None
-    loose = Mosfet("MX", "a", "b", "c", "d", "nch")
-    assert loose._newton is None
-    assert loose._vgs_last == 0.0 and loose.operating_point["ids"] == 0.0
+    assert "C5" not in slots
+    assert len(caps) == sum(map(len, slots.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +256,11 @@ def scrambled_state(builder: MNABuilder, use_ic: bool, seed: int):
     state.use_ic = use_ic
     state.x = rng.uniform(-2.0, 5.0, builder.size)
     caps = builder.cap_bank
-    caps.history.v_prev = rng.standard_normal(len(caps))
-    caps.history.i_prev = rng.standard_normal(len(caps))
-    for bank in builder.iteration_banks:
-        bank.newton.vgs_last = rng.standard_normal(len(bank))
-        bank.newton.vds_last = rng.standard_normal(len(bank))
+    caps.v_prev = rng.standard_normal(len(caps))
+    caps.i_prev = rng.standard_normal(len(caps))
+    bank = builder.mosfet_bank
+    bank.newton.vgs_last = rng.standard_normal(len(bank))
+    bank.newton.vds_last = rng.standard_normal(len(bank))
     for device in builder.devices:
         if isinstance(device, Diode):
             device._v_last = float(rng.standard_normal())
@@ -268,25 +268,15 @@ def scrambled_state(builder: MNABuilder, use_ic: bool, seed: int):
 
 
 def history_snapshot(builder: MNABuilder) -> dict:
-    """Every number the initialisation sets, read through the devices'
-    scalar views, as bytes."""
-    snapshot = {}
+    """Every number the initialisation sets, as bytes: the banks' arrays
+    and the history diodes and inductors keep themselves."""
+    caps, bank = builder.cap_bank, builder.mosfet_bank
+    snapshot = {"caps": caps.v_prev.tobytes() + caps.i_prev.tobytes(),
+                "mosfets": (bank.newton.vgs_last.tobytes()
+                            + bank.newton.vds_last.tobytes())}
     for device in builder.devices:
-        if isinstance(device, Mosfet):
-            snapshot[device.name] = np.array(
-                [device._vgs_last, device._vds_last]
-                + [value for cap in device._caps.values()
-                   if cap.capacitance > 0.0
-                   for value in (cap.v_prev, cap.i_prev)]).tobytes()
-        elif isinstance(device, (Capacitor, Diode)):
-            # A zero capacitance stamps and commits nothing: its history
-            # is never read.
-            companion = device._companion
-            values = ([companion.v_prev, companion.i_prev]
-                      if companion.capacitance > 0.0 else [])
-            if isinstance(device, Diode):
-                values.append(device._v_last)
-            snapshot[device.name] = np.array(values).tobytes()
+        if isinstance(device, Diode):
+            snapshot[device.name] = np.array([device._v_last]).tobytes()
         elif isinstance(device, Inductor):
             snapshot[device.name] = np.array(
                 [device._i_prev, device._v_prev]).tobytes()
@@ -303,17 +293,6 @@ def test_init_state_is_the_per_device_loop(circuit, use_ic):
     bank_built.init_state(state)
     per_device_init_state(looped, oracle_state)
     assert history_snapshot(bank_built) == history_snapshot(looped)
-    caps, oracle_caps = bank_built.cap_bank, looped.cap_bank
-    assert caps.history.v_prev.tobytes() == \
-        oracle_caps.history.v_prev.tobytes()
-    assert caps.history.i_prev.tobytes() == \
-        oracle_caps.history.i_prev.tobytes()
-    for bank, oracle in zip(bank_built.iteration_banks,
-                            looped.iteration_banks):
-        assert bank.newton.vgs_last.tobytes() == \
-            oracle.newton.vgs_last.tobytes()
-        assert bank.newton.vds_last.tobytes() == \
-            oracle.newton.vds_last.tobytes()
 
 
 def test_capacitor_ic_is_honoured_only_under_use_ic():
@@ -324,8 +303,9 @@ def test_capacitor_ic_is_honoured_only_under_use_ic():
         cap = builder.circuit.device("C1")
         if expected is None:
             expected = state.v(cap._idx[0])
-        assert cap._companion.v_prev == expected
-        assert cap._companion.i_prev == 0.0
+        slot, = companion_slots(builder)["C1"]
+        assert builder.cap_bank.v_prev[slot] == expected
+        assert builder.cap_bank.i_prev[slot] == 0.0
 
 
 # ---------------------------------------------------------------------------

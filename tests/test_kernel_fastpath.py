@@ -18,6 +18,7 @@ from repro.lift import BridgingFault, FaultList, OpenFault
 from repro.spice import TransientAnalysis
 from repro.spice.analysis.mna import MNABuilder
 from repro.spice.devices.base import Device
+from mosfet_oracle import build as oracle_build
 
 
 class _NullNonlinear(Device):
@@ -108,11 +109,12 @@ class TestLinearBypass:
 
 
 class TestFastPathAssembly:
-    """The constant/iteration stamp split must reproduce the legacy build."""
+    """The constant/iteration stamp split must reproduce a full reassembly
+    device by device over the per-device model (``mosfet_oracle.build``)."""
 
     @pytest.mark.parametrize("build", [build_vco,
                                        lambda: build_rc_lowpass()])
-    def test_split_assembly_matches_legacy_build(self, build):
+    def test_split_assembly_matches_the_oracle_build(self, build):
         builder = MNABuilder(build())
         state = builder.new_state("tran")
         rng = np.random.default_rng(42)
@@ -123,32 +125,24 @@ class TestFastPathAssembly:
         state.integ_c1 = 1.0
         builder.init_state(state)
 
-        legacy = builder.build(state)
-        legacy_matrix = legacy.matrix.copy()
-        legacy_rhs = legacy.rhs.copy()
-
-        # Re-run the device limiting history so both paths linearise around
-        # the same point.
-        builder.init_state(state)
+        # The oracle reads the banks' history without advancing it, so
+        # both paths linearise around the same point.
+        oracle = oracle_build(builder, state)
         builder.assemble_constant(state)
         fast = builder.build_iteration(state)
 
-        np.testing.assert_allclose(fast.matrix, legacy_matrix, rtol=1e-12)
-        np.testing.assert_allclose(fast.rhs, legacy_rhs, rtol=1e-12)
+        np.testing.assert_allclose(fast.matrix, oracle.matrix, rtol=1e-12)
+        np.testing.assert_allclose(fast.rhs, oracle.rhs, rtol=1e-12)
 
     def test_op_mode_split_assembly_matches(self):
         builder = MNABuilder(build_vco())
         state = builder.new_state("op")
         state.x = np.full(builder.size, 1.0)
-        legacy = builder.build(state)
-        legacy_matrix = legacy.matrix.copy()
-        legacy_rhs = legacy.rhs.copy()
-        for device in builder.devices:
-            device.prepare(builder.circuit)  # reset limiting history
+        oracle = oracle_build(builder, state)
         builder.assemble_constant(state)
         fast = builder.build_iteration(state)
-        np.testing.assert_allclose(fast.matrix, legacy_matrix, rtol=1e-12)
-        np.testing.assert_allclose(fast.rhs, legacy_rhs, rtol=1e-12)
+        np.testing.assert_allclose(fast.matrix, oracle.matrix, rtol=1e-12)
+        np.testing.assert_allclose(fast.rhs, oracle.rhs, rtol=1e-12)
 
 
 class TestCampaignLayer:

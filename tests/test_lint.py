@@ -70,7 +70,9 @@ def _solve_op(circuit: Circuit):
     fallbacks, so a singular topology surfaces as the undecorated
     :class:`~repro.errors.SingularMatrixError`."""
     builder = MNABuilder(circuit, SimulationOptions())
-    return builder.build(builder.new_state("op")).solve()
+    state = builder.new_state("op")
+    builder.assemble_constant(state)
+    return builder.build_iteration(state).solve()
 
 
 class TestDiagnostics:

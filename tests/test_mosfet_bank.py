@@ -14,14 +14,17 @@ record.  Two oracles pin it down:
   history from the capacitances and commits it one by one, and
   :func:`legacy_solve_newton`.  Whole transients must produce
   byte-identical print rows and equal ``stats`` either way.
-* The scalar :meth:`Mosfet.stamp_iteration` must give bitwise-identical
-  stamps, limiting history and linearisations for every device, over
-  every lane of the kernel: NMOS and PMOS, reversed channels, cutoff,
-  saturation and triode, forward body bias, ``gamma=0``, grounded
-  terminals and active limiting, alone and mixed within one bank.
+  The legacy banks keep the history the devices used to hold in
+  test-side arrays and round-trip it as the devices did.
+* The per-device model of ``mosfet_oracle.py`` must give
+  bitwise-identical stamps, limiting history and linearisations for every
+  device, over every lane of the kernel: NMOS and PMOS, reversed
+  channels, cutoff, saturation and triode, forward body bias,
+  ``gamma=0``, grounded terminals and active limiting, alone and mixed
+  within one bank.  A mutated bank constant must fail that comparison.
 
-The bank owns the Newton and companion state and the devices keep views
-of it through holders that reference no device, so a dropped circuit is
+The bank owns the Newton and companion state; each MOSFET reads its slot
+through a holder that references no device, so a dropped circuit is
 freed by reference counting alone; the last tests pin that, and that the
 operating-point and AC paths still see the last linearisation.
 """
@@ -41,7 +44,7 @@ from repro.circuits import (VCOParameters, build_vco, build_vco_layout,
                             nominal_transient_settings)
 from repro.circuits.library import build_cmos_inverter
 from repro.circuits.models import add_default_models
-from repro.errors import ConvergenceError, SingularMatrixError
+from repro.errors import AnalysisError, ConvergenceError, SingularMatrixError
 from repro.spice import (ACAnalysis, Circuit, Mosfet, OperatingPointAnalysis,
                          Resistor, TransientAnalysis, TransientOptions,
                          VoltageSource)
@@ -51,9 +54,11 @@ from repro.spice.analysis import transient as transient_module
 from repro.spice.analysis.backends import MNASystem
 from repro.spice.analysis.mna import MNABuilder
 from repro.spice.devices import DCShape
+from repro.spice.devices import mosfet as mosfet_module
 from repro.spice.devices.base import CompanionCapacitorBank
-from repro.spice.devices.mosfet import OP_KEYS
+from repro.spice.devices.mosfet import OP_KEYS, MosfetState
 from repro.spice.netlist import Model
+from mosfet_oracle import OracleMosfet
 from test_dense_kernel import per_device_init_state
 
 #: The LTE settings of the adaptive fig. 3 / fig. 5 studies.
@@ -67,8 +72,8 @@ ADAPTIVE = TransientOptions(mode="adaptive", lte_reltol=3e-3,
 
 def _fetlim_vec(v_new: np.ndarray, v_old: np.ndarray,
                 vto: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.spice.devices.limits.fetlim` (identical
-    piecewise arithmetic, evaluated elementwise)."""
+    """Vectorized :func:`mosfet_oracle.fetlim` (identical piecewise
+    arithmetic, evaluated elementwise)."""
     vt_old = v_old - vto
     vt_new = v_new - vto
     upper = 2.0 * vt_old + 2.0
@@ -84,7 +89,7 @@ def _fetlim_vec(v_new: np.ndarray, v_old: np.ndarray,
 
 
 def _limvds_vec(v_new: np.ndarray, v_old: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.spice.devices.limits.limvds`."""
+    """Vectorized :func:`mosfet_oracle.limvds`."""
     rising = v_new > v_old
     high = np.where(rising, np.minimum(v_new, 3.0 * v_old + 2.0),
                     np.where(v_new < 3.5, np.maximum(v_new, 2.0), v_new))
@@ -101,19 +106,22 @@ class LegacyMosfetBank:
     the terminal voltages, evaluates the Shichman-Hodges equations and the
     SPICE limiting functions in array form, and fills the shared system with
     two vectorized ``system.scatter`` calls.  The arithmetic mirrors
-    :meth:`Mosfet.stamp_iteration` operation for operation, so the two paths
-    produce bitwise-identical stamps.
+    :meth:`OracleMosfet.stamp_iteration` operation for operation, so the
+    two paths produce bitwise-identical stamps.
 
-    Device objects stay the owners of the limiting history and the last
-    linearisation (``_op``) *between* solves: :meth:`load_history` gathers
-    them when a solve starts and :meth:`store_history` writes them back when
-    it ends, which keeps the scalar path (legacy ``build``, the AC refresh,
-    operating-point reporting) fully consistent.
+    The holder :attr:`newton` stands for the devices, which owned the
+    limiting history and the last linearisation *between* solves:
+    :meth:`load_history` gathers the history from it when a solve starts
+    and :meth:`store_history` writes both back when it ends.
     """
 
     def __init__(self, mosfets):
         self.mosfets = list(mosfets)
         count = len(self.mosfets)
+        self.newton = MosfetState.zeros(count)
+        for slot, mosfet in enumerate(self.mosfets):
+            mosfet._newton = self.newton
+            mosfet._slot = slot
         idx = np.array([m._idx for m in self.mosfets], dtype=int)
         self._gather_clip = np.maximum(idx, 0)
         self._gather_ground = idx < 0
@@ -166,32 +174,26 @@ class LegacyMosfetBank:
 
     # ------------------------------------------------------------------
     def load_history(self) -> None:
-        """Gather the limiting history from the device objects."""
+        """Gather the limiting history from the devices' holder."""
         count = len(self.mosfets)
-        self.vgs_last = np.fromiter((m._vgs_last for m in self.mosfets),
-                                    float, count)
-        self.vds_last = np.fromiter((m._vds_last for m in self.mosfets),
-                                    float, count)
+        self.vgs_last = np.fromiter(self.newton.vgs_last.tolist(), float,
+                                    count)
+        self.vds_last = np.fromiter(self.newton.vds_last.tolist(), float,
+                                    count)
 
     def store_history(self) -> None:
-        """Write the limiting history and the last linearisation back to the
-        device objects (AC analysis and reporting read them there)."""
-        for index, mosfet in enumerate(self.mosfets):
-            mosfet._vgs_last = float(self.vgs_last[index])
-            mosfet._vds_last = float(self.vds_last[index])
-        if self._last_op is None:
-            return
-        ids, gm, gds, gmbs, vgs, vds, vbs, reverse = self._last_op
-        for index, mosfet in enumerate(self.mosfets):
-            mosfet._op = {"ids": float(ids[index]), "gm": float(gm[index]),
-                          "gds": float(gds[index]), "gmbs": float(gmbs[index]),
-                          "vgs": float(vgs[index]), "vds": float(vds[index]),
-                          "vbs": float(vbs[index]),
-                          "reverse": bool(reverse[index])}
+        """Write the limiting history and the last linearisation back to
+        the devices' holder (AC analysis and reporting read them there)."""
+        self.newton.vgs_last = np.array(self.vgs_last.tolist())
+        self.newton.vds_last = np.array(self.vds_last.tolist())
+        if self._last_op is not None:
+            self.newton.op = tuple(np.array(values.tolist())
+                                   for values in self._last_op)
 
     # ------------------------------------------------------------------
     def _threshold(self, vbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`Mosfet._threshold` (von and dvon/dvbs)."""
+        """Vectorized :meth:`OracleMosfet.threshold` (von and
+        dvon/dvbs)."""
         negative = vbs <= 0.0
         # Clamps keep the unused lane of each where() free of sqrt/division
         # warnings; the selected lane is untouched.
@@ -208,7 +210,7 @@ class LegacyMosfetBank:
         return np.where(no_body, self.vto, von), np.where(no_body, 0.0, dvon)
 
     def _drain_current(self, vgs, vds, von, dvon):
-        """Vectorized :meth:`Mosfet._drain_current` for the limited
+        """Vectorized :meth:`OracleMosfet.drain_current` for the limited
         evaluation-frame voltages."""
         vgst = vgs - von
         clm = 1.0 + self.lam * vds
@@ -261,7 +263,7 @@ class LegacyMosfetBank:
         ieq = ids - gm * vgs_f - gds * vds_f - gmbs * vbs_f
         gds_tot = gds + state.gmin
         total = gm + gds_tot + gmbs
-        # Slot values match Mosfet.stamp_iteration: slots are
+        # Slot values match OracleMosfet.stamp_iteration: slots are
         # (d,g),(d,d),(d,s),(d,b),(s,g),(s,d),(s,s),(s,b).
         v_dg = np.where(reverse, -gm, gm)
         v_dd = np.where(reverse, total, gds_tot)
@@ -282,32 +284,35 @@ class LegacyMosfetBank:
 class LegacyCompanionCapacitorBank(CompanionCapacitorBank):
     """The capacitor bank before it owned the companion history: gather
     ``v_prev``/``i_prev`` from the capacitances on every stamp and commit
-    an accepted step capacitance by capacitance."""
+    an accepted step capacitance by capacitance.  The capacitances'
+    history is held in two test-side lists, one float per capacitance."""
 
-    def _history(self) -> tuple[np.ndarray, np.ndarray]:
-        count = len(self.caps)
-        v_prev = np.fromiter((cap.v_prev for cap in self.caps), float, count)
-        i_prev = np.fromiter((cap.i_prev for cap in self.caps), float, count)
-        return v_prev, i_prev
+    @property
+    def v_prev(self) -> np.ndarray:
+        return np.fromiter(self._held_v, float, len(self._held_v))
 
-    def _ieq(self, state, geq: np.ndarray) -> np.ndarray:
-        if state.integ_pred_x is not None:
-            v_pred = self._gather(state.integ_pred_x)
-            dv_pred = self._gather(state.integ_pred_dx)
-            return self.capacitance * dv_pred - geq * v_pred
-        v_prev, i_prev = self._history()
-        return -(geq * v_prev + state.integ_c1 * i_prev)
+    @v_prev.setter
+    def v_prev(self, values) -> None:
+        self._held_v = [float(value) for value in values]
+
+    @property
+    def i_prev(self) -> np.ndarray:
+        return np.fromiter(self._held_i, float, len(self._held_i))
+
+    @i_prev.setter
+    def i_prev(self, values) -> None:
+        self._held_i = [float(value) for value in values]
 
     def accept(self, state) -> None:
-        if not self.caps:
+        if not len(self):
             return
         geq = state.integ_c0 * self.capacitance
         ieq = self._ieq(state, geq)
         v_now = self._gather(state.x)
         i_now = geq * v_now + ieq
-        for cap, v, i in zip(self.caps, v_now.tolist(), i_now.tolist()):
-            cap.v_prev = v
-            cap.i_prev = i
+        for slot, (v, i) in enumerate(zip(v_now.tolist(), i_now.tolist())):
+            self._held_v[slot] = v
+            self._held_i[slot] = i
 
 
 class LegacyBuilder(MNABuilder):
@@ -331,12 +336,12 @@ class LegacyBuilder(MNABuilder):
         return base
 
     def begin_iterations(self):
-        for bank in self.iteration_banks:
-            bank.load_history()
+        if self.mosfet_bank is not None:
+            self.mosfet_bank.load_history()
 
     def end_iterations(self):
-        for bank in self.iteration_banks:
-            bank.store_history()
+        if self.mosfet_bank is not None:
+            self.mosfet_bank.store_history()
 
 
 def legacy_solve_newton(builder, state, x0=None, max_iterations=None):
@@ -420,7 +425,7 @@ def assert_kernels_agree(make_analysis, monkeypatch) -> dict:
     per-solve history round trip and the old tolerance assembly."""
     rows, stats = print_rows_and_stats(make_analysis())
     with monkeypatch.context() as patch:
-        patch.setattr(Mosfet, "ITERATION_BANK", LegacyMosfetBank)
+        patch.setattr(mna_module, "MosfetBank", LegacyMosfetBank)
         patch.setattr(mna_module, "CompanionCapacitorBank",
                       LegacyCompanionCapacitorBank)
         patch.setattr(transient_module, "MNABuilder", LegacyBuilder)
@@ -473,8 +478,15 @@ def test_faulty_vco_matches_the_legacy_kernel(vco_faults, fault_id, timestep,
 
 
 # ---------------------------------------------------------------------------
-# Bank against the scalar device, stamp for stamp
+# Bank against the per-device oracle, stamp for stamp
 # ---------------------------------------------------------------------------
+
+def set_history(bank, history) -> None:
+    """Set the bank's limiting history to ``(vgs_last, vds_last)`` per
+    member."""
+    bank.newton.vgs_last = np.array([vgs for vgs, _ in history], dtype=float)
+    bank.newton.vds_last = np.array([vds for _, vds in history], dtype=float)
+
 
 def bank_fixture(specs, voltages, history):
     """A builder over one MOSFET per spec, the state at ``voltages`` and
@@ -483,7 +495,7 @@ def bank_fixture(specs, voltages, history):
     ``specs`` are ``(kind, terminals, params)``; terminals name nodes or
     ``"0"``.  Devices share no node except ground, so every matrix entry
     collects the stamps of one device only and the bank's slot-major
-    scatter order equals the scalar stamp order.
+    scatter order equals the per-device stamp order.
     """
     circuit = Circuit("bank")
     # Keeps the system non-empty when every terminal is grounded.
@@ -496,34 +508,32 @@ def bank_fixture(specs, voltages, history):
     builder = MNABuilder(circuit)
     state = builder.new_state("tran")
     state.x = np.array([voltages[name] for name in builder.node_names])
-    bank, = builder.iteration_banks
-    for mosfet, (vgs_last, vds_last) in zip(bank.mosfets, history):
-        mosfet._vgs_last = vgs_last
-        mosfet._vds_last = vds_last
+    bank = builder.mosfet_bank
+    set_history(bank, history)
     return builder, bank, state
 
 
 def stamp_both(specs, voltages, history):
-    """Stamp through the bank and through every scalar device from the
-    same history; return both outcomes."""
+    """Stamp through the bank and through the oracle of every device from
+    the same history; return both outcomes."""
     builder, bank, state = bank_fixture(specs, voltages, history)
-    outcomes = []
-    for stamp in (bank.stamp_iteration, None):
-        for mosfet, (vgs_last, vds_last) in zip(bank.mosfets, history):
-            mosfet._vgs_last = vgs_last
-            mosfet._vds_last = vds_last
-        system = MNASystem(builder.size)
-        state.limited = False
-        if stamp is not None:
-            stamp(system, state)
-        else:
-            for mosfet in bank.mosfets:
-                mosfet.stamp_iteration(system, state)
-        outcomes.append((
-            system.matrix.tobytes(), system.rhs.tobytes(), state.limited,
-            [(m._vgs_last, m._vds_last) for m in bank.mosfets],
-            [m.operating_point for m in bank.mosfets]))
-    return outcomes
+    system = MNASystem(builder.size)
+    state.limited = False
+    bank.stamp_iteration(system, state)
+    newton = bank.newton
+    vector = (system.matrix.tobytes(), system.rhs.tobytes(), state.limited,
+              list(zip(newton.vgs_last.tolist(), newton.vds_last.tolist())),
+              [m.operating_point for m in bank.mosfets])
+    oracles = [OracleMosfet(mosfet, vgs_last, vds_last)
+               for mosfet, (vgs_last, vds_last) in zip(bank.mosfets, history)]
+    system = MNASystem(builder.size)
+    state.limited = False
+    for oracle in oracles:
+        oracle.stamp_iteration(system, state)
+    scalar = (system.matrix.tobytes(), system.rhs.tobytes(), state.limited,
+              [(oracle.vgs_last, oracle.vds_last) for oracle in oracles],
+              [oracle.op for oracle in oracles])
+    return vector, scalar
 
 
 def assert_bitwise_equal(vector, scalar):
@@ -589,6 +599,11 @@ LANES = {
                          [(5.0, 5.0)],
                          lambda op, limited: limited and op[0]["vds"] == 2.0
                          and op[0]["vgs"] > 2.5),
+    "limiting-leaving": ([("nmos", FOUR, NMOS)],
+                         {"d": 3.0, "g": 0.0, "s": 0.0, "b": 0.0},
+                         [(3.0, 3.0)],
+                         lambda op, limited: limited and op[0]["ids"] == 0.0
+                         and op[0]["vgs"] > 0.0),
     "mixed": ([("nmos", FOUR, NMOS),
                ("pmos", ("d1", "g1", "s1", "b1"), PMOS),
                ("nmos", ("d2", "g2", "s2", "b2"), NO_BODY)],
@@ -603,11 +618,33 @@ LANES = {
 
 
 @pytest.mark.parametrize("lane", sorted(LANES))
-def test_every_kernel_lane_matches_the_scalar_device(lane):
+def test_every_kernel_lane_matches_the_oracle(lane):
     specs, voltages, history, check = LANES[lane]
     vector, scalar = stamp_both(specs, voltages, history)
     assert_bitwise_equal(vector, scalar)
     assert check(vector[4], vector[2])
+
+
+#: One mutation of a bank constant per kind of operation (limiting test,
+#: triode current, fetlim clamp, limvds cap), with the lane it must break.
+MUTATIONS = {
+    "limited-rel": ("_LIMITED_REL", 1e3, "limiting-rising"),
+    "half": ("_HALF", 0.5 + 2.0 ** -40, "nmos-triode"),
+    "fetlim-low": ("_LIMIT_LOW", -0.25, "limiting-leaving"),
+    "limvds-cap": ("_FOUR", 3.5, "limiting-rising"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_the_oracle_catches_a_mutated_bank(mutation, monkeypatch):
+    """The lane comparison still bites: a bank with one constant changed
+    no longer matches the oracle on the lane that uses it."""
+    name, value, lane = MUTATIONS[mutation]
+    specs, voltages, history, _ = LANES[lane]
+    assert_bitwise_equal(*stamp_both(specs, voltages, history))
+    monkeypatch.setattr(mosfet_module, name, np.array(value))
+    with pytest.raises(AssertionError):
+        assert_bitwise_equal(*stamp_both(specs, voltages, history))
 
 
 volts = st.floats(-6.0, 6.0, allow_nan=False)
@@ -625,7 +662,7 @@ device_specs = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(device_specs, min_size=1, max_size=4),
        st.lists(volts, min_size=16, max_size=16))
-def test_bank_stamps_are_bitwise_the_scalar_stamps(devices, node_volts):
+def test_bank_stamps_are_bitwise_the_oracle_stamps(devices, node_volts):
     specs, voltages, history = [], {}, []
     for index, (kind, terminals, params, last) in enumerate(devices):
         names = tuple(t if t == "0" else f"{t}{index}" for t in terminals)
@@ -638,11 +675,11 @@ def test_bank_stamps_are_bitwise_the_scalar_stamps(devices, node_volts):
 
 
 # ---------------------------------------------------------------------------
-# Bank-owned state: no reference cycles, views stay current
+# Bank-owned state: no reference cycles, the last linearisation is read
 # ---------------------------------------------------------------------------
 
 def test_a_dropped_transient_is_freed_by_reference_counting():
-    """Devices view the bank's state through holders that reference no
+    """Devices read the bank's state through holders that reference no
     device, so neither the banks nor the circuit sit in a reference cycle
     waiting for the cyclic collector (which made every fault variant's
     circuit outlive its simulation)."""
@@ -657,7 +694,7 @@ def test_a_dropped_transient_is_freed_by_reference_counting():
         result = run.finish()
         builder = run.builder
         watched = [circuit, circuit.device("M1"), builder,
-                   *builder.iteration_banks, builder.cap_bank]
+                   builder.mosfet_bank, builder.cap_bank]
         refs = [weakref.ref(obj) for obj in watched]
         assert result.stats["steps_accepted"] > 0
         del run, builder, watched, circuit, result
@@ -668,7 +705,7 @@ def test_a_dropped_transient_is_freed_by_reference_counting():
 
 def test_operating_point_reports_the_bank_linearisation():
     op = OperatingPointAnalysis(build_cmos_inverter(input_voltage=2.5)).run()
-    bank, = op._builder.iteration_banks
+    bank = op._builder.mosfet_bank
     for slot, mosfet in enumerate(bank.mosfets):
         record = op.device_operating_point(mosfet.name)
         assert record == {key: values[slot].item()
@@ -690,3 +727,16 @@ def test_ac_analysis_uses_the_operating_point_linearisation():
     gain = ACAnalysis(circuit, 1.0, 10.0, points=1).run().magnitude("out")
     assert gain.y[0] == pytest.approx(op["gm"] / (op["gds"] + 1.0 / 20e3),
                                       rel=1e-6)
+
+
+def test_an_unadopted_mosfet_has_no_operating_point():
+    """A MOSFET reads its operating point from the bank that adopted it;
+    one no builder has adopted says so instead of reporting zeros."""
+    mosfet = Mosfet("MX", "a", "b", "c", "d", "nch")
+    with pytest.raises(AnalysisError, match="'MX' has no operating point"):
+        mosfet.operating_point
+    circuit = build_cmos_inverter(input_voltage=2.5)
+    OperatingPointAnalysis(circuit).run()
+    assert circuit.device("MN").operating_point["gm"] > 0.0
+    with pytest.raises(AnalysisError, match="no operating point"):
+        circuit.clone().device("MN").operating_point

@@ -74,17 +74,16 @@ def bound(circuit, volts, history, gmin):
     state.gmin = gmin
     builder.assemble_constant(state)
     builder.begin_iterations()
-    bank, = builder.iteration_banks
-    for mosfet, (vgs_last, vds_last) in zip(bank.mosfets, history):
-        mosfet._vgs_last = vgs_last
-        mosfet._vds_last = vds_last
+    newton = builder.mosfet_bank.newton
+    newton.vgs_last = np.array([vgs for vgs, _ in history], dtype=float)
+    newton.vds_last = np.array([vds for _, vds in history], dtype=float)
     return builder, state
 
 
 def bank_bits(builder) -> bytes:
     """The bank's Newton state and every member's ``operating_point``, as
     bytes (so 0.0 vs -0.0 and NaN payloads count)."""
-    bank, = builder.iteration_banks
+    bank = builder.mosfet_bank
     newton = bank.newton
     parts = [newton.vgs_last.tobytes(), newton.vds_last.tobytes()]
     parts += [values.tobytes() for values in newton.op]
@@ -258,7 +257,7 @@ def test_every_lane_in_one_round():
         builder, state = bound(variant_circuit(devices, fault), volts,
                                history, gmin)
         builder.build_iteration(state)
-        ops[name] = builder.iteration_banks[0].mosfets[0].operating_point
+        ops[name] = builder.mosfet_bank.mosfets[0].operating_point
         limited[name] = state.limited
     assert ops["saturation"]["vgs"] - 0.8 < ops["saturation"]["vds"]
     assert ops["triode"]["gds"] > ops["triode"]["gm"]

@@ -90,3 +90,28 @@ def test_one_pair_and_the_table(tool):
     table = tool.format_summary(rows).splitlines()
     assert len(table) == 1 + len(DECLARED)
     assert "1/1" in table[1] and table[1].split()[-2:] == ["yes", "s"]
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved(tool):
+    """The fig. 3 ``setup_s`` case: the base's quartile distance (1.0 on
+    a median of 2.5) exceeds the 0.2 bound times the median (0.5), so no
+    pair count can tell a regression from noise."""
+    base = [2.0, 3.0, 2.0, 3.0, 2.5, 2.0, 3.0, 2.0, 3.0, 2.5]
+    found = row(tool, pairs_of(base, base))
+    assert found["base_q3"] - found["base_q1"] == pytest.approx(1.0)
+    assert found["unresolved"]
+    steady = row(tool, pairs_of([2.5, 2.6, 2.4, 2.5] * 2 + [2.5, 2.5],
+                                [2.5] * 10))
+    assert not steady["unresolved"]
+    table = tool.format_summary(tool.summarise(pairs_of(base, base),
+                                               DECLARED)).splitlines()
+    assert table[1].endswith("unresolved")
+    assert not table[2].endswith("unresolved")
+    assert table[-1].startswith("unresolved:")
+
+
+def test_a_metric_without_a_bound_is_never_unresolved(tool):
+    declared = [dict(DECLARED[0], bound=None)]
+    base = [1.0, 9.0] * 5
+    (found,) = tool.summarise(pairs_of(base, base), declared)
+    assert not found["unresolved"]

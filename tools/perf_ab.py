@@ -15,7 +15,11 @@ trees back to back and the order flips from pair to pair.
     relative change of the medians, the pairs the working tree won, and
     whether that is a gain: won in at least 9 of 10 pairs (the same
     share of other counts) and better in the median by more than the
-    distance between the base's quartiles.  ``--seed`` passes through
+    distance between the base's quartiles.  A metric whose base
+    quartile distance exceeds its ``BENCHMARK.json`` bound times the base
+    median is marked "unresolved": the base alone spreads wider than the
+    regression bound, so these pairs can neither show a regression nor
+    rule one out.  ``--seed`` passes through
     to ``run.py``.  ``make perf-ab BASE=<rev> WORKLOAD=<w> PAIRS=10``
     runs it.
 
@@ -61,7 +65,9 @@ def summarise(pairs: list, declared: list) -> list:
     tree is worse; ``won`` counts the pairs in which the new run is
     strictly better; ``gain`` needs ``won`` of at least
     :data:`WIN_SHARE` of the pairs and a median better by more than the
-    base's interquartile distance.
+    base's interquartile distance.  ``unresolved`` is set when that
+    distance exceeds the metric's declared ``bound`` (a share of the
+    median, as ``BENCHMARK.json`` gives it) times the base median.
     """
     rows = []
     for metric in declared:
@@ -72,6 +78,7 @@ def summarise(pairs: list, declared: list) -> list:
         base_median, new_median = statistics.median(base), statistics.median(new)
         base_q1, base_q3 = quartiles(base)
         new_q1, new_q3 = quartiles(new)
+        bound = metric.get("bound")
         won = sum(sign * after < sign * before
                   for before, after in zip(base, new))
         improvement = sign * (base_median - new_median)
@@ -85,6 +92,8 @@ def summarise(pairs: list, declared: list) -> list:
             "won": won, "pairs": len(pairs),
             "gain": (won >= WIN_SHARE * len(pairs)
                      and improvement > base_q3 - base_q1),
+            "unresolved": (bound is not None
+                           and base_q3 - base_q1 > bound * abs(base_median)),
         })
     return rows
 
@@ -100,7 +109,11 @@ def format_summary(rows: list) -> str:
             f"{row['new_median']:>13.6g}"
             f"{row['new_q1']:>12.6g}-{row['new_q3']:<12.6g}"
             f"{row['change']:>+9.1%}{row['won']:>4}/{row['pairs']:<3}"
-            f"  {'yes' if row['gain'] else 'no'}  {row['unit']}")
+            f"  {'yes' if row['gain'] else 'no'}  {row['unit']}"
+            + ("  unresolved" if row["unresolved"] else ""))
+    if any(row["unresolved"] for row in rows):
+        lines.append("unresolved: the base's quartile distance exceeds the "
+                     "metric's bound times its median")
     return "\n".join(lines)
 
 
