@@ -45,54 +45,81 @@ RECORD_FIELDS = ("status", "detection_time", "detected_on", "max_deviation",
                  "newton_iterations", "steps_accepted", "steps_rejected",
                  "trace_bytes", "attempt", "order_histogram")
 
-#: Settings fields excluded from the fingerprint: they configure how the
-#: engine spends memory, never what is simulated, so toggling them must
-#: not orphan a checkpoint.
-VERDICT_NEUTRAL_SETTINGS = ("stream_traces",)
+#: Identity kinds of a settings field (see :data:`IDENTITY_FIELDS`):
+#: rendered as ``name=value`` always, only while it differs from its
+#: default, or never (verdict-neutral: it changes what a run costs, never
+#: a verdict; a retired neutral key is dropped from the wire at any value).
+ALWAYS, UNLESS_DEFAULT, NEUTRAL = "always", "unless-default", "neutral"
 
 
-def _legacy_neutral_defaults() -> dict:
-    """Settings fields that are omitted from the fingerprint while they
-    hold their default value.
+@dataclasses.dataclass(frozen=True)
+class Retired:
+    """A deleted field, rendered and read from the wire at ``value``."""
 
-    These fields were added after checkpoints already existed in the wild,
-    and their defaults reproduce the pre-existing behaviour bit for bit
-    (``TransientOptions()`` *is* the legacy fixed-step driver).  Skipping
-    them at the default keeps old checkpoints resumable across the
-    upgrade; any non-default value still changes what is simulated and
-    therefore the fingerprint.  Consequence: the defaults of the listed
-    fields are frozen — changing them silently would let a checkpoint
-    resume under different simulation semantics.
+    value: object
 
-    ``preflight`` rides the same mechanism: the library default
-    (``"warn"``) keeps pre-upgrade fingerprints byte-identical, while a
-    campaign pinned to ``"error"``/``"off"`` records that policy in its
-    identity (the ``run``/``shard`` CLI defaults to ``"error"``, so
-    resuming a pre-upgrade CLI checkpoint needs ``--preflight warn``).
-    """
-    from ..spice import TransientOptions
 
-    return {"timestep": TransientOptions(), "preflight": "warn"}
+def _always(names: str) -> dict:
+    return dict.fromkeys(names.split(), ALWAYS)
+
+
+#: How each settings field enters the campaign identity, per settings
+#: class and in rendering order: the one table behind both
+#: :func:`campaign_fingerprint` and
+#: :func:`~repro.anafault.wire.settings_from_wire`.  A field added from
+#: now on gets an ``UNLESS_DEFAULT`` row after its class's last row, and
+#: a default that reproduces the old behaviour, so no existing
+#: fingerprint moves.  A field is retired by deleting it and turning its
+#: row into ``Retired(<the value it always had>)`` (or ``NEUTRAL``),
+#: never by deleting the row: the old text keeps it.
+IDENTITY_FIELDS = {
+    "CampaignSettings": _always(
+        "tstop tstep use_ic observation_nodes initial_conditions tolerances"
+        " fault_model simulator_options count_failed_as_detected"
+        " solver_backend") | {
+            "timestep": UNLESS_DEFAULT, "stream_traces": NEUTRAL,
+            "preflight": UNLESS_DEFAULT, "use_shared_memory": NEUTRAL,
+            "tail_downsample": NEUTRAL},
+    "ToleranceSettings": _always("amplitude time"),
+    "FaultModelOptions": _always("model short_resistance open_resistance"),
+    "SimulationOptions": _always(
+        "reltol vntol abstol gmin itl1 itl4 temperature integration"
+        " max_voltage_step gmin_steps source_steps min_step_fraction"),
+    "TransientOptions": _always(
+        "mode lte_reltol lte_abstol dt_min dt_max dt_initial") | {
+            "dt_grow": Retired(2.0), "dt_shrink": Retired(0.1),
+            "safety": Retired(0.9), "interpolate_prints": Retired(True),
+            "predictor_guess": Retired(True), "quantize_steps": Retired(True),
+            "solver_cache_size": Retired(16)} | _always("max_order min_order"),
+}
+
+
+def _render(value, nested: bool = True) -> str:
+    """``repr(value)``, except for a settings dataclass the table knows:
+    its fields as :data:`IDENTITY_FIELDS` renders them, wrapped in
+    ``Name(...)`` when ``nested`` (the old dataclass ``repr``)."""
+    rows = IDENTITY_FIELDS.get(type(value).__name__)
+    if rows is None or not dataclasses.is_dataclass(value):
+        return repr(value)
+    unlisted = [field.name for field in dataclasses.fields(value)
+                if field.name not in rows]
+    if unlisted:
+        raise CampaignError(f"{type(value).__name__} field(s) {unlisted} have "
+                            "no row in IDENTITY_FIELDS")
+    default, parts = type(value)(), []
+    for name, kind in rows.items():
+        if isinstance(kind, Retired):
+            parts.append(f"{name}={kind.value!r}")
+        elif kind == ALWAYS or (kind == UNLESS_DEFAULT and getattr(
+                value, name) != getattr(default, name)):
+            parts.append(f"{name}={_render(getattr(value, name))}")
+    text = ", ".join(parts)
+    return f"{type(value).__name__}({text})" if nested else text
 
 
 def _settings_text(settings) -> str:
-    """Deterministic settings serialisation for fingerprinting, with the
-    verdict-neutral engine knobs left out and later-added fields omitted
-    while they hold their (behaviour-preserving) defaults."""
-    try:
-        fields = dataclasses.fields(settings)
-    except TypeError:  # not a dataclass; fall back to the full repr
-        return repr(settings)
-    defaults = _legacy_neutral_defaults()
-    parts = []
-    for f in fields:
-        if f.name in VERDICT_NEUTRAL_SETTINGS:
-            continue
-        value = getattr(settings, f.name)
-        if f.name in defaults and value == defaults[f.name]:
-            continue
-        parts.append(f"{f.name}={value!r}")
-    return ", ".join(parts)
+    """Deterministic settings text the fingerprint hashes."""
+    return _render(settings, nested=False)
 
 
 def campaign_fingerprint(circuit: Circuit, fault_list: FaultList,
@@ -104,9 +131,10 @@ def campaign_fingerprint(circuit: Circuit, fault_list: FaultList,
     any change to what would be simulated (different netlist, reordered or
     re-weighted faults, other tolerances or transient length) yields a
     different fingerprint, and a checkpoint keyed on the old one refuses
-    to resume.  The engine-only switches (:data:`VERDICT_NEUTRAL_SETTINGS`)
-    are excluded: they change memory cost, never verdicts, so a
-    checkpoint survives toggling them.
+    to resume.  :data:`IDENTITY_FIELDS` decides how each settings field
+    enters: verdict-neutral engine switches are left out (a checkpoint
+    survives toggling them), and fields added or retired since the first
+    checkpoints keep every existing fingerprint byte for byte.
     """
     digest = hashlib.sha256()
     for part in (write_netlist(circuit), fault_list.dumps(),

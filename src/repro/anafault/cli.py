@@ -194,12 +194,9 @@ def _load_campaign(args) -> FaultSimulator:
         raise ReproError(
             "--lte-reltol tunes the adaptive LTE controller; it needs "
             "--timestep adaptive (the fixed grid has no error control)")
-    timestep = TransientOptions()
-    if args.timestep == "adaptive":
-        timestep = (TransientOptions(mode="adaptive")
-                    if args.lte_reltol is None
-                    else TransientOptions(mode="adaptive",
-                                          lte_reltol=args.lte_reltol))
+    timestep = TransientOptions(mode=args.timestep)
+    if args.lte_reltol is not None:
+        timestep.lte_reltol = args.lte_reltol
 
     defaults = CampaignSettings()
     observe = (tuple(node.strip() for node in args.observe.split(",")

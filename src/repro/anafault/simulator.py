@@ -47,10 +47,11 @@ class CampaignSettings:
     """Everything needed to run one fault simulation campaign.
 
     A settings object travels, as-is, to every process-pool worker of a
-    parallel campaign, and its ``repr`` is part of the campaign fingerprint
+    parallel campaign, and its fields are part of the campaign fingerprint
     used to key checkpoints (:func:`repro.anafault.checkpoint.\
 campaign_fingerprint`) — two campaigns resume from the same checkpoint file
-    only when their settings are identical.
+    only when their settings are identical.  A new field needs a row in
+    :data:`repro.anafault.checkpoint.IDENTITY_FIELDS`, which says how.
 
     ``stream_traces`` selects observed-node streaming (see
     ``docs/campaigns.md``); it changes trace memory, never verdicts.

@@ -40,14 +40,8 @@ import types
 import typing
 
 from ..errors import CampaignError, ReproError
-from .checkpoint import RECORD_FIELDS
+from .checkpoint import IDENTITY_FIELDS, NEUTRAL, RECORD_FIELDS, Retired
 from .simulator import CampaignSettings
-
-#: Settings fields earlier versions had and wrote into every persisted
-#: wire dict (spool descriptors keep ``settings_to_wire`` output).  Neither
-#: ever changed a verdict, so :func:`settings_from_wire` drops them,
-#: whatever their value, instead of refusing an old spool.
-RETIRED_SETTINGS = ("use_shared_memory", "tail_downsample")
 
 #: How a wire-type error names the expected JSON type of a field.
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
@@ -90,11 +84,9 @@ def settings_from_wire(wire: dict) -> CampaignSettings:
     one side of the wire only) or a value of the wrong type raises
     :class:`~repro.errors.CampaignError` naming the field.  Missing keys
     fall back to the library defaults, so an older client can talk to a
-    newer daemon, and the :data:`RETIRED_SETTINGS` keys are dropped.
+    newer daemon.  Keys of retired fields, which old spool descriptors
+    carry, are read through :data:`~.checkpoint.IDENTITY_FIELDS`.
     """
-    if isinstance(wire, dict):
-        wire = {name: value for name, value in wire.items()
-                if name not in RETIRED_SETTINGS}
     return _from_wire(CampaignSettings, wire, "")
 
 
@@ -115,6 +107,8 @@ def _from_wire(cls: type, wire: object, path: str):
             f"{type(wire).__name__}")
     prefix = f"{path}." if path else ""
     types_by_name = _field_types(cls)
+    wire = {name: value for name, value in wire.items()
+            if not _retired(cls, name, value, prefix)}
     unknown = sorted(set(wire) - set(types_by_name))
     if unknown:
         raise CampaignError(
@@ -128,6 +122,21 @@ def _from_wire(cls: type, wire: object, path: str):
         return cls(**kwargs)
     except ReproError as exc:
         raise CampaignError(f"settings wire {where}: {exc}") from exc
+
+
+def _retired(cls: type, name: str, value: object, prefix: str) -> bool:
+    """Key ``name`` of a ``cls`` wire dict is a retired field to drop
+    (refused, named, off its frozen value)."""
+    if name in _field_types(cls):
+        return False
+    kind = IDENTITY_FIELDS.get(cls.__name__, {}).get(name)
+    if isinstance(kind, Retired):
+        if not (_fits(type(kind.value), value) and value == kind.value):
+            raise CampaignError(
+                f"settings wire field {prefix + name!r} is retired and only "
+                f"accepted at its frozen value {kind.value!r}, got {value!r}")
+        return True
+    return kind == NEUTRAL
 
 
 def _value_from_wire(hint, value: object, path: str) -> object:

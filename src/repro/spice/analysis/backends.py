@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import warnings
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -95,14 +96,19 @@ def make_lu_solver(matrix: np.ndarray):
 
     Uses a cached LU decomposition when SciPy is available and falls back to
     a plain dense solve otherwise.  The returned callable raises
-    :class:`SingularMatrixError` on singular or non-finite systems.
+    :class:`SingularMatrixError` on singular or non-finite systems (with
+    SciPy, an exactly singular one raises it here instead of a warning).
     """
     linalg = _scipy("linalg")
     if linalg is not None:
-        try:
-            lu = linalg.lu_factor(matrix)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SingularMatrixError(f"MNA matrix cannot be factorised: {exc}") from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", linalg.LinAlgWarning)
+            try:
+                lu = linalg.lu_factor(matrix)
+            except (ValueError, np.linalg.LinAlgError,
+                    linalg.LinAlgWarning) as exc:
+                raise SingularMatrixError(
+                    f"MNA matrix cannot be factorised: {exc}") from exc
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             solution = linalg.lu_solve(lu, rhs)

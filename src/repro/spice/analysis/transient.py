@@ -89,6 +89,15 @@ _BDF_GROW_HOLD = {3: 1, 4: 2, 5: 5}
 #: lands on the next rung.
 _BDF_GROW_CAP = 1.5
 
+#: Step-size controller ``dt * clamp(SAFETY * (tol/lte)^(1/(p+1)),
+#: DT_SHRINK, DT_GROW)`` (a Newton failure halves the step regardless).
+DT_GROW = 2.0
+DT_SHRINK = 0.1
+SAFETY = 0.9
+
+#: Capacity of the linear-bypass path's factorisation LRU cache.
+SOLVER_CACHE_SIZE = 16
+
 
 @dataclass
 class TransientOptions:
@@ -96,17 +105,17 @@ class TransientOptions:
 
     The default (``mode="fixed"``) is a preset of the stepping loop: one
     internal sub-step per print interval, halved on Newton failure, with
-    no error control.  The preset overrides the step-size, order,
-    interpolation, predictor and quantisation knobs below (see the module
-    docstring); the fields keep their values, because a campaign's
-    fingerprint hashes them.  Campaigns pin this mode by default so that
-    checkpointed runs stay
-    bit-reproducible across resumes (the options travel inside
-    ``CampaignSettings`` and are part of the campaign fingerprint).
+    no error control.  The preset overrides the step caps and the order
+    range below (see the module docstring); the fields keep their values,
+    because a campaign's fingerprint hashes them.  Campaigns pin this mode
+    by default so that checkpointed runs stay bit-reproducible across
+    resumes (the options travel inside ``CampaignSettings`` and are part
+    of the campaign fingerprint).
 
     ``mode="adaptive"`` enables the LTE controller described in the module
-    docstring; see ``docs/integration.md`` for the estimator maths and
-    guidance on the knobs.
+    docstring (predictor-started Newton, interpolated print points, steps
+    quantised onto the ``tstep * 2^(k/2)`` ladder); see
+    ``docs/integration.md`` for the estimator maths and the knobs.
     """
 
     #: ``"fixed"`` (legacy print-step grid) or ``"adaptive"`` (LTE control).
@@ -132,31 +141,6 @@ class TransientOptions:
     #: the global error of the whole run.  (The fixed preset always
     #: starts at ``tstep``.)
     dt_initial: float | None = None
-    #: Largest step-growth factor per accepted step.
-    dt_grow: float = 2.0
-    #: Smallest step-shrink factor per rejected step.
-    dt_shrink: float = 0.1
-    #: Safety factor applied to the ``(tol/lte)^(1/(p+1))`` controller.
-    safety: float = 0.9
-    #: Fill print points by polynomial interpolation (same order as the
-    #: integration method) instead of clamping every internal step to the
-    #: next print target.  Interpolation is where the Newton-solve savings
-    #: come from; disable it to force solver output at every print point.
-    interpolate_prints: bool = True
-    #: Start each Newton solve from the divided-difference predictor
-    #: instead of the previous solution.  Under LTE control the predictor
-    #: is accurate by construction (a step whose predictor is poor gets
-    #: rejected), so this typically saves an iteration per smooth step; it
-    #: can cost iterations at very loose tolerances where steps outrun the
-    #: predictor's validity.
-    predictor_guess: bool = True
-    #: Snap adaptive steps down onto the geometric ladder
-    #: ``tstep * 2^(k/2)`` so the per-step-size factorisation caches
-    #: (LU/``freeze_solver``) see a bounded set of distinct step sizes.
-    quantize_steps: bool = True
-    #: Capacity of the per-step-size factorisation LRU cache used by the
-    #: linear-bypass path (least recently used step sizes are evicted).
-    solver_cache_size: int = 16
     #: Highest integration order the adaptive order controller may select:
     #: 1 = backward Euler, 2 = trapezoidal (or BDF-2 under
     #: ``SimulationOptions.integration="gear"``), 3..5 = BDF-k.  Fixed mode
@@ -176,12 +160,6 @@ class TransientOptions:
                 f"{', '.join(TIMESTEP_MODES)}")
         if self.lte_reltol <= 0.0 or self.lte_abstol <= 0.0:
             raise AnalysisError("LTE tolerances must be positive")
-        if not 0.0 < self.dt_shrink < 1.0:
-            raise AnalysisError("dt_shrink must be in (0, 1)")
-        if self.dt_grow < 1.0:
-            raise AnalysisError("dt_grow must be >= 1")
-        if not 0.0 < self.safety <= 1.0:
-            raise AnalysisError("safety must be in (0, 1]")
         if self.dt_min is not None and self.dt_min <= 0.0:
             raise AnalysisError("dt_min must be positive")
         if self.dt_max is not None and self.dt_max <= 0.0:
@@ -191,8 +169,6 @@ class TransientOptions:
         if (self.dt_min is not None and self.dt_max is not None
                 and self.dt_min > self.dt_max):
             raise AnalysisError("dt_min must not exceed dt_max")
-        if self.solver_cache_size < 1:
-            raise AnalysisError("solver_cache_size must be >= 1")
         if not 1 <= self.min_order <= self.max_order <= MAX_BDF_ORDER:
             raise AnalysisError(
                 f"need 1 <= min_order <= max_order <= {MAX_BDF_ORDER}, got "
@@ -642,19 +618,17 @@ class TransientRun:
             # cap by the print interval, clamp to every print point, double
             # back after a halving, BE then trap (BE under "gear"/"be").
             topts = replace(topts, dt_initial=analysis.tstep,
-                            dt_max=analysis.tstep, interpolate_prints=False,
-                            predictor_guess=False, quantize_steps=False,
-                            dt_grow=2.0, min_order=1,
+                            dt_max=analysis.tstep, min_order=1,
                             max_order=2 if self._use_trap else 1)
         #: The loop's effective controls (the fixed preset or the options).
         self._topts = topts
-        #: Predictor, LTE test and order controller (off in fixed mode).
+        #: Predictor (also the Newton guess), LTE test, order controller,
+        #: print interpolation, step quantisation and a Newton reject that
+        #: restores the saved time.  Fixed mode clamps every step to the
+        #: next print point and subtracts a rejected step back off
+        #: (``(t + dt) - dt`` can miss ``t`` by an ulp, so swapping either
+        #: rule moves the step sequence of existing records).
         self._error_control = adaptive
-        #: How a Newton reject restores the time: fixed mode subtracts the
-        #: step back off (``time -= dt``), adaptive restores the saved time.
-        #: ``(t + dt) - dt`` can miss ``t`` by an ulp, so swapping either
-        #: rule moves the step sequence of existing records.
-        self._exact_restore = adaptive
         #: Order ceiling by method ladder: "trap" (default) runs
         #: BE/trap/BDF-3..5, "gear"/"bdf" runs BE/BDF-2..5, anything else
         #: ("be") is pinned to backward Euler as it always was.
@@ -666,7 +640,7 @@ class TransientRun:
         self._min_step = analysis._dt_floor()
         self._first_step_done = False
         self._linear = builder.is_linear
-        self._lu_cache = _LRUCache(topts.solver_cache_size)
+        self._lu_cache = _LRUCache(SOLVER_CACHE_SIZE)
         self._newton_iterations = 0
         self._accepted_steps = 0
         self._rejected_steps = 0
@@ -842,10 +816,10 @@ class TransientRun:
         """Step-growth factor order ``order`` would have allowed for the
         just-accepted step, from divided differences of the history
         (including the new point), clamped to the controller's own
-        ``[dt_shrink, dt_grow]`` range.
+        ``[DT_SHRINK, DT_GROW]`` range.
 
         The clamp is load-bearing: once a method meets tolerance so
-        comfortably that its controller saturates at ``dt_grow``, *every*
+        comfortably that its controller saturates at ``DT_GROW``, *every*
         order saturates and the comparison reports a tie — so wide-open
         tolerances (or a step pinned at ``dt_max``) never flap the order.
         """
@@ -866,15 +840,15 @@ class TransientRun:
                 / _ALPHA_S[order]
         nodes = self.builder.num_nodes
         if nodes == 0:
-            return topts.dt_grow
+            return DT_GROW
         x = self.state.x
         error = weight * np.abs(dd[:nodes])
         tolerance = topts.lte_reltol * np.abs(x[:nodes]) + topts.lte_abstol
         ratio = float(np.max(error / tolerance))
         if ratio <= 0.0:
-            return topts.dt_grow
-        eta = topts.safety * ratio ** (-1.0 / (order + 1))
-        return min(max(eta, topts.dt_shrink), topts.dt_grow)
+            return DT_GROW
+        eta = SAFETY * ratio ** (-1.0 / (order + 1))
+        return min(max(eta, DT_SHRINK), DT_GROW)
 
     #: Advantage factor a neighbouring order must show over the current
     #: one before the controller moves (hysteresis against order flapping).
@@ -1004,7 +978,7 @@ class TransientRun:
 
         while not emitted and state.time < tstop - eps:
             dt = min(self._step, tstop - state.time)
-            if not topts.interpolate_prints and self._output_index < len(times):
+            if not self._error_control and self._output_index < len(times):
                 dt = min(dt, times[self._output_index] - state.time)
             clamped = dt < self._step
             while True:
@@ -1039,13 +1013,13 @@ class TransientRun:
                         self._newton_iterations += 1
                     else:
                         guess = saved_x
-                        if topts.predictor_guess and predicted is not None:
+                        if predicted is not None:
                             guess = predicted
                         yield guess
                         self._newton_iterations += \
                             state.last_newton_iterations
                 except (ConvergenceError, SingularMatrixError) as exc:
-                    if self._exact_restore:
+                    if self._error_control:
                         state.time = saved_time
                     else:
                         state.time -= dt
@@ -1088,11 +1062,10 @@ class TransientRun:
                         # Repeated LTE rejects mean the high-order history
                         # no longer describes the waveform (sharp edge).
                         self._cap_order(2 if self._use_trap else 1)
-                    shrink = topts.safety * ratio ** (-1.0 / (order + 1))
-                    shrink = min(max(shrink, topts.dt_shrink), 0.5)
+                    shrink = SAFETY * ratio ** (-1.0 / (order + 1))
+                    shrink = min(max(shrink, DT_SHRINK), 0.5)
                     dt = max(dt * shrink, dt_floor)
-                    if topts.quantize_steps:
-                        dt = max(quantize_step(dt, analysis.tstep), dt_floor)
+                    dt = max(quantize_step(dt, analysis.tstep), dt_floor)
                     self._step = dt
                     clamped = False
                     continue
@@ -1131,12 +1104,12 @@ class TransientRun:
 
             # Step-size controller for the next step.
             if ratio > 0.0:
-                grow = topts.safety * ratio ** (-1.0 / (order + 1))
-                grow = min(max(grow, topts.dt_shrink), topts.dt_grow)
+                grow = SAFETY * ratio ** (-1.0 / (order + 1))
+                grow = min(max(grow, DT_SHRINK), DT_GROW)
             else:
-                grow = topts.dt_grow
+                grow = DT_GROW
             candidate = min(max(dt * grow, dt_floor), self._dt_cap)
-            if topts.quantize_steps:
+            if self._error_control:
                 candidate = max(quantize_step(candidate, analysis.tstep),
                                 dt_floor)
             if order >= 3 and candidate > dt * (1.0 + 1e-12):
@@ -1145,11 +1118,9 @@ class TransientRun:
                 if self._steps_since_grow < _BDF_GROW_HOLD[order]:
                     candidate = dt
                 else:
-                    candidate = min(candidate, _BDF_GROW_CAP * dt)
-                    if topts.quantize_steps:
-                        candidate = max(
-                            quantize_step(candidate, analysis.tstep),
-                            dt_floor)
+                    candidate = max(
+                        quantize_step(min(candidate, _BDF_GROW_CAP * dt),
+                                      analysis.tstep), dt_floor)
             if not clamped:
                 # A step clamped to tstop/a print target says nothing about
                 # accuracy at the controller's own size; it leaves the
@@ -1178,7 +1149,7 @@ class TransientRun:
         The cache is bounded: the adaptive controller produces a changing
         (but, thanks to step quantisation, mostly recurring) set of step
         sizes, and least recently used factorisations are evicted beyond
-        ``TransientOptions.solver_cache_size``.
+        :data:`SOLVER_CACHE_SIZE`.
         """
         state = self.state
         base = self.builder.assemble_constant(state)

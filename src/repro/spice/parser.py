@@ -38,9 +38,6 @@ from .devices import (
     VoltageSource,
 )
 
-_ELEMENT_LETTERS = set("rclvidmegfhsx")
-_DIRECTIVE_RE = re.compile(r"^\s*\.")
-
 
 @dataclass
 class AnalysisRequest:
@@ -95,16 +92,6 @@ def _join_continuations(lines: list[str]) -> list[str]:
         else:
             joined.append(line.strip())
     return joined
-
-
-def _looks_like_card(line: str) -> bool:
-    stripped = line.strip()
-    if not stripped:
-        return False
-    if _DIRECTIVE_RE.match(stripped):
-        return True
-    first = stripped[0].lower()
-    return first in _ELEMENT_LETTERS and (len(stripped) > 1)
 
 
 _TOKEN_RE = re.compile(r"[^\s()=]+\([^()]*\)|[^\s=]+=\S+|[^\s]+")

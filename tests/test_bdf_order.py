@@ -73,8 +73,8 @@ def pinned_order_options(order: int, h: float) -> TransientOptions:
     keeps the order-1 startup ramp's error contribution negligible)."""
     return TransientOptions(mode="adaptive", min_order=order,
                             max_order=order, dt_initial=h / 1024,
-                            dt_min=h / 1e5, dt_max=h, quantize_steps=False,
-                            lte_reltol=1e9, lte_abstol=1e9)
+                            dt_min=h / 1e5, dt_max=h, lte_reltol=1e9,
+                            lte_abstol=1e9)
 
 
 def measured_error(order: int, h: float) -> float:
@@ -126,7 +126,7 @@ class TestSolverCacheCoefficientKey:
         options = TransientOptions(
             mode="adaptive", min_order=1, max_order=max_order,
             dt_initial=self.H, dt_min=self.H, dt_max=self.H,
-            quantize_steps=False, lte_reltol=1e9, lte_abstol=1e9)
+            lte_reltol=1e9, lte_abstol=1e9)
         run = TransientRun(TransientAnalysis(circuit, tstop=2e-6,
                                              tstep=2e-8, use_ic=True,
                                              timestep=options))

@@ -36,7 +36,8 @@ from repro.errors import CampaignError, ReproError
 from repro.lift import FaultList
 from repro.spice import parse_netlist
 
-from test_service import _record_payload, _submit_payload
+from test_service import _earlier_descriptor, _record_payload, \
+    _submit_payload
 from test_streaming import LEGACY_CHECKPOINT, _fault_list, _settings
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -147,11 +148,19 @@ def checkpoint_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The settings wire dict of a spool written before seven timestep knobs
+#: were retired (every one of its fifteen timestep keys present).
+EARLIER_WIRE = _earlier_descriptor()["payload"]["settings"]
+RETIRED_KEYS = sorted(set(EARLIER_WIRE["timestep"])
+                      - set(settings_to_wire(CampaignSettings())["timestep"]))
+
+
 @st.composite
 def settings_wires(draw):
     if draw(st.booleans()):
         return draw(JSON)
-    wire = settings_to_wire(CampaignSettings())
+    wire = json.loads(json.dumps(draw(st.sampled_from(
+        [settings_to_wire(CampaignSettings()), EARLIER_WIRE]))))
     target = wire
     nested = [name for name, value in wire.items()
               if isinstance(value, dict) and value]
@@ -268,6 +277,22 @@ class TestInputFuzz:
         except ReproError:
             return
         assert isinstance(loaded, CampaignSettings)
+
+    @FUZZ
+    @given(key=st.sampled_from(RETIRED_KEYS), value=JSON)
+    def test_retired_wire_key_loads_at_its_frozen_value_or_is_named(
+            self, key, value):
+        wire = json.loads(json.dumps(EARLIER_WIRE))
+        wire["timestep"][key] = value
+        try:
+            loaded = settings_from_wire(wire)
+        except CampaignError as exc:
+            assert f"'timestep.{key}' is retired" in str(exc)
+            assert value != EARLIER_WIRE["timestep"][key] or \
+                type(value) is not type(EARLIER_WIRE["timestep"][key])
+            return
+        assert value == EARLIER_WIRE["timestep"][key]
+        assert loaded == settings_from_wire(EARLIER_WIRE)
 
     @pytest.mark.parametrize("op, path", SERVICE_FIELDS,
                              ids=["-".join((op,) + path)

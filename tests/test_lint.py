@@ -375,6 +375,7 @@ class TestRuleRuntimeAgreement:
         with pytest.raises(SingularMatrixError):
             _solve_op(faulty)
 
+    @pytest.mark.filterwarnings("error")
     def test_campaign_survives_the_fault_the_preflight_flags(self):
         # The runtime records the refused fault as detected-by-failure;
         # the preflight names the cause *before* any transient runs.

@@ -85,3 +85,25 @@ def test_digests_see_type_stable_full_precision_values(tool):
     assert tool.canonical({"2": 1, "1": 2}) == tool.canonical({"1": 2,
                                                                "2": 1})
     assert tool.canonical(0.1) != tool.canonical(math.nextafter(0.1, 1.0))
+
+
+def test_identity_cases_name_a_fingerprint_drift(tool, rc_circuit):
+    """One identity case per campaign mode: a verdict-neutral switch
+    leaves it alone, another timestep policy moves both of its fields."""
+    from repro.anafault import CampaignSettings
+    from repro.spice import TransientOptions
+
+    from test_streaming import _fault_list
+
+    faults = _fault_list()
+    fixed = CampaignSettings()
+    base = {"cases": {
+        "identity/fixed": tool.identity_case(rc_circuit, faults, fixed)}}
+    same = {"cases": {"identity/fixed": tool.identity_case(
+        rc_circuit, faults, CampaignSettings(stream_traces=False))}}
+    moved = {"cases": {"identity/fixed": tool.identity_case(
+        rc_circuit, faults,
+        CampaignSettings(timestep=TransientOptions(mode="adaptive")))}}
+    assert tool.compare(base, same) == []
+    assert tool.compare(base, moved) == [
+        ("identity/fixed", ["fingerprint", "settings_text"])]

@@ -29,7 +29,9 @@ The multi-process chaos harness (SIGKILL mid-lease) lives in
 from __future__ import annotations
 
 import json
+import pathlib
 import re
+import shutil
 import threading
 
 import pytest
@@ -58,7 +60,21 @@ from repro.anafault.simulator import FaultSimulationRecord
 from repro.anafault.wire import parse_address
 from repro.errors import CampaignError
 from repro.lift import BridgingFault, FaultList, OpenFault, ParametricFault
+from repro.spice import TransientOptions
+from repro.spice.parser import parse_netlist
 from repro.spice.writer import write_netlist
+
+#: A spool (descriptor and queue file) of the ``_settings(timestep=
+#: TransientOptions(mode="adaptive"))`` campaign with faults 1 and 2
+#: completed, written before seven ``TransientOptions`` knobs were
+#: retired: its descriptor's settings wire dict carries all fifteen
+#: timestep keys.
+EARLIER_SPOOL = pathlib.Path(__file__).parent / "data" / "rc_adaptive_spool"
+EARLIER_JOB = "05822ba0b2c1e6ae2e8b0ed229b17d99"
+
+
+def _earlier_descriptor() -> dict:
+    return json.loads((EARLIER_SPOOL / f"{EARLIER_JOB}.job.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +432,42 @@ class TestWireFormat:
         with pytest.raises(CampaignError, match="unknown field"):
             settings_from_wire(wire)
 
+    def test_an_earlier_wire_dict_rebuilds_settings_and_fingerprint(self):
+        payload = _earlier_descriptor()["payload"]
+        assert "quantize_steps" in payload["settings"]["timestep"]
+        settings = settings_from_wire(payload["settings"])
+        assert settings == _settings(
+            timestep=TransientOptions(mode="adaptive"))
+        assert campaign_fingerprint(
+            parse_netlist(payload["netlist"]).circuit,
+            FaultList.loads(payload["faults"]), settings) == EARLIER_JOB
+
+    @pytest.mark.parametrize("key, value", [
+        ("quantize_steps", False), ("interpolate_prints", 1),
+        ("predictor_guess", None), ("dt_grow", 3.0), ("dt_shrink", "0.1"),
+        ("safety", 1.0), ("solver_cache_size", 16.0)])
+    def test_a_retired_key_off_its_frozen_value_is_refused(self, key,
+                                                           value):
+        wire = _earlier_descriptor()["payload"]["settings"]
+        wire["timestep"][key] = value
+        with pytest.raises(CampaignError,
+                           match=rf"'timestep\.{key}' is retired"):
+            settings_from_wire(wire)
+
+    @pytest.mark.parametrize("key", [
+        "dt_grow", "dt_shrink", "safety", "interpolate_prints",
+        "predictor_guess", "quantize_steps", "solver_cache_size"])
+    def test_a_retired_key_is_known_only_where_it_lived(self, key):
+        """Each retired key is dropped on its own at its frozen value, and
+        is an unknown field in any other settings class."""
+        earlier = _earlier_descriptor()["payload"]["settings"]["timestep"]
+        wire = settings_to_wire(_settings())
+        wire["timestep"][key] = earlier[key]
+        assert settings_from_wire(wire) == _settings()
+        wire["tolerances"][key] = earlier[key]
+        with pytest.raises(CampaignError, match="unknown field"):
+            settings_from_wire(wire)
+
     @pytest.mark.parametrize("payload, named", [
         (None, "payload must be a JSON object, got NoneType"),
         ([], "payload must be a JSON object, got list"),
@@ -732,6 +784,23 @@ class TestCampaignServiceProtocol:
         assert list(restarted.jobs) == [job]
         assert restarted.handle({"op": "status", "job": job})["total"] == 4
         restarted.close()
+
+    def test_an_earlier_spool_reloads_under_its_job_id(self, tmp_path):
+        """A spool written before the seven timestep knobs were retired
+        restarts under the same job id and keeps its records."""
+        spool = tmp_path / "spool"
+        shutil.copytree(EARLIER_SPOOL, spool)
+        queue = spool / f"{EARLIER_JOB}.jsonl"
+        before = queue.read_bytes()
+        restarted = CampaignService(spool, clock=FakeClock())
+        assert list(restarted.jobs) == [EARLIER_JOB]
+        status = restarted.handle({"op": "status", "job": EARLIER_JOB})
+        assert (status["completed"], status["resumed"]) == (2, 2)
+        assert status["pending"] == 2
+        results = restarted.handle({"op": "results", "job": EARLIER_JOB})
+        assert sorted(results["records"]) == ["1", "2"]
+        restarted.close()
+        assert queue.read_bytes() == before
 
     @pytest.mark.parametrize("damage, named", [
         (lambda text: text[:len(text) // 2], "JSONDecodeError"),

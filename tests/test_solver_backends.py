@@ -21,6 +21,7 @@ from repro.spice.analysis.backends import (
     DenseSolverBackend,
     SparseMNASystem,
     SparseSolverBackend,
+    make_lu_solver,
     select_backend,
     sparse_available,
 )
@@ -164,6 +165,16 @@ class TestSparseSystem:
     def test_complex_rejected(self):
         with pytest.raises(AnalysisError, match="real-valued"):
             SparseMNASystem(2, dtype=complex)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exactly_singular_lu_raises_at_factorisation_without_a_warning():
+    """SciPy reports an exactly zero pivot as a ``LinAlgWarning``; the
+    dense LU solver turns it into ``SingularMatrixError`` before any
+    solve, and lets no warning escape."""
+    matrix = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SingularMatrixError, match="cannot be factorised"):
+        make_lu_solver(matrix)
 
 
 class TestCampaignPlumbing:

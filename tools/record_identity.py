@@ -18,13 +18,18 @@ bit.  This tool makes that check one command instead of a scratch script.
     * A *fig. 3 case* is one nominal VCO transient at one control voltage
       in one timestep mode.  It hashes the print rows (time, every node
       voltage and branch current) and the run's ``stats``.
+    * An *identity case* (``identity/<mode>``) is the fig. 5 campaign of
+      one timestep mode.  It hashes the settings text and the campaign
+      fingerprint, which name checkpoints, shards and service jobs, so a
+      fingerprint drift shows even when no record moves.
 
     The ``ci`` set is the 24 most probable LIFT faults x {fixed, adaptive}
     x {``SerialExecutor()``, ``BatchedExecutor(8, early_abort=True)``},
     plus fig. 3 at 3.0 V and 4.5 V x {fixed, adaptive}.  The ``full`` set
     is all 99 faults x {fixed, adaptive} x {``SerialExecutor()``,
     ``BatchedExecutor(8)``, ``BatchedExecutor(8, workers=2)``}, plus the
-    seven fig. 3 voltages x {fixed, adaptive}.
+    seven fig. 3 voltages x {fixed, adaptive}.  Both sets have one
+    identity case per mode.
 
 ``compare A B``
     Prints every case whose digest differs (or that only one snapshot
@@ -178,6 +183,16 @@ def _timestep(mode: str):
             else TransientOptions())
 
 
+def identity_case(circuit, faults, settings) -> dict:
+    """The identity case of one campaign: its settings text and its
+    fingerprint."""
+    from repro.anafault.checkpoint import _settings_text, campaign_fingerprint
+
+    return case_digest({
+        "settings_text": _settings_text(settings),
+        "fingerprint": campaign_fingerprint(circuit, faults, settings)})
+
+
 def _fault_cases(case_set: str, log) -> dict:
     from repro.anafault import (BatchedExecutor, CampaignSettings,
                                 FaultSimulator, SerialExecutor,
@@ -199,6 +214,7 @@ def _fault_cases(case_set: str, log) -> dict:
             tolerances=ToleranceSettings(amplitude=AMPLITUDE_TOLERANCE,
                                          time=TIME_TOLERANCE),
             stream_traces=True, timestep=_timestep(mode))
+        cases[f"identity/{mode}"] = identity_case(circuit, faults, settings)
         for name, arguments in EXECUTORS[case_set].items():
             executor = (SerialExecutor() if arguments is None
                         else BatchedExecutor(**arguments))
