@@ -82,9 +82,13 @@ IDENTITY_FIELDS = {
             "tail_downsample": NEUTRAL},
     "ToleranceSettings": _always("amplitude time"),
     "FaultModelOptions": _always("model short_resistance open_resistance"),
-    "SimulationOptions": _always(
-        "reltol vntol abstol gmin itl1 itl4 temperature integration"
-        " max_voltage_step gmin_steps source_steps min_step_fraction"),
+    "SimulationOptions": {
+        "reltol": Retired(0.001), "vntol": Retired(1e-06),
+        "abstol": Retired(1e-09), "gmin": Retired(1e-12),
+        "itl1": Retired(200), "itl4": ALWAYS, "temperature": Retired(27.0),
+        "integration": Retired("trap"), "max_voltage_step": Retired(10.0),
+        "gmin_steps": Retired(10), "source_steps": Retired(10),
+        "min_step_fraction": Retired(0.00390625)},
     "TransientOptions": _always(
         "mode lte_reltol lte_abstol dt_min dt_max dt_initial") | {
             "dt_grow": Retired(2.0), "dt_shrink": Retired(0.1),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 from ..errors import CampaignError, PreflightError
 from ..lift.faultlist import FaultList
@@ -53,8 +53,11 @@ campaign_fingerprint`) — two campaigns resume from the same checkpoint file
     only when their settings are identical.  A new field needs a row in
     :data:`repro.anafault.checkpoint.IDENTITY_FIELDS`, which says how.
 
-    ``stream_traces`` selects observed-node streaming (see
-    ``docs/campaigns.md``); it changes trace memory, never verdicts.
+    Every campaign transient records only the ``observation_nodes``
+    (observed-node streaming, see ``docs/campaigns.md``): the comparator
+    reads nothing else and records never carry waveforms.
+    ``stream_traces=True`` is still accepted, as the one value the
+    deleted field ever needs.
     """
 
     #: Transient stop time [s] (paper: 4 us).
@@ -87,12 +90,6 @@ campaign_fingerprint`) — two campaigns resume from the same checkpoint file
     #: timestep options are part of the campaign fingerprint, so a
     #: checkpoint never silently mixes the two.
     timestep: TransientOptions = field(default_factory=TransientOptions)
-    #: Observed-node streaming: record only the ``observation_nodes``
-    #: traces in every campaign transient instead of the full
-    #: unknowns x time matrix (``TransientAnalysis(record_nodes=...)``).
-    #: The comparator only ever reads those nodes, so verdicts are
-    #: unaffected; worker trace memory drops proportionally.
-    stream_traces: bool = True
     #: Campaign preflight mode (:data:`PREFLIGHT_MODES`): run the static
     #: analyzer (:mod:`repro.lint`) over the netlist and fault list before
     #: anything is simulated.  ``"warn"`` (the library default) records the
@@ -102,6 +99,14 @@ campaign_fingerprint`) — two campaigns resume from the same checkpoint file
     #: (the ``run``/``shard`` CLI defaults to it); ``"off"`` skips the
     #: analysis.  Part of the campaign fingerprint when non-default.
     preflight: str = "warn"
+    #: Not a field: campaigns always stream (see the class docstring).
+    stream_traces: InitVar[bool] = True
+
+    def __post_init__(self, stream_traces: bool) -> None:
+        if stream_traces is not True:
+            raise CampaignError(
+                "CampaignSettings.stream_traces is retired: campaigns always "
+                f"record only the observation nodes, got {stream_traces!r}")
 
 
 @dataclass
@@ -135,8 +140,8 @@ class FaultSimulationRecord:
     #: (accepted / rejected sub-steps; 0 when the simulation failed).
     steps_accepted: int = 0
     steps_rejected: int = 0
-    #: Bytes of trace memory the fault's transient materialised (streaming
-    #: cuts this to the observed nodes; 0 when the simulation failed).
+    #: Bytes of trace memory the fault's transient materialised (the
+    #: observed nodes' print rows; 0 when the simulation failed).
     trace_bytes: int = 0
     #: Pickled size of this record — its IPC cost — stamped by the worker;
     #: 0 for records produced in-process (serial runs, checkpoint reloads).
@@ -355,7 +360,6 @@ class CampaignResult:
             "executor": self.executor,
             "shard_index": self.shard_index,
             "shard_count": self.shard_count,
-            "streaming": bool(getattr(self.settings, "stream_traces", False)),
             "nominal_ipc_bytes": self.nominal_ipc_bytes,
             "record_ipc_bytes_total": sum(payloads),
             "record_ipc_bytes_mean": sum(payloads) / count if count else 0.0,
@@ -449,9 +453,9 @@ class FaultSimulator:
     The campaign manager of the reproduction: runs (and caches) the nominal
     transient, then injects/simulates/classifies every fault of the list —
     serially or through the pluggable executor seam
-    (``run(executor=PoolExecutor(N))`` for a process pool) with the
-    observed-node streaming configured by the :class:`CampaignSettings`,
-    optionally appending every finished record to a resumable checkpoint
+    (``run(executor=PoolExecutor(N))`` for a process pool), recording
+    only the observed nodes of every transient, and optionally appending
+    every finished record to a resumable checkpoint
     (``run(checkpoint=path)``).  See ``docs/campaigns.md`` for the engine
     walk-through.
     """
@@ -490,7 +494,6 @@ class FaultSimulator:
         construction path shared by the nominal run and every fault
         variant, so all of them simulate under identical knobs."""
         settings = self.settings
-        streaming = bool(getattr(settings, "stream_traces", False))
         return TransientAnalysis(
             circuit, tstop=settings.tstop, tstep=settings.tstep,
             options=settings.simulator_options, use_ic=settings.use_ic,
@@ -498,9 +501,8 @@ class FaultSimulator:
             solver_backend=settings.solver_backend,
             # Observed-node streaming: the comparator only ever reads the
             # observation nodes, so nothing else needs to be materialised.
-            record_nodes=settings.observation_nodes if streaming else None,
-            record_currents=not streaming,
-            timestep=getattr(settings, "timestep", None))
+            record_nodes=settings.observation_nodes,
+            timestep=settings.timestep)
 
     def _run_transient(self, circuit: Circuit) -> tuple[dict[str, Waveform], dict]:
         settings = self.settings

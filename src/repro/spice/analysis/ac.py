@@ -8,7 +8,7 @@ from ...errors import AnalysisError
 from ..netlist import Circuit, normalize_node
 from ..waveform import Waveform
 from .dc import solve_operating_point
-from .mna import MNABuilder, SimulationOptions
+from .mna import MNABuilder
 
 
 class ACResult:
@@ -50,8 +50,7 @@ class ACAnalysis:
     """SPICE ``.ac dec|lin n fstart fstop`` equivalent."""
 
     def __init__(self, circuit: Circuit, fstart: float, fstop: float,
-                 points: int = 10, sweep: str = "dec",
-                 options: SimulationOptions | None = None):
+                 points: int = 10, sweep: str = "dec"):
         if fstart <= 0.0 or fstop <= 0.0 or fstop < fstart:
             raise AnalysisError("invalid AC frequency range")
         if points < 1:
@@ -63,7 +62,6 @@ class ACAnalysis:
         self.fstop = float(fstop)
         self.points = int(points)
         self.sweep = sweep
-        self.options = options or SimulationOptions()
 
     def frequencies(self) -> np.ndarray:
         if self.sweep == "lin":
@@ -73,7 +71,7 @@ class ACAnalysis:
         return np.logspace(np.log10(self.fstart), np.log10(self.fstop), count)
 
     def run(self) -> ACResult:
-        builder = MNABuilder(self.circuit, self.options)
+        builder = MNABuilder(self.circuit)
         # Linearise around the DC operating point.
         op_solution = solve_operating_point(builder)
         op_state = builder.new_state("op")

@@ -7,8 +7,16 @@ import numpy as np
 from ...errors import AnalysisError, ConvergenceError, SingularMatrixError
 from ..netlist import Circuit, normalize_node, GROUND
 from ..waveform import Waveform
-from .mna import MNABuilder, SimulationOptions
+from .mna import GMIN, MNABuilder
 from .newton import solve_newton
+
+#: Homotopy of :func:`solve_operating_point` when the plain Newton solve
+#: fails: gmin stepping from ``GMIN_START`` down to :data:`~.mna.GMIN` in
+#: ``GMIN_STEPS`` decades-spaced solves, then source stepping in
+#: ``SOURCE_STEPS`` equal increments.
+GMIN_START = 1e-2
+GMIN_STEPS = 10
+SOURCE_STEPS = 10
 
 
 class OperatingPoint:
@@ -56,12 +64,11 @@ class OperatingPoint:
 class OperatingPointAnalysis:
     """DC operating point with gmin and source stepping fallbacks."""
 
-    def __init__(self, circuit: Circuit, options: SimulationOptions | None = None):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.options = options or SimulationOptions()
 
     def run(self, initial_guess: dict[str, float] | None = None) -> OperatingPoint:
-        builder = MNABuilder(self.circuit, self.options)
+        builder = MNABuilder(self.circuit)
         solution = solve_operating_point(builder, initial_guess)
         return OperatingPoint(builder, solution)
 
@@ -85,37 +92,34 @@ def solve_operating_point(builder: MNABuilder,
     Tries a plain Newton solve first, then gmin stepping, then source
     stepping.  Raises :class:`ConvergenceError` if all strategies fail.
     """
-    options = builder.options
     x0 = _initial_vector(builder, initial_guess)
 
     state = builder.new_state("op")
     try:
-        return solve_newton(builder, state, x0=x0, max_iterations=options.itl1)
+        return solve_newton(builder, state, x0=x0)
     except (ConvergenceError, SingularMatrixError):
         pass
 
     # --- gmin stepping -------------------------------------------------
     x = x0.copy()
     try:
-        gmin_start = 1e-2
-        steps = max(options.gmin_steps, 1)
-        factors = np.logspace(np.log10(gmin_start), np.log10(options.gmin), steps)
+        factors = np.logspace(np.log10(GMIN_START), np.log10(GMIN),
+                              GMIN_STEPS)
         for gmin in factors:
             state = builder.new_state("op")
             state.gmin = float(gmin)
-            x = solve_newton(builder, state, x0=x, max_iterations=options.itl1)
+            x = solve_newton(builder, state, x0=x)
         return x
     except (ConvergenceError, SingularMatrixError):
         pass
 
     # --- source stepping ------------------------------------------------
     x = x0.copy()
-    steps = max(options.source_steps, 2)
     try:
-        for factor in np.linspace(1.0 / steps, 1.0, steps):
+        for factor in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS):
             state = builder.new_state("op")
             state.source_factor = float(factor)
-            x = solve_newton(builder, state, x0=x, max_iterations=options.itl1)
+            x = solve_newton(builder, state, x0=x)
         return x
     except (ConvergenceError, SingularMatrixError) as exc:
         raise ConvergenceError(
@@ -161,8 +165,7 @@ class DCSweepAnalysis:
     """
 
     def __init__(self, circuit: Circuit, source_name: str, start: float,
-                 stop: float, step: float,
-                 options: SimulationOptions | None = None):
+                 stop: float, step: float):
         if step == 0.0:
             raise AnalysisError("DC sweep step must be non-zero")
         self.circuit = circuit
@@ -170,10 +173,9 @@ class DCSweepAnalysis:
         self.start = float(start)
         self.stop = float(stop)
         self.step = float(step)
-        self.options = options or SimulationOptions()
 
     def run(self) -> DCSweepResult:
-        builder = MNABuilder(self.circuit, self.options)
+        builder = MNABuilder(self.circuit)
         # Validate that the source exists and is an independent source.
         source = self.circuit.device(self.source_name)
         if not hasattr(source, "source_value"):

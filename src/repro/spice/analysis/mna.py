@@ -9,7 +9,6 @@ backward compatibility.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -27,74 +26,46 @@ __all__ = ["MNABuilder", "MNASystem", "SimState", "SimulationOptions",
            "make_lu_solver"]
 
 
+#: Relative convergence tolerance on solution variables.
+RELTOL = 1e-3
+#: Absolute voltage tolerance [V] (node rows).
+VNTOL = 1e-6
+#: Absolute current tolerance [A] (branch rows).
+ABSTOL = 1e-9
+#: Minimum conductance stamped on every node diagonal [S].
+GMIN = 1e-12
+#: Maximum Newton iterations of an operating-point solve.
+ITL1 = 200
+#: Simulation temperature [degrees Celsius].
+TEMPERATURE = DEFAULT_TEMPERATURE_C
+#: Largest node-voltage change applied per Newton iteration [V].
+MAX_VOLTAGE_STEP = 10.0
+#: Smallest internal transient step as a fraction of the print step.
+MIN_STEP_FRACTION = 1.0 / 256.0
+
+
 @dataclass
 class SimulationOptions:
-    """Tuning knobs shared by all analyses (SPICE ``.options`` equivalent)."""
+    """The one tuning knob of the transient analysis (SPICE ``.options``
+    equivalent); the other simulator settings are the constants above."""
 
-    #: Relative convergence tolerance on solution variables.
-    reltol: float = 1e-3
-    #: Absolute voltage tolerance [V].
-    vntol: float = 1e-6
-    #: Absolute current tolerance [A] (branch unknowns).
-    abstol: float = 1e-9
-    #: Minimum conductance stamped on every node diagonal [S].
-    gmin: float = 1e-12
-    #: Maximum Newton iterations for the operating point.
-    itl1: int = 200
     #: Maximum Newton iterations per transient timestep.
     itl4: int = 60
-    #: Simulation temperature [degrees Celsius].
-    temperature: float = DEFAULT_TEMPERATURE_C
-    #: Transient integration method ladder: "trap" (default; BE first
-    #: step, trapezoidal, BDF-3..5 under the adaptive order controller),
-    #: "gear"/"bdf" (BE first step, then BDF-2..5) or "be" (backward
-    #: Euler pinned at order 1).
-    integration: str = "trap"
-    #: Largest node-voltage change applied per Newton iteration [V].
-    max_voltage_step: float = 10.0
-    #: Number of decades for gmin stepping when the plain OP fails.
-    gmin_steps: int = 10
-    #: Number of source-stepping increments when gmin stepping also fails.
-    source_steps: int = 10
-    #: Smallest internal transient step as a fraction of the print step.
-    min_step_fraction: float = 1.0 / 256.0
 
     def __post_init__(self) -> None:
-        def invalid(name: str, requirement: str):
-            return AnalysisError(
-                f"SimulationOptions.{name} must be {requirement}, got "
-                f"{getattr(self, name)!r}")
-
-        def real(value) -> bool:
-            return (isinstance(value, numbers.Real)
-                    and not isinstance(value, bool) and math.isfinite(value))
-
-        for name in ("itl1", "itl4"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Integral)
-                    or isinstance(value, bool) or value < 1):
-                raise invalid(name, "an integer >= 1")
-        for name in ("reltol", "vntol", "abstol"):
-            value = getattr(self, name)
-            if not real(value) or value <= 0.0:
-                raise invalid(name, "finite and > 0")
-        for name in ("gmin", "max_voltage_step"):
-            value = getattr(self, name)
-            if not real(value) or value < 0.0:
-                raise invalid(name, "finite and >= 0")
-        method = self.integration
-        if not (isinstance(method, str)
-                and (method.lower().startswith("trap")
-                     or method.lower() in ("gear", "bdf", "be"))):
-            raise invalid("integration", 'one of "trap", "gear", "bdf" or "be"')
+        value = self.itl4
+        if (not isinstance(value, numbers.Integral)
+                or isinstance(value, bool) or value < 1):
+            raise AnalysisError(
+                f"SimulationOptions.itl4 must be an integer >= 1, got "
+                f"{value!r}")
 
 
 class SimState:
     """Mutable per-analysis state shared with the device stamps."""
 
-    def __init__(self, size: int, options: SimulationOptions, mode: str = "op"):
+    def __init__(self, size: int, mode: str = "op"):
         self.mode = mode
-        self.options = options
         self.x = np.zeros(size)
         self.time = 0.0
         self.dt = 0.0
@@ -114,8 +85,8 @@ class SimState:
         #: factorisation caches valid across BDF orders.
         self.integ_pred_x: np.ndarray | None = None
         self.integ_pred_dx: np.ndarray | None = None
-        self.gmin = options.gmin
-        self.temperature = options.temperature
+        self.gmin = GMIN
+        self.temperature = TEMPERATURE
         #: Scale factor applied to independent sources (source stepping).
         self.source_factor = 1.0
         #: Per-source value overrides (used by DC sweeps), keyed by name.
@@ -180,13 +151,17 @@ class MNABuilder:
     of the backend.
     """
 
-    def __init__(self, circuit: Circuit, options: SimulationOptions | None = None,
-                 solver_backend=None):
+    def __init__(self, circuit: Circuit, solver_backend=None):
         self.circuit = circuit
-        self.options = options or SimulationOptions()
         self.devices = circuit.devices
+        # One merged parameter mapping per MOSFET model card, shared by
+        # the devices of that card.
+        mosfet_params: dict = {}
         for device in self.devices:
-            device.prepare(circuit)
+            if isinstance(device, Mosfet):
+                device.prepare(circuit, mosfet_params)
+            else:
+                device.prepare(circuit)
         self.node_names = circuit.nodes()
         self.node_index = {name: i for i, name in enumerate(self.node_names)}
         next_index = len(self.node_names)
@@ -223,6 +198,10 @@ class MNABuilder:
             d for d in self.devices
             if type(d).accept_timestep is not _Device.accept_timestep]
         self._diagonal = np.arange(self.num_nodes)
+        tolerance = np.full(self.size, ABSTOL)
+        tolerance[:self.num_nodes] = VNTOL
+        tolerance.flags.writeable = False
+        self._tolerance = tolerance
         if isinstance(solver_backend, SolverBackend):
             self.backend = solver_backend
         else:
@@ -237,7 +216,7 @@ class MNABuilder:
 
     # ------------------------------------------------------------------
     def new_state(self, mode: str) -> SimState:
-        return SimState(self.size, self.options, mode)
+        return SimState(self.size, mode)
 
     def assemble_constant(self, state: SimState):
         """Assemble the iteration-constant base system for one Newton solve."""
@@ -276,13 +255,11 @@ class MNABuilder:
         """Per-solve setup of the build_iteration loop; call once before it.
 
         Returns the absolute convergence tolerance of every unknown
-        (``vntol`` on node rows, ``abstol`` on branch rows).  The banks
-        keep their Newton state across solves, so nothing is loaded.
+        (:data:`VNTOL` on node rows, :data:`ABSTOL` on branch rows), one
+        read-only vector built with the builder.  The banks keep their
+        Newton state across solves, so nothing is loaded.
         """
-        options = self.options
-        tolerance = np.full(self.size, options.abstol)
-        tolerance[:self.num_nodes] = options.vntol
-        return tolerance
+        return self._tolerance
 
     def end_iterations(self) -> None:
         """Per-solve teardown of the build_iteration loop; call once after

@@ -16,7 +16,8 @@ from collections import OrderedDict
 import numpy as np
 
 from ...errors import ConvergenceError, SingularMatrixError
-from .mna import FusedIteration, MNABuilder, SimState
+from .mna import (ITL1, MAX_VOLTAGE_STEP, RELTOL, FusedIteration,
+                  MNABuilder, SimState)
 
 #: Round plans a :class:`NewtonRound` keeps, least recently used dropped.
 #: A plan holds about 5 kB plus 15 kB per fused VCO variant.  Measured over
@@ -39,8 +40,7 @@ def newton_iterations(builder: MNABuilder, state: SimState,
     the converged ``state.x`` and raises what :func:`solve_newton` raises.
     A fully linear circuit is solved without yielding.
     """
-    options = builder.options
-    limit = max_iterations if max_iterations is not None else options.itl1
+    limit = max_iterations if max_iterations is not None else ITL1
     if x0 is not None:
         state.x = np.array(x0, dtype=float, copy=True)
     has_nonlinear = bool(builder.nonlinear_devices)
@@ -58,8 +58,7 @@ def newton_iterations(builder: MNABuilder, state: SimState,
 
     abs_tolerance = builder.begin_iterations()
     # A 0-d operand: numpy 2 wraps a Python float anew on every call.
-    reltol = np.array(options.reltol)
-    max_step = options.max_voltage_step
+    reltol = np.array(RELTOL)
     try:
         previous = state.x.copy()
         for iteration in range(1, limit + 1):
@@ -77,10 +76,10 @@ def newton_iterations(builder: MNABuilder, state: SimState,
             abs_delta = np.abs(delta)
             # Damp excessive node-voltage excursions to keep the device
             # linearisations in a sane region.
-            if max_step > 0.0 and num_nodes > 0:
+            if num_nodes > 0:
                 worst = abs_delta[:num_nodes].max()
-                if worst > max_step:
-                    delta *= max_step / worst
+                if worst > MAX_VOLTAGE_STEP:
+                    delta *= MAX_VOLTAGE_STEP / worst
                     solution = state.x + delta
                     abs_delta = np.abs(delta)
 
@@ -140,7 +139,7 @@ def solve_newton(builder: MNABuilder, state: SimState,
     x0:
         Initial guess (defaults to the current ``state.x``).
     max_iterations:
-        Iteration limit (defaults to ``options.itl1``).
+        Iteration limit (defaults to :data:`~.mna.ITL1`).
 
     Raises
     ------

@@ -8,8 +8,7 @@ timestep policies of :class:`TransientOptions` are presets of its controls:
     print interval, every step is clamped to the next print point, a
     Newton failure halves the step and accepted steps double it back.  No
     error control runs (no predictor, no LTE test, no order changes), and
-    the order is backward Euler for the first step, trapezoidal after it
-    (backward Euler throughout unless ``integration="trap"``).
+    the order is backward Euler for the first step, trapezoidal after it.
     Bit-reproducible run to run, which is what the campaign checkpoints key
     on.
 
@@ -53,7 +52,7 @@ from ...errors import (AnalysisError, ConvergenceError, SingularMatrixError,
 from ..netlist import Circuit, normalize_node, GROUND
 from ..waveform import Waveform
 from .dc import solve_operating_point
-from .mna import MNABuilder, SimulationOptions
+from .mna import MIN_STEP_FRACTION, MNABuilder, SimulationOptions
 from .newton import newton_iterations, solve_newton
 
 #: Hard ceiling on the number of print points (guards against pathological
@@ -125,26 +124,25 @@ class TransientOptions:
     #: Absolute LTE tolerance per node voltage [V].
     lte_abstol: float = 1e-6
     #: Hard floor on the internal step [s]; ``None`` uses
-    #: ``tstep * SimulationOptions.min_step_fraction``.  When the controller
-    #: is driven to the floor and the step still fails, the run aborts with
-    #: :class:`~repro.errors.TransientError` instead of looping towards
-    #: denormal step sizes.
+    #: ``tstep * MIN_STEP_FRACTION`` (1/256 of the print step).  When the
+    #: controller is driven to the floor and the step still fails, the run
+    #: aborts with :class:`~repro.errors.TransientError` instead of looping
+    #: towards denormal step sizes.
     dt_min: float | None = None
     #: Ceiling on the internal step [s]; ``None`` uses ``8 * tstep`` in
     #: adaptive mode (the print interval itself bounds fixed mode).
     dt_max: float | None = None
     #: First internal step [s] of an adaptive run; ``None`` uses
-    #: ``tstep * SimulationOptions.min_step_fraction``.  The first step has
-    #: no history to estimate LTE from, so it is taken small and the
-    #: controller grows out of it within a few steps; an uncontrolled
-    #: full-``tstep`` backward-Euler first step would otherwise dominate
-    #: the global error of the whole run.  (The fixed preset always
+    #: ``tstep * MIN_STEP_FRACTION``.  The first step has no history to
+    #: estimate LTE from, so it is taken small and the controller grows
+    #: out of it within a few steps; an uncontrolled full-``tstep``
+    #: backward-Euler first step would otherwise dominate the global
+    #: error of the whole run.  (The fixed preset always
     #: starts at ``tstep``.)
     dt_initial: float | None = None
     #: Highest integration order the adaptive order controller may select:
-    #: 1 = backward Euler, 2 = trapezoidal (or BDF-2 under
-    #: ``SimulationOptions.integration="gear"``), 3..5 = BDF-k.  Fixed mode
-    #: and ``integration="be"`` ignore it.
+    #: 1 = backward Euler, 2 = trapezoidal, 3..5 = BDF-k.  Fixed mode
+    #: ignores it.
     max_order: int = MAX_BDF_ORDER
     #: Lowest order the controller may select once the startup ramp has
     #: built enough history (the ramp itself always starts at order 1).
@@ -386,13 +384,12 @@ class TransientAnalysis:
         :mod:`repro.spice.analysis.backends`.  The backend actually used is
         recorded in ``TransientResult.stats["solver_backend"]``.
     record_nodes:
-        ``None`` (default) records every node and — subject to
-        ``record_currents`` — every branch current, materialising the full
-        unknowns × time trace matrix.  A sequence of node names switches to
-        *observed-node streaming*: only those nodes are recorded at print
-        resolution, cutting trace memory from ``O(size × points)`` to
-        ``O(observed × points)`` (the campaign layer uses this for its
-        comparator nodes).  Unknown node names raise
+        ``None`` (default) records every node and every branch current,
+        materialising the full unknowns × time trace matrix.  A sequence
+        of node names switches to *observed-node streaming*: only those
+        nodes are recorded at print resolution, cutting trace memory from
+        ``O(size × points)`` to ``O(observed × points)`` (the campaign
+        layer uses this for its comparator nodes).  Unknown node names raise
         :class:`~repro.errors.AnalysisError` up front.
     timestep:
         Timestep-control policy: a :class:`TransientOptions` instance, a
@@ -411,7 +408,6 @@ class TransientAnalysis:
                  options: SimulationOptions | None = None,
                  use_ic: bool = False,
                  initial_conditions: dict[str, float] | None = None,
-                 record_currents: bool = True,
                  solver_backend: str | None = None,
                  record_nodes=None,
                  timestep: TransientOptions | str | None = None):
@@ -425,7 +421,6 @@ class TransientAnalysis:
         self.options = options or SimulationOptions()
         self.use_ic = use_ic
         self.initial_conditions = dict(initial_conditions or {})
-        self.record_currents = record_currents
         self.solver_backend = solver_backend
         self.record_nodes = (None if record_nodes is None
                              else tuple(record_nodes))
@@ -477,7 +472,7 @@ class TransientAnalysis:
         times = self.tstep * np.arange(num_full + 1)
         remainder = self.tstop - float(times[-1])
         if remainder > 1e-9 * self.tstep:
-            if remainder < self.tstep * self.options.min_step_fraction:
+            if remainder < self.tstep * MIN_STEP_FRACTION:
                 warnings.warn(
                     f"tstop={self.tstop:g} leaves a final print interval of "
                     f"{remainder:g}s, far below tstep={self.tstep:g}; "
@@ -512,7 +507,7 @@ class TransientAnalysis:
         """Hard floor on the internal step [s] (the ``dt_min`` knob)."""
         if self.timestep.dt_min is not None:
             return self.timestep.dt_min
-        return self.tstep * self.options.min_step_fraction
+        return self.tstep * MIN_STEP_FRACTION
 
     def _recorded_columns(self, builder: MNABuilder):
         """Resolve ``record_nodes`` to ``(column indices, [(name,
@@ -585,7 +580,7 @@ class TransientRun:
     def __init__(self, analysis: TransientAnalysis):
         """Solve the initial state of ``analysis`` and allocate buffers."""
         self.analysis = analysis
-        builder = MNABuilder(analysis.circuit, analysis.options,
+        builder = MNABuilder(analysis.circuit,
                              solver_backend=analysis.solver_backend)
         self.builder = builder
 
@@ -611,15 +606,12 @@ class TransientRun:
 
         topts = analysis.timestep
         adaptive = topts.mode == "adaptive"
-        integration = analysis.options.integration.lower()
-        self._use_trap = integration.startswith("trap")
         if not adaptive:
             # Fixed mode is a preset of the one stepping loop: start at and
             # cap by the print interval, clamp to every print point, double
-            # back after a halving, BE then trap (BE under "gear"/"be").
+            # back after a halving, BE then trap.
             topts = replace(topts, dt_initial=analysis.tstep,
-                            dt_max=analysis.tstep, min_order=1,
-                            max_order=2 if self._use_trap else 1)
+                            dt_max=analysis.tstep, min_order=1, max_order=2)
         #: The loop's effective controls (the fixed preset or the options).
         self._topts = topts
         #: Predictor (also the Newton guess), LTE test, order controller,
@@ -629,14 +621,9 @@ class TransientRun:
         #: (``(t + dt) - dt`` can miss ``t`` by an ulp, so swapping either
         #: rule moves the step sequence of existing records).
         self._error_control = adaptive
-        #: Order ceiling by method ladder: "trap" (default) runs
-        #: BE/trap/BDF-3..5, "gear"/"bdf" runs BE/BDF-2..5, anything else
-        #: ("be") is pinned to backward Euler as it always was.
-        if self._use_trap or integration in ("gear", "bdf"):
-            self._max_order = topts.max_order
-        else:
-            self._max_order = 1
-        self._min_order = min(topts.min_order, self._max_order)
+        #: Order range of the ladder: 1 = BE, 2 = trap, 3..5 = BDF-k.
+        self._max_order = topts.max_order
+        self._min_order = topts.min_order
         self._min_step = analysis._dt_floor()
         self._first_step_done = False
         self._linear = builder.is_linear
@@ -660,7 +647,7 @@ class TransientRun:
         if topts.dt_initial is not None:
             step = topts.dt_initial
         else:
-            step = analysis.tstep * analysis.options.min_step_fraction
+            step = analysis.tstep * MIN_STEP_FRACTION
         self._step = min(max(step, self._min_step), self._dt_cap)
         self._last_ratio = 0.0
         #: Order the controller wants next (effective order additionally
@@ -738,23 +725,15 @@ class TransientRun:
             k -= 1
         return k
 
-    def _min_history(self, order: int) -> int:
+    @staticmethod
+    def _min_history(order: int) -> int:
         """Accepted history points required to run at ``order``."""
-        if order == 2 and self._use_trap:
-            return 2
-        return order + 1
+        return 2 if order == 2 else order + 1
 
-    def _method_for(self, order: int) -> str:
-        """Integration method implementing ``order``: be / trap / bdf."""
-        if order == 1:
-            return "be"
-        if order == 2 and self._use_trap:
-            return "trap"
-        return "bdf"
-
-    def _cap_order(self, ceiling: int) -> None:
-        """Clamp the desired order (history invalidation heuristics)."""
-        ceiling = max(ceiling, self._min_order)
+    def _cap_order(self) -> None:
+        """Clamp the desired order to the BE/trap pair (history
+        invalidation heuristics)."""
+        ceiling = max(2, self._min_order)
         if self._desired_order > ceiling:
             self._desired_order = ceiling
             self._order_hold = 2
@@ -766,7 +745,7 @@ class TransientRun:
             self._order_changes += 1
         self._last_order = order
 
-    def _lte_coefficient(self, method: str, order: int, dt: float) -> float:
+    def _lte_coefficient(self, order: int, dt: float) -> float:
         """Factor turning the corrector-predictor difference of a step of
         size ``dt`` into its local truncation error.
 
@@ -783,9 +762,9 @@ class TransientRun:
           reduces to the two above at orders 1/2 on their own methods).
         """
         times = self._history.times
-        if method == "be":
+        if order == 1:
             return dt / (2.0 * dt + (times[-1] - times[-2]))
-        if method == "trap":
+        if order == 2:
             h1 = times[-1] - times[-2]
             h2 = times[-2] - times[-3]
             return dt * dt / (dt * dt + 2.0 * (dt + h1) * (dt + h1 + h2))
@@ -830,7 +809,7 @@ class TransientRun:
         if order == 1:
             # BE: LTE = h^2/2 * x'' and x'' ~ 2*dd2.
             weight = dt * dt
-        elif order == 2 and self._use_trap:
+        elif order == 2:
             # trap: LTE = h^3/12 * x''' and x''' ~ 6*dd3.
             weight = dt ** 3 / 2.0
         else:
@@ -983,13 +962,14 @@ class TransientRun:
             clamped = dt < self._step
             while True:
                 order = self._effective_order()
-                method = self._method_for(order)
-                # BDF always has its order+1 points (_effective_order).
+                # Order 1 is BE, 2 trap, 3..5 BDF, which always has its
+                # order+1 points (_effective_order).
+                bdf = order >= 3
                 predicted = slope = None
                 if self._error_control and len(history) > order:
                     predicted, slope = history.newton(
-                        state.time + dt, order + 1, slope=method == "bdf")
-                if method == "bdf":
+                        state.time + dt, order + 1, slope=bdf)
+                if bdf:
                     state.integ_c0 = _ALPHA_S[order] / dt
                     state.integ_c1 = 0.0
                     state.integ_pred_x = predicted
@@ -997,7 +977,7 @@ class TransientRun:
                 else:
                     state.integ_pred_x = None
                     state.integ_pred_dx = None
-                    if method == "trap":
+                    if order == 2:
                         state.integ_c0 = 2.0 / dt
                         state.integ_c1 = 1.0
                     else:
@@ -1028,7 +1008,7 @@ class TransientRun:
                     # A Newton failure usually marks a discontinuity; the
                     # polynomial history across it is worthless, so drop
                     # back to the legacy pair while re-trying smaller.
-                    self._cap_order(2 if self._use_trap else 1)
+                    self._cap_order()
                     if dt <= dt_floor * (1.0 + 1e-9):
                         detail = (f"last LTE ratio {self._last_ratio:.3g}, "
                                   if self._error_control else "")
@@ -1043,7 +1023,7 @@ class TransientRun:
                 ratio = 0.0
                 if predicted is not None:
                     ratio = self._lte_ratio(
-                        self._lte_coefficient(method, order, dt), state.x,
+                        self._lte_coefficient(order, dt), state.x,
                         predicted, saved_x)
                     self._last_ratio = ratio
                 if ratio > 1.0:
@@ -1061,7 +1041,7 @@ class TransientRun:
                     if self._lte_rejects_in_row >= 2:
                         # Repeated LTE rejects mean the high-order history
                         # no longer describes the waveform (sharp edge).
-                        self._cap_order(2 if self._use_trap else 1)
+                        self._cap_order()
                     shrink = SAFETY * ratio ** (-1.0 / (order + 1))
                     shrink = min(max(shrink, DT_SHRINK), 0.5)
                     dt = max(dt * shrink, dt_floor)
@@ -1172,12 +1152,9 @@ class TransientRun:
         if select is None:
             node_traces = {name: data[:, index]
                            for name, index in builder.node_index.items()}
-            branch_traces = {}
-            if analysis.record_currents:
-                branch_traces = {device.name.lower():
-                                 data[:, device.branch_index]
-                                 for device in builder.devices
-                                 if device.branch_count() > 0}
+            branch_traces = {device.name.lower(): data[:, device.branch_index]
+                             for device in builder.devices
+                             if device.branch_count() > 0}
         else:
             node_traces = {}
             branch_traces = {}

@@ -121,16 +121,21 @@ class Mosfet(Device):
     def is_nonlinear(self) -> bool:
         return True
 
-    def prepare(self, circuit) -> None:
+    def prepare(self, circuit, merged: dict | None = None) -> None:
+        """Resolve the model card; ``merged`` (model name to the card
+        overlaid on :data:`DEFAULT_MOS_PARAMS`) lets the devices of one
+        card share one parameter mapping, which is never written."""
         model = circuit.model(self.model_name)
         if model.kind not in ("nmos", "pmos"):
             raise ModelError(
                 f"device {self.name!r}: model {self.model_name!r} is of kind "
                 f"{model.kind!r}, expected nmos/pmos")
         self.polarity = 1.0 if model.kind == "nmos" else -1.0
-        params = dict(DEFAULT_MOS_PARAMS)
-        params.update(model.params)
-        self.params = params
+        if merged is None:
+            merged = {}
+        if model.name not in merged:
+            merged[model.name] = {**DEFAULT_MOS_PARAMS, **model.params}
+        self.params = merged[model.name]
         # The builder's MosfetBank adopts the device right after.
         self._newton = None
         self._slot = 0

@@ -1,4 +1,5 @@
-"""Tests for the variable-order BDF (Gear 2-5) integration engine.
+"""Tests for the variable-order integration engine (trapezoidal at order
+2, BDF/Gear at orders 3-5).
 
 Two independent checks of the tentpole:
 
@@ -27,7 +28,6 @@ from repro.spice import (
     Circuit,
     Inductor,
     Resistor,
-    SimulationOptions,
     TransientAnalysis,
     TransientOptions,
 )
@@ -81,8 +81,7 @@ def measured_error(order: int, h: float) -> float:
     builder, analytic, tstop, _ = ORDER_RECIPES[order]
     result = TransientAnalysis(
         builder(), tstop=tstop, tstep=2e-5, use_ic=True,
-        timestep=pinned_order_options(order, h),
-        options=SimulationOptions(integration="gear")).run()
+        timestep=pinned_order_options(order, h)).run()
     return float(np.max(np.abs(result["a"].y - analytic(result.time))))
 
 
@@ -101,8 +100,7 @@ class TestConvergenceOrder:
         builder, _, tstop, (h, _) = ORDER_RECIPES[4]
         result = TransientAnalysis(
             builder(), tstop=tstop, tstep=2e-5, use_ic=True,
-            timestep=pinned_order_options(4, h),
-            options=SimulationOptions(integration="gear")).run()
+            timestep=pinned_order_options(4, h)).run()
         histogram = result.stats["order_histogram"]
         # Startup ramps 1 -> 2 -> 3 -> 4, then stays pinned at 4.
         assert set(histogram) == {"1", "2", "3", "4"}

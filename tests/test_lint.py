@@ -40,7 +40,6 @@ from repro.lint import (Diagnostic, LintConfig, LintReport, SEVERITY_ERROR,
                         SEVERITY_WARNING, all_rules, get_rule, lint_circuit,
                         lint_fault_list, lint_netlist_text,
                         preflight_campaign)
-from repro.spice import SimulationOptions
 from repro.spice.analysis.mna import MNABuilder
 from repro.spice.devices.controlled import (CurrentControlledCurrentSource,
                                             VoltageControlledVoltageSource)
@@ -69,7 +68,7 @@ def _solve_op(circuit: Circuit):
     """One raw MNA operating-point solve — no gmin/source stepping
     fallbacks, so a singular topology surfaces as the undecorated
     :class:`~repro.errors.SingularMatrixError`."""
-    builder = MNABuilder(circuit, SimulationOptions())
+    builder = MNABuilder(circuit)
     state = builder.new_state("op")
     builder.assemble_constant(state)
     return builder.build_iteration(state).solve()

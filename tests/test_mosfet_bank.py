@@ -347,8 +347,7 @@ class LegacyBuilder(MNABuilder):
 def legacy_solve_newton(builder, state, x0=None, max_iterations=None):
     """The Newton loop before the per-solve tolerance vector: tolerances
     assembled in two halves every iteration, the previous iterate copied."""
-    options = builder.options
-    limit = max_iterations if max_iterations is not None else options.itl1
+    limit = max_iterations if max_iterations is not None else mna_module.ITL1
     if x0 is not None:
         state.x = np.array(x0, dtype=float, copy=True)
     has_nonlinear = bool(builder.nonlinear_devices)
@@ -376,7 +375,7 @@ def legacy_solve_newton(builder, state, x0=None, max_iterations=None):
                 continue
 
             delta = solution - state.x
-            max_step = options.max_voltage_step
+            max_step = mna_module.MAX_VOLTAGE_STEP
             if max_step > 0.0 and num_nodes > 0:
                 worst = np.max(np.abs(delta[:num_nodes])) if num_nodes else 0.0
                 if worst > max_step:
@@ -385,10 +384,11 @@ def legacy_solve_newton(builder, state, x0=None, max_iterations=None):
 
             tolerance = np.empty_like(solution)
             reference = np.maximum(np.abs(solution), np.abs(state.x))
-            tolerance[:num_nodes] = (options.reltol * reference[:num_nodes]
-                                     + options.vntol)
-            tolerance[num_nodes:] = (options.reltol * reference[num_nodes:]
-                                     + options.abstol)
+            reltol = mna_module.RELTOL
+            tolerance[:num_nodes] = (reltol * reference[:num_nodes]
+                                     + mna_module.VNTOL)
+            tolerance[num_nodes:] = (reltol * reference[num_nodes:]
+                                     + mna_module.ABSTOL)
             converged = (bool(np.all(np.abs(delta) <= tolerance))
                          and not state.limited)
 

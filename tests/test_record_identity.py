@@ -88,9 +88,10 @@ def test_digests_see_type_stable_full_precision_values(tool):
 
 
 def test_identity_cases_name_a_fingerprint_drift(tool, rc_circuit):
-    """One identity case per campaign mode: a verdict-neutral switch
-    leaves it alone, another timestep policy moves both of its fields."""
+    """One identity case per campaign mode: a verdict-neutral key leaves
+    it alone, another timestep policy moves both of its fields."""
     from repro.anafault import CampaignSettings
+    from repro.anafault.wire import settings_from_wire
     from repro.spice import TransientOptions
 
     from test_streaming import _fault_list
@@ -100,7 +101,7 @@ def test_identity_cases_name_a_fingerprint_drift(tool, rc_circuit):
     base = {"cases": {
         "identity/fixed": tool.identity_case(rc_circuit, faults, fixed)}}
     same = {"cases": {"identity/fixed": tool.identity_case(
-        rc_circuit, faults, CampaignSettings(stream_traces=False))}}
+        rc_circuit, faults, settings_from_wire({"stream_traces": False}))}}
     moved = {"cases": {"identity/fixed": tool.identity_case(
         rc_circuit, faults,
         CampaignSettings(timestep=TransientOptions(mode="adaptive")))}}

@@ -478,10 +478,10 @@ class TestWireFormat:
         ({"tstop": "4u"}, "field 'tstop' must be a number"),
         ({"tstop": None}, "field 'tstop' must be a number"),
         ({"use_ic": 1}, "field 'use_ic' must be a boolean"),
-        ({"simulator_options": {"itl1": 1.5}},
-         "field 'simulator_options.itl1' must be an integer"),
-        ({"simulator_options": {"itl1": True}},
-         "field 'simulator_options.itl1' must be an integer"),
+        ({"simulator_options": {"itl4": 1.5}},
+         "field 'simulator_options.itl4' must be an integer"),
+        ({"simulator_options": {"itl4": True}},
+         "field 'simulator_options.itl4' must be an integer"),
         ({"observation_nodes": "11"},
          "field 'observation_nodes' must be a list of strings"),
         ({"observation_nodes": [11]},
@@ -491,8 +491,8 @@ class TestWireFormat:
         ({"solver_backend": 0}, "field 'solver_backend' must be a string"),
         ({"timestep": {"dt_min": "1n"}},
          "field 'timestep.dt_min' must be a number"),
-        ({"simulator_options": {"itl1": 0}},
-         "field 'simulator_options': SimulationOptions.itl1"),
+        ({"simulator_options": {"itl4": 0}},
+         "field 'simulator_options': SimulationOptions.itl4"),
         ({"fault_model": {"model": "glue"}},
          "field 'fault_model': unknown fault model"),
         ({"tolerances": {"amplitude": -1.0}},

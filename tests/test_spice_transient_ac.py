@@ -12,7 +12,6 @@ from repro.spice import (
     Circuit,
     Inductor,
     Resistor,
-    SimulationOptions,
     TransientAnalysis,
     VoltageSource,
     Waveform,
@@ -40,11 +39,9 @@ class TestTransient:
         expected = 1.0 / math.sqrt(1.0 + (2 * math.pi * 100e3 * 1e3 * 1e-9) ** 2)
         assert steady.maximum() == pytest.approx(expected, rel=0.05)
 
-    def test_backward_euler_option(self):
+    def test_output_charges_within_two_periods(self):
         circuit = _rc()
-        options = SimulationOptions(integration="be")
-        result = TransientAnalysis(circuit, tstop=20e-6, tstep=0.1e-6,
-                                   options=options).run()
+        result = TransientAnalysis(circuit, tstop=20e-6, tstep=0.1e-6).run()
         assert result["out"].maximum() > 0.3
 
     def test_result_signal_aliases(self):

@@ -33,6 +33,7 @@ from repro.anafault import (
 from repro.anafault.checkpoint import RECORD_FIELDS, _settings_text
 from repro.anafault.executors import record_from_payload
 from repro.anafault.simulator import CampaignResult
+from repro.anafault.wire import settings_from_wire, settings_to_wire
 from repro.errors import AnalysisError, CampaignError
 from repro.lift import BridgingFault, FaultList, OpenFault, ParametricFault
 from repro.spice import TransientAnalysis
@@ -136,10 +137,11 @@ class TestCheckpointFile:
         assert base != campaign_fingerprint(rc_circuit, faults, shorter)
         fewer = FaultList("rc streaming faults", faults.faults[:-1])
         assert base != campaign_fingerprint(rc_circuit, fewer, _settings())
-        # Streaming never changes verdicts, so toggling it must not orphan
-        # a checkpoint.
-        assert base == campaign_fingerprint(rc_circuit, faults,
-                                            _settings(stream_traces=False))
+        # Streaming never changed verdicts: a settings document of the
+        # full-trace days must not orphan a checkpoint.
+        full_trace = settings_from_wire(settings_to_wire(_settings())
+                                        | {"stream_traces": False})
+        assert base == campaign_fingerprint(rc_circuit, faults, full_trace)
 
     def test_campaign_identity_is_pinned(self, rc_circuit):
         assert _settings_text(CampaignSettings()) == PINNED_SETTINGS_TEXT
@@ -294,12 +296,22 @@ class TestCheckpointResume:
             list(map(_semantic, baseline.records))
 
 
+class _FullTraceSimulator(FaultSimulator):
+    """A campaign whose transients materialise every unknown, as campaigns
+    did before observed-node streaming became the only path."""
+
+    def _make_transient(self, circuit):
+        analysis = super()._make_transient(circuit)
+        analysis.record_nodes = None
+        return analysis
+
+
 class TestStreamingCampaign:
     def test_streaming_and_full_trace_verdicts_agree(self, rc_circuit):
         streaming = FaultSimulator(rc_circuit, _fault_list(),
-                                   _settings(stream_traces=True)).run()
-        full = FaultSimulator(rc_circuit, _fault_list(),
-                              _settings(stream_traces=False)).run()
+                                   _settings()).run()
+        full = _FullTraceSimulator(rc_circuit, _fault_list(),
+                                   _settings()).run()
         assert list(map(_semantic, streaming.records)) == \
             list(map(_semantic, full.records))
         # The point of streaming: less trace memory per simulated fault.
@@ -307,6 +319,17 @@ class TestStreamingCampaign:
                            if r.trace_bytes]
         full_traces = [r.trace_bytes for r in full.records if r.trace_bytes]
         assert max(streamed_traces) < min(full_traces)
+
+    def test_campaign_transients_record_only_the_observation_nodes(
+            self, rc_circuit):
+        """Every simulated fault materialised one column (``out``) of
+        print rows, never the full unknowns x time matrix."""
+        result = FaultSimulator(rc_circuit, _fault_list(), _settings()).run()
+        rows = round(5e-3 / 5e-5) + 1
+        assert {r.trace_bytes for r in result.records
+                if r.trace_bytes} == {rows * 8}
+        with pytest.raises(CampaignError, match="stream_traces is retired"):
+            _settings(stream_traces=False)
 
     def test_serial_parallel_equivalent(self, rc_circuit):
         serial = FaultSimulator(rc_circuit, _fault_list(),

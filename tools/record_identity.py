@@ -213,7 +213,7 @@ def _fault_cases(case_set: str, log) -> dict:
             observation_nodes=(OUTPUT_NODE,),
             tolerances=ToleranceSettings(amplitude=AMPLITUDE_TOLERANCE,
                                          time=TIME_TOLERANCE),
-            stream_traces=True, timestep=_timestep(mode))
+            timestep=_timestep(mode))
         cases[f"identity/{mode}"] = identity_case(circuit, faults, settings)
         for name, arguments in EXECUTORS[case_set].items():
             executor = (SerialExecutor() if arguments is None
