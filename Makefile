@@ -53,9 +53,10 @@ perf-ab:
 	$(PYTHON) tools/perf_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ## record identity: every case of CASES (ci: the 24 most probable faults,
-## full: all 99, plus fig. 3 transients) simulated on git revision BASE,
-## extracted with git archive, and on the working tree; fails naming each
-## case and field that differs (give BASE=<rev>, e.g. BASE=main)
+## full: all 99, plus fig. 3 transients and the VCO's layout, extracted
+## netlist, LVS and fault lists) built on git revision BASE, extracted with
+## git archive, and on the working tree; fails naming each case and field
+## that differs (give BASE=<rev>, e.g. BASE=main)
 CASES ?= ci
 record-identity:
 	$(PYTHON) tools/record_identity.py check --base $(BASE) --cases $(CASES)

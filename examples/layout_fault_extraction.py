@@ -20,7 +20,7 @@ from repro.defects import DefectSizeDistribution, DefectStatistics, SpotDefectSa
 from repro.extract import compare, extract_netlist
 from repro.layout import generate_layout
 from repro.layout import textio
-from repro.lift import FaultExtractionOptions, FaultExtractor, format_ranking
+from repro.lift import FaultExtractor, format_ranking
 
 
 def main() -> None:
@@ -46,7 +46,7 @@ def main() -> None:
     extractor = FaultExtractor(layout, extraction, circuit,
                                statistics=statistics,
                                distribution=distribution,
-                               options=FaultExtractionOptions(min_probability=1e-10))
+                               min_probability=1e-10)
     faults = extractor.run()
     print(f"\nLIFT     : {faults.summary()}\n")
     print(format_ranking(faults, limit=15))

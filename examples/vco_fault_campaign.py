@@ -20,7 +20,7 @@ import argparse
 
 from repro.anafault import (CampaignSettings, PoolExecutor, ToleranceSettings,
                             full_report)
-from repro.cat import CATFlow, CATOptions
+from repro.cat import CATFlow
 from repro.circuits import OUTPUT_NODE, build_vco_layout
 from repro.lift import format_ranking
 
@@ -41,12 +41,11 @@ def main() -> None:
     circuit, layout = build_vco_layout()
     print(f"  layout: {len(layout)} shapes, {layout.area():.0f} um^2")
 
-    options = CATOptions()
-    options.campaign = CampaignSettings(
+    campaign = CampaignSettings(
         tstop=4e-6, tstep=1e-8, use_ic=True,
         observation_nodes=(OUTPUT_NODE,),
         tolerances=ToleranceSettings(amplitude=2.0, time=0.2e-6))
-    flow = CATFlow(circuit, layout, options)
+    flow = CATFlow(circuit, layout, campaign=campaign)
 
     print("running extraction and LIFT ...")
     extraction = flow.extract_faults()

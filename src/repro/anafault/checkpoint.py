@@ -191,9 +191,13 @@ def _int_field(path, entry: dict, name: str, default=None) -> int:
 
 def header_slice(path, header: dict) -> tuple[int, int]:
     """The ``(shard_index, shard_count)`` a checkpoint header of ``path``
-    declares; ``(0, 1)`` for a plain, unsharded campaign checkpoint."""
-    return (_int_field(path, header, "shard_index", 0),
-            _int_field(path, header, "shard_count", 1))
+    declares; ``(0, 1)`` for a plain, unsharded campaign checkpoint.  A
+    header that declares only one of the two raises
+    :class:`~repro.errors.CampaignError` naming the file."""
+    if "shard_index" not in header and "shard_count" not in header:
+        return 0, 1
+    return (_int_field(path, header, "shard_index"),
+            _int_field(path, header, "shard_count"))
 
 
 def read_header(path) -> dict | None:

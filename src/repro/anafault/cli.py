@@ -72,7 +72,8 @@ from ..spice import TransientOptions
 from ..spice.parser import parse_netlist_file
 from ..units import parse_value
 from .calibration import calibrate_tolerance
-from .checkpoint import CampaignCheckpoint, campaign_fingerprint, read_header
+from .checkpoint import (CampaignCheckpoint, campaign_fingerprint,
+                         header_slice, read_header)
 from .comparator import ToleranceSettings
 from .executors import BatchedExecutor, merge_shards
 from .models import RESISTOR_MODEL, SOURCE_MODEL, FaultModelOptions
@@ -377,7 +378,7 @@ def _cmd_merge(args, out) -> int:
                                        simulator.fault_list, settings)
     for path in args.shards:
         header = read_header(path) or {}
-        shard = (f"shard {header['shard_index']}/{header['shard_count']}"
+        shard = ("shard {}/{}".format(*header_slice(path, header))
                  if "shard_index" in header else "unsharded")
         print(f"reading {path}: {shard}, fingerprint "
               f"{header.get('fingerprint', '?')}", file=out)

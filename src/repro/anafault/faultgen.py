@@ -30,6 +30,9 @@ three stages, each usable on its own:
 
 The one-call entry is :func:`generate_fault_list`, which the ``python -m
 repro.anafault generate`` CLI subcommand wraps; see ``docs/faultgen.md``.
+Its two settings (:class:`FaultGenOptions`) are the ones that CLI exposes;
+the supply nets are :data:`repro.spice.netlist.SUPPLY_NETS` and every seed
+defaults to :data:`SEED`.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ from ..lift.faultlist import FaultList
 from ..lift.faults import Fault
 from ..spice import Circuit
 
+#: Seed of the Monte-Carlo fallback sampler, and the default seed of the
+#: importance sampler.
+SEED = 1995
 #: Metadata keys a generated fault list carries (campaign telemetry picks
 #: them up; see ``CampaignResult.telemetry``).
 META_CANDIDATES = "faultgen_candidates"
@@ -77,15 +83,9 @@ class FaultGenOptions:
 
     #: Drop collapsed faults whose aggregated weight falls below this.
     min_weight: float = 1e-9
-    #: Nets regarded as supplies (bridges between two of them are gross
-    #: defects caught by current testing, not by signal observation, and
-    #: are never enumerated).
-    supply_nets: tuple[str, ...] = ("0", "1")
     #: Monte-Carlo draws per irregular (diagonal) bridge pair; 0 skips
     #: irregular geometry entirely.
     monte_carlo_samples: int = 256
-    #: Seed of the Monte-Carlo fallback sampler.
-    seed: int = 1995
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ class FaultGenerator:
         self.report.messages.extend(self.anchor_map.messages)
         self._sampler = SpotDefectSampler(layout, extraction.connectivity,
                                           self.statistics, self.distribution,
-                                          seed=self.options.seed)
+                                          seed=SEED)
 
     # ------------------------------------------------------------------
     # Generation: one weighted candidate per geometric failure site
@@ -185,8 +185,7 @@ class FaultGenerator:
         """All per-site candidates (bridges, wire opens, cut opens)."""
         candidates: list[FaultCandidate] = []
         for site in failure_sites(self.anchor_map, self.statistics,
-                                  self.distribution, self.options.supply_nets,
-                                  self.report):
+                                  self.distribution, self.report):
             if site.fault is None:
                 continue
             weight = site.probability
@@ -360,7 +359,7 @@ class ImportanceSampler:
     """Seeded sampler drawing faults proportionally to their weight."""
 
     def __init__(self, faults: FaultList | Sequence[Fault],
-                 seed: int = 1995) -> None:
+                 seed: int = SEED) -> None:
         self.faults: list[Fault] = list(faults)
         self.seed = int(seed)
         if not self.faults:
@@ -408,7 +407,7 @@ class ImportanceSampler:
 
 
 def sample_faults(faults: FaultList | Sequence[Fault], count: int,
-                  seed: int = 1995,
+                  seed: int = SEED,
                   name: str | None = None) -> ImportanceSample:
     """Convenience wrapper: one seeded weight-proportional sample."""
     return ImportanceSampler(faults, seed=seed).sample(count, name=name)
@@ -537,14 +536,14 @@ def generate_fault_list(layout: Layout, extraction: ExtractionResult,
         "reference_density": generator.statistics.reference_density,
         "min_weight": options.min_weight,
         "monte_carlo_samples": options.monte_carlo_samples,
-        "seed": options.seed,
+        "seed": SEED,
         META_CANDIDATES: len(candidates),
         META_COLLAPSED: len(universe),
         META_SAMPLED: 0,
     })
     if sample <= 0:
         return universe
-    seed = options.seed if sample_seed is None else int(sample_seed)
+    seed = SEED if sample_seed is None else int(sample_seed)
     drawn = ImportanceSampler(universe, seed=seed).sample(
         sample, name=universe.name)
     sampled = drawn.fault_list

@@ -96,8 +96,7 @@ class LeaseMachine:
 
     def __init__(self, fault_ids, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
-                 lease_size: int = DEFAULT_LEASE_SIZE,
-                 costs: dict | None = None):
+                 lease_size: int = DEFAULT_LEASE_SIZE):
         fault_ids = [_fault_id(fault_id, "the lease machine")
                      for fault_id in fault_ids]
         if len(set(fault_ids)) != len(fault_ids):
@@ -128,9 +127,8 @@ class LeaseMachine:
         self.messages: dict[int, str] = {}
         #: fault id -> (worker, deadline) of the live leases.
         self.leases: dict[int, tuple[str, float]] = {}
-        #: Cost prior per fault (seconds; from earlier records/telemetry).
-        self.costs: dict[int, float] = {int(k): float(v)
-                                        for k, v in (costs or {}).items()}
+        #: Cost prior per fault (seconds; fed by :meth:`observe_cost`).
+        self.costs: dict[int, float] = {}
         self._observed_total = 0.0
         self._observed_count = 0
         # Counters surfaced by the daemon's status op.

@@ -1,5 +1,5 @@
 """The integrated CAT environment (LIFT + AnaFAULT, Fig. 1)."""
 
-from .flow import CATFlow, CATOptions, CATResult
+from .flow import CATFlow, CATResult
 
-__all__ = ["CATFlow", "CATOptions", "CATResult"]
+__all__ = ["CATFlow", "CATResult"]

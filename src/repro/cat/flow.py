@@ -8,18 +8,22 @@ the design/test process:
 3. once the layout exists, extract the circuit and run LIFT (GLRFM) to get
    the weighted realistic fault list,
 4. hand the fault list to AnaFAULT, simulate, and report fault coverage.
+
+The flow weights faults with the paper's Table 1 defect statistics and the
+default defect size distribution, reports GLRFM faults above a probability
+of 1e-9, and keeps the most likely ones covering
+:data:`PROBABILITY_COVERAGE` of the total; the one setting is the AnaFAULT
+``campaign``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..anafault import CampaignResult, CampaignSettings, FaultSimulator
-from ..defects import DefectSizeDistribution, DefectStatistics
 from ..extract import ExtractionResult, LVSReport, compare, extract_netlist
 from ..layout import Layout
 from ..lift import (
-    FaultExtractionOptions,
     FaultExtractor,
     FaultList,
     faults_covering_fraction,
@@ -29,19 +33,10 @@ from ..lift import (
 from ..spice import Circuit
 
 
-@dataclass
-class CATOptions:
-    """Options of the end-to-end flow."""
-
-    statistics: DefectStatistics = field(default_factory=DefectStatistics.table_1)
-    distribution: DefectSizeDistribution = field(default_factory=DefectSizeDistribution)
-    extraction_options: FaultExtractionOptions = field(
-        default_factory=lambda: FaultExtractionOptions(min_probability=1e-9))
-    #: Keep only the most likely faults covering this fraction of the total
-    #: occurrence probability (LIFT "identifies and ranks the most likely
-    #: realistic faults").  1.0 keeps everything above the threshold.
-    probability_coverage: float = 0.95
-    campaign: CampaignSettings = field(default_factory=CampaignSettings)
+#: The realistic fault list keeps only the most likely faults covering this
+#: fraction of the total occurrence probability (LIFT "identifies and ranks
+#: the most likely realistic faults").
+PROBABILITY_COVERAGE = 0.95
 
 
 @dataclass
@@ -73,32 +68,29 @@ class CATResult:
 
 
 class CATFlow:
-    """Run the complete CAT flow for one circuit and its layout."""
+    """Run the complete CAT flow for one circuit and its layout.
 
-    def __init__(self, schematic: Circuit, layout: Layout,
-                 options: CATOptions | None = None):
+    ``campaign`` holds the AnaFAULT settings :meth:`run` simulates with
+    (``CampaignSettings()`` when not given).
+    """
+
+    def __init__(self, schematic: Circuit, layout: Layout, *,
+                 campaign: CampaignSettings | None = None):
         self.schematic = schematic
         self.layout = layout
-        self.options = options or CATOptions()
+        self.campaign = campaign or CampaignSettings()
 
     # ------------------------------------------------------------------
     def extract_faults(self) -> CATResult:
         """Run extraction + LIFT without the fault simulation."""
-        options = self.options
         extraction = extract_netlist(self.layout)
         lvs = compare(extraction.circuit, self.schematic)
         schematic_faults = schematic_fault_list(self.schematic)
-        l2rfm_faults = l2rfm_fault_list(
-            self.schematic, statistics=options.statistics,
-            distribution=options.distribution)
-        extractor = FaultExtractor(self.layout, extraction, self.schematic,
-                                   lvs, options.statistics,
-                                   options.distribution,
-                                   options.extraction_options)
-        realistic = extractor.run()
-        if 0.0 < options.probability_coverage < 1.0:
-            realistic = faults_covering_fraction(realistic,
-                                                 options.probability_coverage)
+        l2rfm_faults = l2rfm_fault_list(self.schematic)
+        realistic = faults_covering_fraction(
+            FaultExtractor(self.layout, extraction, self.schematic,
+                           lvs).run(),
+            PROBABILITY_COVERAGE)
         return CATResult(self.schematic, self.layout, extraction, lvs,
                          schematic_faults, l2rfm_faults, realistic)
 
@@ -118,6 +110,6 @@ class CATFlow:
         faults = fault_list if fault_list is not None else result.realistic_faults
         if fault_limit is not None:
             faults = faults.top(fault_limit)
-        simulator = FaultSimulator(self.schematic, faults, self.options.campaign)
+        simulator = FaultSimulator(self.schematic, faults, self.campaign)
         result.campaign = simulator.run(executor=executor)
         return result

@@ -11,8 +11,7 @@ paper evaluates.
 
 from __future__ import annotations
 
-from ..layout import Layout, LayoutGenerator, LayoutGeneratorOptions, Technology
-from ..layout.technology import default_technology
+from ..layout import Layout, Technology, generate_layout
 from ..spice import Circuit
 from .vco import VCOParameters, build_vco
 
@@ -27,7 +26,4 @@ def build_vco_layout(circuit: Circuit | None = None,
     """
     if circuit is None:
         circuit = build_vco(params)
-    technology = technology or default_technology()
-    options = LayoutGeneratorOptions(vdd_net="1", gnd_net="0")
-    layout = LayoutGenerator(circuit, technology, options).generate()
-    return circuit, layout
+    return circuit, generate_layout(circuit, technology)

@@ -9,7 +9,6 @@ from .connectivity import (
     ExtractedNet,
 )
 from .devices import (
-    DeviceExtractionOptions,
     DeviceExtractor,
     ExtractedCapacitor,
     ExtractedMosfet,
@@ -24,7 +23,6 @@ __all__ = [
     "ConnectivityGraph",
     "ConnectivityResult",
     "ExtractedNet",
-    "DeviceExtractionOptions",
     "DeviceExtractor",
     "ExtractedCapacitor",
     "ExtractedMosfet",

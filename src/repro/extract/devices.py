@@ -1,8 +1,11 @@
 """Device recognition on top of the connectivity extraction.
 
 MOSFETs are recognised as poly-over-diffusion channel regions; their W/L and
-terminal nets are derived from the geometry.  Parallel-plate capacitors are
-recognised as large poly/metal-1 overlaps between different nets.
+terminal nets are derived from the geometry, and their bulk is the substrate
+(NMOS) or n-well (PMOS) net of :data:`repro.spice.netlist.SUPPLY_NETS`.
+Parallel-plate capacitors are recognised as large poly/metal-1 overlaps
+between different nets, valued at
+:data:`repro.layout.technology.CAPACITOR_DENSITY`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,12 @@ from ..errors import ExtractionError
 from ..layout.geometry import Rect
 from ..layout.layers import METAL1, NDIFF, POLY
 from ..layout.layout import Layout
+from ..layout.technology import CAPACITOR_DENSITY
+from ..spice.netlist import SUPPLY_NETS
 from .connectivity import ChannelRegion, ConnectivityResult
+
+#: Minimum poly/metal-1 overlap recognised as an intentional capacitor [um^2].
+MIN_CAPACITOR_AREA = 50.0
 
 
 @dataclass
@@ -47,26 +55,12 @@ class ExtractedCapacitor:
     capacitance: float
 
 
-@dataclass
-class DeviceExtractionOptions:
-    """Options of the device recogniser."""
-
-    substrate_net: str = "0"
-    well_net: str = "1"
-    #: Capacitance per um^2 of poly/metal-1 overlaps [F/um^2].
-    capacitor_density: float = 0.6e-15
-    #: Minimum overlap area recognised as an intentional capacitor [um^2].
-    min_capacitor_area: float = 50.0
-
-
 class DeviceExtractor:
     """Recognise MOSFETs and capacitors from extracted connectivity."""
 
-    def __init__(self, layout: Layout, connectivity: ConnectivityResult,
-                 options: DeviceExtractionOptions | None = None):
+    def __init__(self, layout: Layout, connectivity: ConnectivityResult):
         self.layout = layout
         self.connectivity = connectivity
-        self.options = options or DeviceExtractionOptions()
 
     # ------------------------------------------------------------------
     def run(self) -> tuple[list[ExtractedMosfet], list[ExtractedCapacitor]]:
@@ -122,8 +116,7 @@ class DeviceExtractor:
             length_um = channel.rect.height
             width_um = channel.rect.width
 
-        bulk_net = (self.options.substrate_net if kind == "nmos"
-                    else self.options.well_net)
+        bulk_net = SUPPLY_NETS[0] if kind == "nmos" else SUPPLY_NETS[1]
         return ExtractedMosfet(
             name=f"mx{index}", kind=kind, drain_net=drain_net,
             gate_net=gate_net, source_net=source_net, bulk_net=bulk_net,
@@ -144,11 +137,11 @@ class DeviceExtractor:
                 overlap = poly.rect.intersection(metal.rect)
                 if overlap is None:
                     continue
-                if overlap.area < self.options.min_capacitor_area:
+                if overlap.area < MIN_CAPACITOR_AREA:
                     continue
                 index += 1
                 capacitors.append(ExtractedCapacitor(
                     name=f"cx{index}", top_net=metal_net, bottom_net=poly_net,
                     area_um2=overlap.area,
-                    capacitance=overlap.area * self.options.capacitor_density))
+                    capacitance=overlap.area * CAPACITOR_DENSITY))
         return capacitors

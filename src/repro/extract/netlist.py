@@ -1,4 +1,9 @@
-"""Build an extracted :class:`~repro.spice.netlist.Circuit` from a layout."""
+"""Build an extracted :class:`~repro.spice.netlist.Circuit` from a layout.
+
+The extracted MOSFETs use the default ``nch``/``pch`` model cards of
+:func:`repro.circuits.models.add_default_models`, the names the schematic
+circuits use, so LVS compares like with like.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ from ..circuits.models import add_default_models
 from ..layout.layout import Layout
 from .connectivity import ConnectivityExtractor, ConnectivityResult
 from .devices import (
-    DeviceExtractionOptions,
     DeviceExtractor,
     ExtractedCapacitor,
     ExtractedMosfet,
@@ -41,23 +45,17 @@ class ExtractionResult:
 class NetlistExtractor:
     """Full extraction: connectivity + devices + circuit construction."""
 
-    def __init__(self, layout: Layout,
-                 options: DeviceExtractionOptions | None = None,
-                 nmos_model: str = "nch", pmos_model: str = "pch"):
+    def __init__(self, layout: Layout):
         self.layout = layout
-        self.options = options or DeviceExtractionOptions()
-        self.nmos_model = nmos_model
-        self.pmos_model = pmos_model
 
     def run(self) -> ExtractionResult:
         connectivity = ConnectivityExtractor(self.layout).run()
-        mosfets, capacitors = DeviceExtractor(self.layout, connectivity,
-                                              self.options).run()
+        mosfets, capacitors = DeviceExtractor(self.layout, connectivity).run()
 
         circuit = Circuit(f"extracted from {self.layout.name}")
-        add_default_models(circuit, self.nmos_model, self.pmos_model)
+        add_default_models(circuit)
         for mosfet in mosfets:
-            model = self.nmos_model if mosfet.kind == "nmos" else self.pmos_model
+            model = "nch" if mosfet.kind == "nmos" else "pch"
             circuit.add(Mosfet(mosfet.name, mosfet.drain_net, mosfet.gate_net,
                                mosfet.source_net, mosfet.bulk_net, model,
                                w=mosfet.width_um * 1e-6,
@@ -69,8 +67,6 @@ class NetlistExtractor:
                                 mosfets=mosfets, capacitors=capacitors)
 
 
-def extract_netlist(layout: Layout,
-                    options: DeviceExtractionOptions | None = None
-                    ) -> ExtractionResult:
+def extract_netlist(layout: Layout) -> ExtractionResult:
     """Convenience wrapper around :class:`NetlistExtractor`."""
-    return NetlistExtractor(layout, options).run()
+    return NetlistExtractor(layout).run()

@@ -21,7 +21,6 @@ from .layout import Label, Layout, Shape
 from .technology import LayerRules, Technology, default_technology
 from .builder import (
     LayoutGenerator,
-    LayoutGeneratorOptions,
     Pin,
     PlacedTransistor,
     generate_layout,
@@ -55,7 +54,6 @@ __all__ = [
     "Technology",
     "default_technology",
     "LayoutGenerator",
-    "LayoutGeneratorOptions",
     "Pin",
     "PlacedTransistor",
     "generate_layout",

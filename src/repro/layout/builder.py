@@ -10,8 +10,11 @@ generates a realistic Manhattan layout for any flat MOS circuit:
 * every net receives a horizontal metal-1 trunk in the routing channel
   between the rows; device pins reach their trunk through metal-2 verticals
   and vias,
-* the supply and ground nets additionally get wide metal-1 rails,
-* capacitors are drawn as poly/metal-1 plate pairs.
+* the supply and ground nets (:data:`repro.spice.netlist.SUPPLY_NETS`)
+  additionally get wide metal-1 rails, and the PMOS n-well is tied to the
+  supply,
+* capacitors are drawn as poly/metal-1 plate pairs sized by
+  :data:`repro.layout.technology.CAPACITOR_DENSITY`.
 
 The resulting geometry has exactly the properties the fault extractor needs:
 parallel wires of different nets at design-rule spacing (bridging critical
@@ -25,13 +28,18 @@ from dataclasses import dataclass, field
 
 from ..errors import LayoutError
 from ..spice import Capacitor, Circuit, Mosfet
+from ..spice.netlist import SUPPLY_NETS
 from .geometry import Rect
 from .layers import CONTACT, METAL1, METAL2, NDIFF, NWELL, PDIFF, POLY, VIA
 from .layout import Layout
-from .technology import Technology, default_technology
+from .technology import CAPACITOR_DENSITY, Technology, default_technology
 
 #: Scale factor from SPICE metres to layout micrometres.
 METRES_TO_UM = 1e6
+#: Horizontal placement gap between neighbouring transistors [um].
+TRANSISTOR_GAP = 6.0
+#: Width of the supply and ground rails [um].
+RAIL_WIDTH = 6.0
 
 
 @dataclass
@@ -56,30 +64,12 @@ class PlacedTransistor:
     contact_count: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class LayoutGeneratorOptions:
-    """Knobs of the procedural generator."""
-
-    #: Net treated as the positive supply (gets the top rail).
-    vdd_net: str = "1"
-    #: Net treated as ground (gets the bottom rail).
-    gnd_net: str = "0"
-    #: Horizontal placement pitch added between transistors [um].
-    transistor_gap: float = 6.0
-    #: Width of the supply/ground rails [um].
-    rail_width: float = 6.0
-    #: Capacitance per um^2 of the poly/metal capacitor plates [F/um^2].
-    capacitor_density: float = 0.6e-15
-
-
 class LayoutGenerator:
     """Generate a :class:`Layout` for a flat MOS circuit."""
 
-    def __init__(self, circuit: Circuit, technology: Technology | None = None,
-                 options: LayoutGeneratorOptions | None = None):
+    def __init__(self, circuit: Circuit, technology: Technology | None = None):
         self.circuit = circuit
         self.tech = technology or default_technology()
-        self.options = options or LayoutGeneratorOptions()
         self.layout = Layout(name=f"{(circuit.title or 'cell').split()[0].lower()}_layout")
         self.pins: list[Pin] = []
         self.placed: dict[str, PlacedTransistor] = {}
@@ -119,7 +109,7 @@ class LayoutGenerator:
                 width = self._draw_transistor(device, "pmos", x_cursor,
                                               pmos_row_base,
                                               gate_pad_side="south")
-            x_cursor += width + self.options.transistor_gap
+            x_cursor += width + TRANSISTOR_GAP
         # Capacitors go to the right of the transistor rows, above the
         # routing channel, so that their large plates never overlap foreign
         # trunks.
@@ -253,7 +243,7 @@ class LayoutGenerator:
         cut = tech.cut_size
         enc = tech.cut_enclosure
         for cap in capacitors:
-            area_um2 = cap.capacitance / self.options.capacitor_density
+            area_um2 = cap.capacitance / CAPACITOR_DENSITY
             side = max(area_um2 ** 0.5, 10.0)
             top_net, bottom_net = cap.nodes
             # Bottom plate: poly; top plate: metal1, slightly smaller.
@@ -349,7 +339,7 @@ class LayoutGenerator:
     def _draw_rails(self, pmos_row_base: float) -> None:
         """Wide supply/ground rails tied to their channel trunks."""
         tech = self.tech
-        options = self.options
+        gnd_net, vdd_net = SUPPLY_NETS
         box = self.layout.bbox()
         if box is None:
             return
@@ -358,9 +348,8 @@ class LayoutGenerator:
         m2_width = tech.rules(METAL2).routing_width
 
         rails = (
-            (options.gnd_net, Rect(x_lo, -options.rail_width - 4.0, x_hi, -4.0), 0),
-            (options.vdd_net, Rect(x_lo, box.y2 + 4.0, x_hi,
-                                   box.y2 + 4.0 + options.rail_width), 1),
+            (gnd_net, Rect(x_lo, -RAIL_WIDTH - 4.0, x_hi, -4.0), 0),
+            (vdd_net, Rect(x_lo, box.y2 + 4.0, x_hi, box.y2 + 4.0 + RAIL_WIDTH), 1),
         )
         for net, rect, slot in rails:
             if net not in self._trunk_y:
@@ -391,7 +380,7 @@ class LayoutGenerator:
         x2 = max(r.x2 for r in pmos_rects) + 5.0
         y1 = min(r.y1 for r in pmos_rects) - 5.0
         y2 = max(r.y2 for r in pmos_rects) + 5.0
-        self.layout.add_rect(NWELL, x1, y1, x2, y2, net_hint=self.options.vdd_net,
+        self.layout.add_rect(NWELL, x1, y1, x2, y2, net_hint=SUPPLY_NETS[1],
                              purpose="nwell")
 
     def _add_labels(self) -> None:
@@ -401,7 +390,7 @@ class LayoutGenerator:
             self.layout.add_label(METAL1, x_lo + 1.0, y + m1_width / 2.0, net)
 
 
-def generate_layout(circuit: Circuit, technology: Technology | None = None,
-                    options: LayoutGeneratorOptions | None = None) -> Layout:
+def generate_layout(circuit: Circuit,
+                    technology: Technology | None = None) -> Layout:
     """Convenience wrapper: generate a layout for ``circuit``."""
-    return LayoutGenerator(circuit, technology, options).generate()
+    return LayoutGenerator(circuit, technology).generate()

@@ -23,6 +23,11 @@ from .layers import (
     layer_by_name,
 )
 
+#: Capacitance per um^2 of the poly/metal-1 plate capacitor [F/um^2].  The
+#: layout generator sizes the plates with it and the device extractor turns
+#: the plate overlap back into a capacitance, so LVS matches.
+CAPACITOR_DENSITY = 0.6e-15
+
 
 @dataclass
 class LayerRules:

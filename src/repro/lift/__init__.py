@@ -18,7 +18,6 @@ from .schematic_faults import (
 from .l2rfm import L2RFMReducer, l2rfm_fault_list
 from .extraction import (
     FailureSite,
-    FaultExtractionOptions,
     FaultExtractionReport,
     FaultExtractor,
     extract_faults,
@@ -48,7 +47,6 @@ __all__ = [
     "L2RFMReducer",
     "l2rfm_fault_list",
     "FaultExtractor",
-    "FaultExtractionOptions",
     "FaultExtractionReport",
     "FailureSite",
     "failure_sites",

@@ -16,8 +16,12 @@ schematic net/device names) is emitted with its probability of occurrence:
 :func:`failure_sites` is the one enumerator of these opportunities; GLRFM
 (:class:`FaultExtractor`) and the defect-driven generator
 (:class:`repro.anafault.faultgen.FaultGenerator`) differ only in how they
-weight and group its records.  The output is a weighted
-:class:`~repro.lift.faultlist.FaultList`, the interface to AnaFAULT.
+weight and group its records.  Bridges between the two supply nets
+(:data:`repro.spice.netlist.SUPPLY_NETS`) are never enumerated: a
+power-to-ground short is a gross defect caught by current testing, not by
+signal observation.  The output is a weighted
+:class:`~repro.lift.faultlist.FaultList`, the interface to AnaFAULT; its
+one setting is :class:`FaultExtractor`'s ``min_probability`` threshold.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from ..layout.layers import CONTACT, METAL1, NDIFF, PDIFF, POLY, VIA
 from ..layout.geometry import Rect
 from ..layout.layout import Layout, Shape
 from ..spice import Capacitor, Circuit, CurrentSource, Mosfet, VoltageSource
+from ..spice.netlist import SUPPLY_NETS
 from .faultlist import FaultList
 from .faults import (
     BridgingFault,
@@ -49,19 +54,6 @@ from .faults import (
     SplitNodeFault,
     StuckOpenFault,
 )
-
-
-@dataclass
-class FaultExtractionOptions:
-    """Tuning knobs of the GLRFM extraction."""
-
-    #: Minimum probability of occurrence for a fault to be reported.
-    min_probability: float = 1e-9
-    #: Nets regarded as supplies (shorts to them are always "global").
-    #: Bridges between two of them are never enumerated: power-to-ground
-    #: shorts are gross defects caught by current testing, not by signal
-    #: observation.
-    supply_nets: tuple[str, ...] = ("0", "1")
 
 
 @dataclass
@@ -338,7 +330,6 @@ class FailureSite:
 
 def failure_sites(anchor_map: AnchorMap, statistics: DefectStatistics,
                   distribution: DefectSizeDistribution,
-                  supply_nets: Sequence[str],
                   report: FaultExtractionReport) -> Iterator[FailureSite]:
     """Every geometric failure opportunity of an anchored layout.
 
@@ -376,7 +367,7 @@ def failure_sites(anchor_map: AnchorMap, statistics: DefectStatistics,
                 if net_a == net_b:
                     continue
                 report.bridge_pairs += 1
-                if net_a in supply_nets and net_b in supply_nets:
+                if net_a in SUPPLY_NETS and net_b in SUPPLY_NETS:
                     report.skipped_supply += 1
                     continue
                 spacing, facing = a.rect.facing(b.rect)
@@ -390,7 +381,7 @@ def failure_sites(anchor_map: AnchorMap, statistics: DefectStatistics,
                 lo, hi = sorted((net_a, net_b))
                 scope = scopes.get((lo, hi))
                 if scope is None:
-                    scope = _bridge_scope(circuit, supply_nets, lo, hi)
+                    scope = _bridge_scope(circuit, lo, hi)
                     scopes[(lo, hi)] = scope
                 fault = BridgingFault(
                     0, origin_layer=layer_name,
@@ -461,11 +452,10 @@ def failure_sites(anchor_map: AnchorMap, statistics: DefectStatistics,
             yield missing
 
 
-def _bridge_scope(circuit: Circuit, supply_nets: Sequence[str], net_a: str,
-                  net_b: str) -> str:
+def _bridge_scope(circuit: Circuit, net_a: str, net_b: str) -> str:
     """``"local"`` when one device of ``circuit`` touches both nets and
     neither is a supply, ``"global"`` otherwise."""
-    if net_a in supply_nets or net_b in supply_nets:
+    if net_a in SUPPLY_NETS or net_b in SUPPLY_NETS:
         return "global"
     for device in circuit.devices:
         if isinstance(device, (Mosfet, Capacitor)):
@@ -489,20 +479,24 @@ def _cut_mechanism(connectivity: ConnectivityResult, cut_shape: Shape,
 
 
 class FaultExtractor:
-    """GLRFM fault extraction from an extracted layout."""
+    """GLRFM fault extraction from an extracted layout.
+
+    Faults whose probability of occurrence falls below ``min_probability``
+    are not reported.
+    """
 
     def __init__(self, layout: Layout, extraction: ExtractionResult,
                  schematic: Circuit, lvs: LVSReport | None = None,
                  statistics: DefectStatistics | None = None,
-                 distribution: DefectSizeDistribution | None = None,
-                 options: FaultExtractionOptions | None = None) -> None:
+                 distribution: DefectSizeDistribution | None = None, *,
+                 min_probability: float = 1e-9) -> None:
         self.layout = layout
         self.extraction = extraction
         self.schematic = schematic
         self.lvs = lvs or compare(extraction.circuit, schematic)
         self.statistics = statistics or DefectStatistics.table_1()
         self.distribution = distribution or DefectSizeDistribution()
-        self.options = options or FaultExtractionOptions()
+        self.min_probability = min_probability
         self.report = FaultExtractionReport()
 
     # ------------------------------------------------------------------
@@ -518,8 +512,7 @@ class FaultExtractor:
                       tuple[BridgingFault, list[FailureSite]]] = {}
         opens: list[Fault] = []
         for site in failure_sites(anchor_map, self.statistics,
-                                  self.distribution, self.options.supply_nets,
-                                  self.report):
+                                  self.distribution, self.report):
             fault = site.fault
             if isinstance(fault, BridgingFault):
                 if site.area > 0.0:
@@ -552,14 +545,14 @@ class FaultExtractor:
             fault.fault_id = index
         total_candidates = len(merged)
 
-        final = merged.filter_probability(self.options.min_probability)
+        final = merged.filter_probability(self.min_probability)
         self.report.skipped_below_threshold = total_candidates - len(final)
         final = final.sorted_by_probability()
         final.name = "LIFT realistic faults (GLRFM)"
         final.metadata.update({
             "source": "glrfm",
             "layout": self.layout.name,
-            "min_probability": self.options.min_probability,
+            "min_probability": self.min_probability,
             "reference_density": self.statistics.reference_density,
             "candidates": total_candidates,
         })

@@ -19,6 +19,12 @@ from ..errors import ModelError, NetlistError
 GROUND_ALIASES = frozenset({"0", "gnd", "ground", "vss!", "gnd!"})
 #: Canonical ground node name.
 GROUND = "0"
+#: The supply nets ``(ground, vdd)`` of the LIFT side: the layout
+#: generator's bottom and top rails, the extracted NMOS substrate and PMOS
+#: n-well bulk nets, and the nets between which LIFT enumerates no bridge
+#: (a power-to-ground short is a gross defect caught by current testing,
+#: not by signal observation).
+SUPPLY_NETS = (GROUND, "1")
 
 
 def normalize_node(name: str | int) -> str:

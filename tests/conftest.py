@@ -17,7 +17,7 @@ from repro.circuits import (
     build_vco_layout,
 )
 from repro.extract import compare, extract_netlist
-from repro.lift import FaultExtractionOptions, FaultExtractor
+from repro.lift import FaultExtractor
 from repro.spice import SimulationOptions, TransientAnalysis
 
 # Simulation-backed property tests can exceed hypothesis' default per-example
@@ -60,9 +60,8 @@ def vco_lvs(vco_layout_pair, vco_extraction):
 def vco_fault_list(vco_layout_pair, vco_extraction, vco_lvs):
     """The GLRFM fault list of the VCO (all faults above 1e-9)."""
     circuit, layout = vco_layout_pair
-    extractor = FaultExtractor(layout, vco_extraction, circuit, vco_lvs,
-                               options=FaultExtractionOptions(min_probability=1e-9))
-    return extractor.run()
+    return FaultExtractor(layout, vco_extraction, circuit, vco_lvs,
+                          min_probability=1e-9).run()
 
 
 @pytest.fixture(scope="session")

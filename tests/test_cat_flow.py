@@ -3,7 +3,7 @@
 import pytest
 
 from repro.anafault import CampaignSettings, ToleranceSettings
-from repro.cat import CATFlow, CATOptions
+from repro.cat import CATFlow
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +37,10 @@ class TestFaultExtractionFlow:
 class TestCampaignFlow:
     def test_small_campaign_runs(self, vco_layout_pair):
         circuit, layout = vco_layout_pair
-        options = CATOptions()
-        options.campaign = CampaignSettings(
+        campaign = CampaignSettings(
             tstop=1.5e-6, tstep=1.5e-8, observation_nodes=("11",),
             tolerances=ToleranceSettings(2.0, 0.2e-6))
-        flow = CATFlow(circuit, layout, options)
+        flow = CATFlow(circuit, layout, campaign=campaign)
         result = flow.run(fault_limit=3)
         assert result.campaign is not None
         assert len(result.campaign.records) == 3
@@ -54,9 +53,9 @@ class TestCampaignFlow:
         faults = FaultList("custom")
         faults.add(BridgingFault(1, probability=1e-7, net_a="1", net_b="5",
                                  origin_layer="metal1"))
-        options = CATOptions()
-        options.campaign = CampaignSettings(
+        campaign = CampaignSettings(
             tstop=1.5e-6, tstep=1.5e-8, observation_nodes=("11",))
-        result = CATFlow(circuit, layout, options).run(fault_list=faults)
+        result = CATFlow(circuit, layout, campaign=campaign).run(
+            fault_list=faults)
         assert len(result.campaign.records) == 1
         assert result.campaign.records[0].detected

@@ -21,6 +21,7 @@ monotone resume progress).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pathlib
@@ -380,6 +381,9 @@ MALFORMED_LINES = {
         ['{"kind": "header", "version": 1, "shard_index": "zero", '
          '"shard_count": 2}'],
         "shard_index is 'zero'"),
+    "shard header without shard_count": (
+        ['{"kind": "header", "version": 1, "shard_index": 0}'],
+        "shard_count is None"),
 }
 
 
@@ -540,6 +544,23 @@ class TestCommandLine:
         netlist, faults = campaign_files
         self._cli("run", netlist, faults, "--amplitude-tolerance", "-1",
                   expect=2)
+
+    def test_merge_names_a_shard_header_without_shard_count(
+            self, campaign_files, tmp_path, capsys):
+        """The CLI reads each shard's slice before merging; a header with
+        ``shard_index`` but no ``shard_count`` is an input error naming
+        the file, not a KeyError traceback."""
+        from repro.anafault.cli import main
+
+        netlist, faults = campaign_files
+        shard = tmp_path / "s0.jsonl"
+        shard.write_text('{"kind": "header", "version": 1, '
+                         '"shard_index": 0}\n')
+        assert main(["merge", str(netlist), str(faults),
+                     *self.SETTINGS_FLAGS, str(shard)],
+                    out=io.StringIO()) == 2
+        assert (f"{shard} has a header line whose shard_count is None"
+                in capsys.readouterr().err)
 
     def test_merge_refuses_drifted_settings(self, campaign_files, tmp_path):
         netlist, faults = campaign_files

@@ -1,14 +1,17 @@
-"""Golden fault lists of the VCO.
+"""Golden fault lists of the VCO, and the layout and circuit behind them.
 
 Layout extraction, GLRFM, L2RFM, the schematic fault list and the
 defect-driven generator must reproduce the committed fault lists byte for
-byte (``FaultList.dumps()``).  Every campaign fingerprint, checkpoint and
+byte (``FaultList.dumps()``).  The generated VCO layout (its
+``repro.layout.textio`` text) and the circuit extracted from it (its SPICE
+text) are pinned too, so a change of the layout generator or of the device
+recogniser shows before it reaches a fault list.  Every campaign fingerprint, checkpoint and
 benchmark expectation downstream hashes these lists, so a refactor of the
 extraction graph or of the critical-area code that moves one probability
 digit, one fault id or one chosen terminal fails here first.
 
-The goldens live in ``tests/data``; the defect-driven universe is pinned by
-the sha256 of its text.  Regenerate them only for an announced change of
+The goldens live in ``tests/data``; the layout, the extracted netlist and
+the defect-driven universe are pinned by the sha256 of their text.  Regenerate them only for an announced change of
 the fault lists.
 """
 
@@ -22,7 +25,9 @@ import pytest
 
 from repro.anafault import generate_fault_list
 from repro.cat import CATFlow
-from repro.lift import FaultExtractionOptions, FaultExtractor
+from repro.layout.textio import dumps as layout_text
+from repro.lift import FaultExtractor
+from repro.spice import write_netlist
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,6 +40,20 @@ def vco_flow_result(vco_layout_pair):
 
 def _golden(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_layout_generator_reproduces_the_golden_vco_layout(vco_layout):
+    assert _sha256(layout_text(vco_layout)) == \
+        _golden("vco_layout.sha256").strip()
+
+
+def test_extraction_reproduces_the_golden_vco_netlist(vco_extraction):
+    assert _sha256(write_netlist(vco_extraction.circuit)) == \
+        _golden("vco_extracted.sha256").strip()
 
 
 @pytest.mark.parametrize("golden, attribute", [
@@ -52,7 +71,7 @@ def test_glrfm_reproduces_the_golden_list_below_the_coverage_cut(
     circuit, layout = vco_layout_pair
     faults = FaultExtractor(
         layout, vco_extraction, circuit, vco_lvs,
-        options=FaultExtractionOptions(min_probability=1e-9)).run()
+        min_probability=1e-9).run()
     assert faults.dumps() == _golden("vco_glrfm.lift")
 
 
@@ -61,8 +80,7 @@ def test_faultgen_reproduces_the_golden_universe(vco_layout_pair,
     circuit, layout = vco_layout_pair
     universe = generate_fault_list(layout, vco_extraction, schematic=circuit,
                                    lvs=vco_lvs)
-    digest = hashlib.sha256(universe.dumps().encode("utf-8")).hexdigest()
-    assert digest == _golden("vco_faultgen.sha256").strip()
+    assert _sha256(universe.dumps()) == _golden("vco_faultgen.sha256").strip()
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +126,7 @@ def full_precision_lists(vco_layout_pair, vco_extraction, vco_lvs,
     return {
         "glrfm": FaultExtractor(
             layout, vco_extraction, circuit, vco_lvs,
-            options=FaultExtractionOptions(min_probability=1e-9)).run(),
+            min_probability=1e-9).run(),
         "realistic": vco_flow_result.realistic_faults,
         "faultgen_collapsed": faultgen(True),
         "faultgen_uncollapsed": faultgen(False),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.anafault import (
     CampaignSettings,
     CoverageEstimate,
-    FaultGenOptions,
     FaultGenerator,
     FaultInjector,
     FaultSimulator,
@@ -34,6 +33,7 @@ from repro.layout.textio import dumps as layout_dumps
 from repro.lift import BridgingFault, FaultList, OpenFault
 from repro.lint import lint_fault_list
 from repro.spice import write_netlist
+from repro.spice.netlist import SUPPLY_NETS
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ class TestGeneration:
 
     def test_supply_to_supply_bridges_are_skipped(self, vco_generator,
                                                   vco_candidates):
-        supplies = set(vco_generator.options.supply_nets)
+        supplies = set(SUPPLY_NETS)
         for candidate in vco_candidates:
             fault = candidate.fault
             if isinstance(fault, BridgingFault):

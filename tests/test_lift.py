@@ -6,7 +6,6 @@ from repro.circuits import build_cmos_inverter
 from repro.errors import FaultError
 from repro.lift import (
     BridgingFault,
-    FaultExtractionOptions,
     FaultExtractor,
     FaultList,
     OpenFault,
@@ -324,9 +323,9 @@ class TestGLRFM:
                                                 vco_extraction, vco_lvs):
         circuit, layout = vco_layout_pair
         strict = FaultExtractor(layout, vco_extraction, circuit, vco_lvs,
-                                options=FaultExtractionOptions(min_probability=1e-7)).run()
+                                min_probability=1e-7).run()
         loose = FaultExtractor(layout, vco_extraction, circuit, vco_lvs,
-                               options=FaultExtractionOptions(min_probability=1e-10)).run()
+                               min_probability=1e-10).run()
         assert len(loose) >= len(strict)
 
 

@@ -1,5 +1,6 @@
 """The record-identity check (``tools/record_identity.py``) on hand-made
-snapshots: no simulation runs, only the digests and the comparison."""
+snapshots and on the VCO's LIFT cases: no simulation runs, only the
+extraction, the digests and the comparison."""
 
 from __future__ import annotations
 
@@ -108,3 +109,39 @@ def test_identity_cases_name_a_fingerprint_drift(tool, rc_circuit):
     assert tool.compare(base, same) == []
     assert tool.compare(base, moved) == [
         ("identity/fixed", ["fingerprint", "settings_text"])]
+
+
+def test_fault_list_cases_see_what_dumps_rounds_away(tool):
+    """``dumps()`` prints six digits; the full-precision field still names
+    a one-ulp move of a fault probability."""
+    from repro.lift import BridgingFault, FaultList
+
+    def faults(probability):
+        fault_list = FaultList("lift")
+        fault_list.add(BridgingFault(1, probability=probability, net_a="a",
+                                     net_b="b"))
+        return fault_list
+
+    base = {"cases": {"lift/glrfm": tool.fault_list_case(faults(1e-7))}}
+    moved = {"cases": {"lift/glrfm": tool.fault_list_case(
+        faults(math.nextafter(1e-7, 1.0)))}}
+    assert faults(1e-7).dumps() == faults(math.nextafter(1e-7, 1.0)).dumps()
+    assert tool.compare(base, moved) == [("lift/glrfm", ["faults"])]
+
+
+def test_lift_cases_cover_the_extraction_half(tool, vco_layout_pair):
+    """One case per artefact of the layout-to-fault-list half, the same
+    on every build."""
+    from repro.cat import CATFlow
+
+    circuit, layout = vco_layout_pair
+
+    def cases():
+        flow = CATFlow(circuit, layout).extract_faults()
+        return tool._lift_cases(flow, lambda message: None)
+
+    first = cases()
+    assert sorted(first) == ["lift/faultgen", "lift/glrfm", "lift/l2rfm",
+                             "lift/layout", "lift/lvs", "lift/netlist"]
+    assert set(first["lift/faultgen"]["fields"]) == {"text", "faults"}
+    assert tool.compare({"cases": first}, {"cases": cases()}) == []

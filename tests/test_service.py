@@ -155,8 +155,10 @@ class TestLeaseMachine:
         assert not set(first) & set(second)
 
     def test_cost_balancing_expensive_fault_travels_alone(self):
-        costs = {1: 100.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 1.0}
-        machine = LeaseMachine([1, 2, 3, 4, 5], lease_size=4, costs=costs)
+        machine = LeaseMachine([1, 2, 3, 4, 5], lease_size=4)
+        for fault_id, cost in {1: 100.0, 2: 1.0, 3: 1.0, 4: 1.0,
+                               5: 1.0}.items():
+            machine.observe_cost(fault_id, cost)
         first = machine.lease("w1", now=0.0)
         assert first == [1]  # most expensive first, alone over budget
         second = machine.lease("w2", now=0.0)

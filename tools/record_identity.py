@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Record-identity check: hash what a source tree simulates, case by case,
-and name every case and field in which two trees differ (stdlib + numpy).
+"""Record-identity check: hash what a source tree extracts and simulates,
+case by case, and name every case and field in which two trees differ
+(stdlib + numpy).
 
-A refactor of the simulation kernel is accepted on "the records did not
-move": the same fault records and the same fig. 3 print rows, to the last
-bit.  This tool makes that check one command instead of a scratch script.
+A refactor of the extraction or the simulation kernel is accepted on "the
+records did not move": the same layout, extracted circuit and fault lists,
+the same fault records and the same fig. 3 print rows, to the last bit.
+This tool makes that check one command instead of a scratch script.
 
 ``snapshot --src TREE --cases ci|full --out F``
     Runs a fresh interpreter with ``TREE/src`` on ``PYTHONPATH`` and writes
@@ -22,6 +24,16 @@ bit.  This tool makes that check one command instead of a scratch script.
       one timestep mode.  It hashes the settings text and the campaign
       fingerprint, which name checkpoints, shards and service jobs, so a
       fingerprint drift shows even when no record moves.
+    * A *LIFT case* (``lift/<artefact>``) is one artefact of the VCO's
+      layout-to-fault-list half: the generated layout
+      (``repro.layout.textio.dumps``), the extracted netlist
+      (``write_netlist``), the LVS summary and device map, and the L2RFM, GLRFM
+      (realistic, after the coverage cut) and defect-driven (faultgen)
+      fault lists.  A fault list hashes its ``dumps()`` text and, since
+      that rounds to 6 digits, every fault field as a full-precision
+      repr.  The cases are built only through ``build_vco_layout``,
+      ``CATFlow(...).extract_faults()`` and ``generate_fault_list``,
+      entry points every compared tree has.
 
     The ``ci`` set is the 24 most probable LIFT faults x {fixed, adaptive}
     x {``SerialExecutor()``, ``BatchedExecutor(8, early_abort=True)``},
@@ -29,7 +41,7 @@ bit.  This tool makes that check one command instead of a scratch script.
     is all 99 faults x {fixed, adaptive} x {``SerialExecutor()``,
     ``BatchedExecutor(8)``, ``BatchedExecutor(8, workers=2)``}, plus the
     seven fig. 3 voltages x {fixed, adaptive}.  Both sets have one
-    identity case per mode.
+    identity case per mode and the same six LIFT cases.
 
 ``compare A B``
     Prints every case whose digest differs (or that only one snapshot
@@ -193,16 +205,50 @@ def identity_case(circuit, faults, settings) -> dict:
         "fingerprint": campaign_fingerprint(circuit, faults, settings)})
 
 
-def _fault_cases(case_set: str, log) -> dict:
+def fault_list_case(faults) -> dict:
+    """The case of one fault list: its ``dumps()`` text and every field of
+    every fault at full precision, in list order."""
+    import dataclasses
+
+    return case_digest({
+        "text": faults.dumps().encode("utf-8"),
+        "faults": [[fault.kind, fault.effective_weight,
+                    [[field.name, getattr(fault, field.name)]
+                     for field in dataclasses.fields(fault)]]
+                   for fault in faults]})
+
+
+def _lift_cases(flow, log) -> dict:
+    from repro.anafault import generate_fault_list
+    from repro.layout.textio import dumps
+    from repro.spice import write_netlist
+
+    start = time.perf_counter()
+    faultgen = generate_fault_list(flow.layout, flow.extraction,
+                                   schematic=flow.schematic, lvs=flow.lvs)
+    cases = {
+        "lift/layout": case_digest(
+            {"text": dumps(flow.layout).encode("utf-8")}),
+        "lift/netlist": case_digest(
+            {"text": write_netlist(flow.extraction.circuit).encode("utf-8")}),
+        "lift/lvs": case_digest({"summary": flow.lvs.summary(),
+                                 "device_map": flow.lvs.device_map}),
+        "lift/l2rfm": fault_list_case(flow.l2rfm_faults),
+        "lift/glrfm": fault_list_case(flow.realistic_faults),
+        "lift/faultgen": fault_list_case(faultgen),
+    }
+    log(f"lift: {len(cases)} artefacts in "
+        f"{time.perf_counter() - start:.1f} s")
+    return cases
+
+
+def _fault_cases(case_set: str, circuit, faults, log) -> dict:
     from repro.anafault import (BatchedExecutor, CampaignSettings,
                                 FaultSimulator, SerialExecutor,
                                 ToleranceSettings)
     from repro.anafault.checkpoint import RECORD_FIELDS
-    from repro.cat import CATFlow
-    from repro.circuits import OUTPUT_NODE, build_vco_layout
+    from repro.circuits import OUTPUT_NODE
 
-    circuit, layout = build_vco_layout()
-    faults = CATFlow(circuit, layout).extract_faults().realistic_faults
     if FAULT_COUNT[case_set] is not None:
         faults = faults.top(FAULT_COUNT[case_set])
     fields = [name for name in RECORD_FIELDS if name != "elapsed_seconds"]
@@ -261,12 +307,18 @@ def _fig3_cases(case_set: str, log) -> dict:
 def run_cases(case_set: str) -> dict:
     """Every case of ``case_set`` against the ``repro`` on ``sys.path``."""
     import repro
+    from repro.cat import CATFlow
+    from repro.circuits import build_vco_layout
 
     def log(message: str) -> None:
         print(f"  {message}", file=sys.stderr, flush=True)
 
     start = time.perf_counter()
-    cases = {**_fault_cases(case_set, log), **_fig3_cases(case_set, log)}
+    circuit, layout = build_vco_layout()
+    flow = CATFlow(circuit, layout).extract_faults()
+    cases = {**_lift_cases(flow, log),
+             **_fault_cases(case_set, circuit, flow.realistic_faults, log),
+             **_fig3_cases(case_set, log)}
     return {"case_set": case_set,
             "src": str(pathlib.Path(repro.__file__).resolve().parent.parent),
             "seconds": round(time.perf_counter() - start, 1),
