@@ -334,6 +334,7 @@ class CampaignResult:
             "faults": count,
             "solver_backend": self.nominal_stats.get("solver_backend",
                                                      "dense"),
+            "device_kernel": self.nominal_stats.get("device_kernel"),
             "timestep_mode": self.nominal_stats.get("timestep_mode",
                                                     "fixed"),
             "steps_accepted_total": sum(

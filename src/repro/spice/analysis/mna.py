@@ -102,7 +102,7 @@ class SimState:
         self.last_newton_iterations = 0
 
     def note_limiting(self, exceeded: np.ndarray) -> None:
-        """Set :attr:`limited` if any entry of a device bank's per-device
+        """Set :attr:`limited` if any entry of a device bank's per-lane
         limiting mask ``exceeded`` is set."""
         if np.count_nonzero(exceeded):
             self.limited = True

@@ -303,8 +303,8 @@ class TransientResult:
     Signals can be read with ``result["11"]``, ``result["v(11)"]`` or
     :meth:`waveform`, all returning :class:`~repro.spice.waveform.Waveform`
     objects.  Kernel telemetry of the run (Newton iterations, accepted and
-    rejected internal steps, linear-bypass flag) is available in
-    :attr:`stats`.
+    rejected internal steps, linear-bypass flag, the MOSFET lane kernel
+    that ran) is available in :attr:`stats`.
     """
 
     def __init__(self, time: np.ndarray, node_traces: dict[str, np.ndarray],
@@ -1183,6 +1183,8 @@ class TransientRun:
         stats = {
             "linear_bypass": builder.is_linear,
             "solver_backend": builder.backend.name,
+            "device_kernel": (None if builder.mosfet_bank is None
+                              else builder.mosfet_bank.kernel_name),
             "matrix_size": builder.size,
             "timestep_mode": analysis.timestep.mode,
             "recorded_nodes": (data.shape[1] if select is not None

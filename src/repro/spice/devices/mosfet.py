@@ -12,7 +12,9 @@ import numpy as np
 
 from ...errors import AnalysisError, ModelError
 from ...units import EPS0, EPS_SIO2, parse_value
+from . import lane_kernel
 from .base import Device, stamp_conductance
+from .lane_kernel import LANE_CONSTANTS, buffer
 
 #: Default model parameters for the level-1 model (SPICE defaults).
 DEFAULT_MOS_PARAMS = {
@@ -285,6 +287,12 @@ class MosfetBank:
     the selected floats, and the drain/source exchange and the
     forward-bias lane are skipped when no lane needs them.
 
+    That numpy lane code (:meth:`_stamp_lanes`) is the reference and the
+    fallback: where the compiled lane kernel of
+    :mod:`~repro.spice.devices.lane_kernel` loads, the bank binds its
+    constant arrays to it once and every iteration is one C call that
+    computes the same floats, written straight in scatter order.
+
     The bank owns the Newton state of its members across solves: one
     :class:`MosfetState` holds the limiting history and the last
     linearisation as arrays, which each iteration reads and rebinds and
@@ -354,6 +362,7 @@ class MosfetBank:
         # calls receive fancy-indexed copies, never the buffers).
         self._values = np.empty((8, count))
         self._values_rhs = np.empty((2, count))
+        self._bind_kernel()
 
     def __len__(self) -> int:
         return len(self.mosfets)
@@ -432,8 +441,75 @@ class MosfetBank:
             np.copyto(gmbs, _ZERO, where=cutoff)
         return ids, gm, gds, gmbs
 
+    def _bind_kernel(self) -> None:
+        """Bind the compiled lane kernel to the bank's constant arrays, once
+        per bank (``_kernel`` is ``None`` where the numpy lanes run)."""
+        self._kernel = lane_kernel.load()
+        if self._kernel is None:
+            return
+        count = len(self.pol)
+        gather = (self._gather if self._grounded is None
+                  else np.where(self._grounded, -1, self._gather))
+        # The kernel's output holds the linearisation (7 rows of count),
+        # then the matrix values in scatter order, then the RHS values.
+        # stamp_pos gives the output index of every value of the numpy
+        # lanes' buffer rows (8 matrix rows, then the 2 RHS rows).
+        matrix_at = 7 * count
+        rhs_at = matrix_at + len(self._m_flat)
+        end = rhs_at + len(self._r_flat)
+        stamp_pos = np.full((10, count), -1, dtype=np.int64)
+        stamp_pos[:8].reshape(-1)[self._m_flat] = np.arange(matrix_at, rhs_at)
+        stamp_pos[8:].reshape(-1)[self._r_flat] = np.arange(rhs_at, end)
+        gather = np.ascontiguousarray(gather, dtype=np.int64)
+        constants = [np.ascontiguousarray(getattr(self, name),
+                                          dtype=np.float64)
+                     for name in LANE_CONSTANTS]
+        self._lane_arrays = (gather, stamp_pos, constants)
+        self._lanes = lane_kernel.bind(count, self._zero_cutoff_gmbs,
+                                       *self._lane_arrays)
+        self._out_bounds = (matrix_at, rhs_at, end)
+
+    @property
+    def kernel_name(self) -> str:
+        """``"compiled"`` if the bank stamps through the compiled lane
+        kernel, ``"numpy"`` if through the numpy lanes."""
+        return "numpy" if self._kernel is None else "compiled"
+
     def stamp_iteration(self, system, state) -> None:
-        """Stamp every channel linearisation around ``state.x`` at once."""
+        """Stamp every channel linearisation around ``state.x`` at once,
+        through the compiled lane kernel where it is available and the
+        numpy lanes (:meth:`_stamp_lanes`) elsewhere: both compute the
+        same floats.
+
+        ``state`` provides ``x``, ``gmin`` (a float, or one per lane) and
+        ``note_limiting``, which takes the per-lane limiting mask.
+        """
+        if self._kernel is None:
+            self._stamp_lanes(system, state)
+            return
+        newton = self.newton
+        count = len(self.pol)
+        matrix_at, rhs_at, end = self._out_bounds
+        out = np.empty(end)
+        flags = np.empty((2, count), dtype=bool)
+        x = np.ascontiguousarray(state.x, dtype=np.float64)
+        gmin, gmin_lanes = state.gmin, None
+        if isinstance(gmin, np.ndarray):
+            gmin, gmin_lanes = 0.0, buffer(gmin)
+        self._kernel(self._lanes, buffer(x), buffer(newton.vgs_last),
+                     buffer(newton.vds_last), gmin, gmin_lanes, buffer(out),
+                     buffer(flags))
+        state.note_limiting(flags[1])
+        op = out[:matrix_at].reshape(7, count)
+        newton.vgs_last = op[4]
+        newton.vds_last = op[5]
+        newton.op = (*op, flags[0])
+        system.scatter(self._m_index[0], self._m_index[1],
+                       out[matrix_at:rhs_at])
+        system.scatter_rhs(self._r_rows, out[rhs_at:])
+
+    def _stamp_lanes(self, system, state) -> None:
+        """:meth:`stamp_iteration` in numpy lane code."""
         newton = self.newton
         voltages = state.x[self._gather]
         if self._grounded is not None:
@@ -459,8 +535,9 @@ class MosfetBank:
         limited = np.empty_like(requested)
         vds_f = _limvds_vec(requested[0], newton.vds_last, limited[0])
         vgs_f = _fetlim_vec(requested[1], newton.vgs_last, von, limited[1])
-        state.note_limiting(np.abs(limited - requested)
-                            > _LIMITED_ABS + _LIMITED_REL * np.abs(requested))
+        state.note_limiting(
+            (np.abs(limited - requested)
+             > _LIMITED_ABS + _LIMITED_REL * np.abs(requested)).any(axis=0))
         newton.vgs_last = vgs_f
         newton.vds_last = vds_f
 
@@ -498,12 +575,6 @@ class MosfetBank:
             np.copyto(values_rhs[0], i_rhs, where=reverse)
         np.negative(values_rhs[0], out=values_rhs[1])
         system.scatter_rhs(self._r_rows, values_rhs.take(self._r_flat))
-
-
-#: Per-device arrays a fused bank concatenates from its members.
-_FUSED_ARRAYS = ("pol", "beta", "half_beta", "lam", "vto", "gamma",
-                 "neg_gamma", "phi", "two_phi", "sqrt_phi",
-                 "neg_gamma_sqrt_phi")
 
 
 class FusedMosfetBanks:
@@ -548,7 +619,7 @@ class FusedMosfetBanks:
         fused = MosfetBank.__new__(MosfetBank)
         fused.mosfets = []
         fused.newton = MosfetState.zeros(total)
-        for name in _FUSED_ARRAYS:
+        for name in LANE_CONSTANTS:
             setattr(fused, name,
                     np.concatenate([getattr(bank, name) for bank in banks]))
         # Variant j's unknowns sit at j * size of the concatenated
@@ -584,6 +655,7 @@ class FusedMosfetBanks:
              for bank, count, start in zip(banks, counts, starts)])
         fused._values = np.empty((8, total))
         fused._values_rhs = np.empty((2, total))
+        fused._bind_kernel()
         #: The fused :class:`MosfetBank`.
         self.bank = fused
         #: Concatenated iterates of the variants (set per round).
@@ -616,10 +688,11 @@ class FusedMosfetBanks:
             holder.op = tuple([values[start:stop] for values in op])
 
     def note_limiting(self, exceeded: np.ndarray) -> None:
-        """Set ``limited`` on each variant with a limited MOSFET."""
+        """Set ``limited`` on each variant with a limited MOSFET
+        (``exceeded``: the per-lane limiting mask)."""
         if not np.count_nonzero(exceeded):
             return
-        hits = np.logical_or.reduceat(exceeded.any(axis=0), self._starts)
+        hits = np.logical_or.reduceat(exceeded, self._starts)
         for state, hit in zip(self._states, hits):
             if hit:
                 state.limited = True

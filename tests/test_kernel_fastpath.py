@@ -215,3 +215,6 @@ class TestCampaignLayer:
         assert telemetry["newton_iterations_total"] > 0
         assert telemetry["fault_seconds_total"] > 0.0
         assert result.nominal_stats["linear_bypass"]
+        # The RC circuit has no MOSFET, so no lane kernel ran.
+        assert telemetry["device_kernel"] is None
+        assert result.nominal_stats["device_kernel"] is None

@@ -31,7 +31,12 @@ operating-point and AC paths still see the last linearisation.
 
 import copy
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +47,7 @@ from repro.anafault import inject_fault
 from repro.cat import CATFlow
 from repro.circuits import (VCOParameters, build_vco, build_vco_layout,
                             nominal_transient_settings)
-from repro.circuits.library import build_cmos_inverter
+from repro.circuits.library import build_cmos_inverter, build_rc_lowpass
 from repro.circuits.models import add_default_models
 from repro.errors import AnalysisError, ConvergenceError, SingularMatrixError
 from repro.spice import (ACAnalysis, Circuit, Mosfet, OperatingPointAnalysis,
@@ -51,15 +56,18 @@ from repro.spice import (ACAnalysis, Circuit, Mosfet, OperatingPointAnalysis,
 from repro.spice.analysis import dc as dc_module
 from repro.spice.analysis import mna as mna_module
 from repro.spice.analysis import transient as transient_module
-from repro.spice.analysis.backends import MNASystem
+from repro.spice.analysis.backends import MNASystem, StackedMNASystem
 from repro.spice.analysis.mna import MNABuilder
 from repro.spice.devices import DCShape
+from repro.spice.devices import lane_kernel
 from repro.spice.devices import mosfet as mosfet_module
 from repro.spice.devices.base import CompanionCapacitorBank
-from repro.spice.devices.mosfet import OP_KEYS, MosfetState
+from repro.spice.devices.mosfet import OP_KEYS, FusedMosfetBanks, MosfetState
 from repro.spice.netlist import Model
 from mosfet_oracle import OracleMosfet
 from test_dense_kernel import per_device_init_state
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: The LTE settings of the adaptive fig. 3 / fig. 5 studies.
 ADAPTIVE = TransientOptions(mode="adaptive", lte_reltol=3e-3,
@@ -114,6 +122,9 @@ class LegacyMosfetBank:
     :meth:`load_history` gathers the history from it when a solve starts
     and :meth:`store_history` writes both back when it ends.
     """
+
+    #: The ``device_kernel`` stat of a transient this bank stamps.
+    kernel_name = "numpy"
 
     def __init__(self, mosfets):
         self.mosfets = list(mosfets)
@@ -433,7 +444,10 @@ def assert_kernels_agree(make_analysis, monkeypatch) -> dict:
         patch.setattr(dc_module, "solve_newton", legacy_solve_newton)
         legacy_rows, legacy_stats = print_rows_and_stats(make_analysis())
     assert rows == legacy_rows
-    assert stats == legacy_stats
+    # device_kernel names the lane code that ran, not a result.
+    assert legacy_stats.pop("device_kernel") == "numpy"
+    assert {key: value for key, value in stats.items()
+            if key != "device_kernel"} == legacy_stats
     return stats
 
 
@@ -637,8 +651,11 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_the_oracle_catches_a_mutated_bank(mutation, monkeypatch):
-    """The lane comparison still bites: a bank with one constant changed
-    no longer matches the oracle on the lane that uses it."""
+    """The lane comparison still bites: a bank with one constant of the
+    numpy lanes changed no longer matches the oracle on the lane that uses
+    it.  (The compiled kernel is checked against the numpy lanes by
+    ``test_compiled_and_numpy_kernels_are_bitwise_equal``.)"""
+    monkeypatch.setattr(lane_kernel, "_kernel", None)
     name, value, lane = MUTATIONS[mutation]
     specs, voltages, history, _ = LANES[lane]
     assert_bitwise_equal(*stamp_both(specs, voltages, history))
@@ -672,6 +689,231 @@ def test_bank_stamps_are_bitwise_the_oracle_stamps(devices, node_volts):
             voltages.setdefault(name, node_volts[4 * index + position])
     vector, scalar = stamp_both(specs, voltages, history)
     assert_bitwise_equal(vector, scalar)
+
+
+# ---------------------------------------------------------------------------
+# The compiled lane kernel against the numpy lanes
+# ---------------------------------------------------------------------------
+
+def require_compiled() -> None:
+    if lane_kernel.load() is None:
+        pytest.skip("no working C compiler: only the numpy lanes run")
+
+
+def kernel_outcome(kernel, specs, variants, fused):
+    """Everything one stamp through ``kernel`` (``"compiled"`` or
+    ``"numpy"``) produces, as bytes: matrices, right-hand sides, the
+    limiting masks the states were given, their ``limited`` flags, and
+    every bank's limiting history and linearisation.
+
+    ``variants`` are ``(voltages, history, gmin)`` over the devices
+    ``specs``; ``fused``: stamp them through one
+    :class:`FusedMosfetBanks` (a gmin per variant), else stamp the one
+    variant through its own bank (its gmin may be an array, one per lane).
+    """
+    fixtures = [bank_fixture(specs, voltages, history)
+                for voltages, history, _ in variants]
+    banks = [bank for _, bank, _ in fixtures]
+    states = [state for _, _, state in fixtures]
+    for state, (_, _, gmin) in zip(states, variants):
+        state.gmin = gmin
+    if fused:
+        system = StackedMNASystem(len(fixtures), fixtures[0][0].size)
+        target = FusedMosfetBanks(banks, system, states)
+        bank, stamp = target.bank, target.stamp_iteration
+        matrix = system.matrices
+    else:
+        (builder, bank, target), = fixtures
+        single = MNASystem(builder.size)
+        system, matrix = single, single.matrix
+
+        def stamp():
+            bank.stamp_iteration(single, target)
+    assert bank._kernel is not None
+    if kernel == "numpy":
+        bank._kernel = None
+    masks = []
+    note = target.note_limiting
+
+    def recording(mask):
+        masks.append(mask.copy())
+        note(mask)
+
+    target.note_limiting = recording
+    for state in states:
+        state.limited = False
+    stamp()
+    parts = [matrix.tobytes(), system.rhs.tobytes(),
+             [(mask.dtype.str, mask.tobytes()) for mask in masks],
+             [state.limited for state in states]]
+    for member in banks:
+        newton = member.newton
+        parts += [newton.vgs_last.tobytes(), newton.vds_last.tobytes()]
+        parts += [(values.dtype.str, values.tobytes())
+                  for values in newton.op]
+    return parts
+
+
+def assert_lane_kernels_agree(specs, variants, fused):
+    require_compiled()
+    compiled = kernel_outcome("compiled", specs, variants, fused)
+    assert compiled == kernel_outcome("numpy", specs, variants, fused)
+    return compiled
+
+
+@pytest.mark.parametrize("lane", sorted(LANES))
+def test_both_kernels_take_every_lane(lane):
+    """Each lane of the kernel (reversed, forward bulk bias, cut-off,
+    saturation, triode, limvds from ``vds_last >= 3.5``, fetlim leaving
+    and halving, ``gamma == 0``, grounded terminals, mixed banks) gives
+    the same bytes through the compiled and the numpy kernel, and the
+    lane is really taken."""
+    specs, voltages, history, check = LANES[lane]
+    require_compiled()
+    vector, _ = stamp_both(specs, voltages, history)
+    assert check(vector[4], vector[2])
+    assert_lane_kernels_agree(specs, [(voltages, history, 1e-12)],
+                              fused=False)
+    assert_lane_kernels_agree(specs, [(voltages, history, 1e-12)], fused=True)
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_both_kernels_stamp_a_fused_bank_alike(width):
+    """A fused bank of ``width`` variants of the mixed lane (every branch
+    of the kernel in one bank), with a gmin per variant."""
+    specs, voltages, history, _ = LANES["mixed"]
+    variants = [({node: volts * (1.0 + 0.125 * j)
+                  for node, volts in voltages.items()},
+                 [(vgs - 0.5 * j, vds + 1.5 * j) for vgs, vds in history],
+                 1e-12 * (j + 1))
+                for j in range(width)]
+    assert_lane_kernels_agree(specs, variants, fused=True)
+
+
+gmins = st.sampled_from([1e-12, 0.0, 1e-3]) | st.floats(0.0, 1e-2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(device_specs, min_size=1, max_size=4),
+       st.sampled_from([0, 1, 3, 8]), st.data())
+def test_compiled_and_numpy_kernels_are_bitwise_equal(devices, width, data):
+    """The compiled lane kernel computes the floats of the numpy lanes:
+    the same op tuples, limiting history, limiting masks and scattered
+    matrix and right-hand side, for one bank (``width == 0``, a float or
+    per-lane gmin) and fused banks of 1, 3 and 8 variants."""
+    specs = []
+    for index, (kind, terminals, params, _) in enumerate(devices):
+        specs.append((kind, tuple(t if t == "0" else f"{t}{index}"
+                                  for t in terminals), params))
+    nodes = sorted({name for _, names, _ in specs for name in names} - {"0"})
+    variants = []
+    for _ in range(max(width, 1)):
+        node_volts = data.draw(st.lists(volts, min_size=len(nodes),
+                                        max_size=len(nodes)))
+        history = data.draw(st.lists(
+            st.tuples(volts, st.floats(-1.0, 8.0)), min_size=len(specs),
+            max_size=len(specs)))
+        gmin = data.draw(gmins)
+        if width == 0 and data.draw(st.booleans()):
+            gmin = np.array(data.draw(st.lists(
+                gmins, min_size=len(specs), max_size=len(specs))))
+        variants.append((dict(zip(nodes, node_volts)), history, gmin))
+    assert_lane_kernels_agree(specs, variants, fused=width > 0)
+
+
+def _compiler_works(directory) -> bool:
+    """Whether the kernel's compiler command builds a shared library with
+    the kernel's flags (the library is never loaded)."""
+    command = lane_kernel.compiler()
+    probe = directory / "probe.c"
+    probe.write_text("int probe(void) { return 1; }\n")
+    try:
+        return bool(command) and subprocess.run(
+            [*command, *lane_kernel.FLAGS, "-o", str(directory / "probe.so"),
+             str(probe)], capture_output=True, timeout=120).returncode == 0
+    except (OSError, subprocess.SubprocessError):
+        return False
+
+
+def _process_kernel() -> str:
+    """The lane kernel this process's banks bind."""
+    return "numpy" if lane_kernel.load() is None else "compiled"
+
+
+def test_a_working_compiler_runs_the_compiled_kernel(tmp_path, monkeypatch):
+    """Where a C compiler works, every bank stamps through the compiled
+    kernel: a build, load or bind that fails and quietly falls back to the
+    numpy lanes fails here instead."""
+    expected = "compiled" if _compiler_works(tmp_path) else "numpy"
+    assert _process_kernel() == expected
+    if expected == "compiled":
+        def refuse(self, system, state):
+            raise AssertionError("the numpy lanes ran")
+
+        monkeypatch.setattr(mosfet_module.MosfetBank, "_stamp_lanes", refuse)
+    run = TransientAnalysis(build_vco(), tstop=1e-7, tstep=1e-8,
+                            use_ic=True).start()
+    while run.advance():
+        pass
+    assert (run.builder.mosfet_bank._kernel is not None) == (
+        expected == "compiled")
+    assert run.finish().stats["device_kernel"] == expected
+
+
+def test_a_transient_without_mosfets_loads_no_kernel(monkeypatch):
+    """A circuit without MOSFETs neither builds nor loads the kernel
+    library, and its ``device_kernel`` stat names no kernel."""
+    def refuse():
+        raise AssertionError("the lane kernel was loaded")
+
+    monkeypatch.setattr(lane_kernel, "_kernel", lane_kernel._UNTRIED)
+    monkeypatch.setattr(lane_kernel, "_load", refuse)
+    result = TransientAnalysis(build_rc_lowpass(), tstop=2e-6,
+                               tstep=1e-8).run()
+    assert result.stats["device_kernel"] is None
+
+
+#: A short nominal VCO transient; prints the kernel name, the
+#: ``device_kernel`` stat and a digest of every print row.
+TRANSIENT_DIGEST = """
+import hashlib, json
+from repro.circuits import build_vco
+from repro.spice import TransientAnalysis
+from repro.spice.devices import lane_kernel
+result = TransientAnalysis(build_vco(), tstop=4e-7, tstep=1e-8,
+                           use_ic=True).run()
+digest = hashlib.sha256(result.time.tobytes())
+for node in result.nodes:
+    digest.update(result.waveform(node).y.tobytes())
+print(json.dumps(["numpy" if lane_kernel.load() is None else "compiled",
+                  result.stats["device_kernel"],
+                  result.stats["newton_iterations"], digest.hexdigest()]))
+"""
+
+
+def _digest_run(environ) -> list:
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                               if env.get("PYTHONPATH") else []))
+    process = subprocess.run([sys.executable, "-c", TRANSIENT_DIGEST],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+    assert process.returncode == 0, process.stderr
+    return json.loads(process.stdout.splitlines()[-1])
+
+
+def test_without_a_compiler_the_numpy_lanes_give_the_same_transient(tmp_path):
+    """``$CC`` naming a missing binary: the build fails, nothing partial
+    is left in the cache, the numpy lanes run and the whole transient is
+    bitwise the one this process's kernel computes."""
+    cache = Path(lane_kernel.SOURCE).parent / "__pycache__"
+    fallback = _digest_run({"CC": str(tmp_path / "no-such-cc")})
+    assert fallback[:2] == ["numpy", "numpy"]
+    assert not list(cache.glob("*.partial"))
+    native = _digest_run({})
+    assert native[0] == native[1] == _process_kernel()
+    assert native[2:] == fallback[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ This tool makes that check one command instead of a scratch script.
       except ``elapsed_seconds``, each as a full-precision repr.
     * A *fig. 3 case* is one nominal VCO transient at one control voltage
       in one timestep mode.  It hashes the print rows (time, every node
-      voltage and branch current) and the run's ``stats``.
+      voltage and branch current) and the run's ``stats`` except
+      ``device_kernel``, which names the MOSFET lane kernel that ran
+      (compiled or numpy; both compute the same floats), not a result.
     * An *identity case* (``identity/<mode>``) is the fig. 5 campaign of
       one timestep mode.  It hashes the settings text and the campaign
       fingerprint, which name checkpoints, shards and service jobs, so a
@@ -297,9 +299,11 @@ def _fig3_cases(case_set: str, log) -> dict:
             rows = np.ascontiguousarray(np.column_stack(columns),
                                         dtype=np.float64)
             signals = ",".join(result.nodes + sorted(branches))
+            stats = {key: value for key, value in result.stats.items()
+                     if key != "device_kernel"}
             cases[f"fig3/{mode}/{voltage}"] = case_digest({
                 "rows": signals.encode("utf-8") + rows.tobytes(),
-                "stats": result.stats})
+                "stats": stats})
         log(f"fig3/{mode}: {len(FIG3_VOLTAGES[case_set])} transients")
     return cases
 
