@@ -18,12 +18,13 @@ memory of observed-node streaming (see ``docs/campaigns.md``).  A second,
 checkpoint-resumed campaign must reproduce the coverage number while
 re-simulating nothing.
 
-Since the adaptive-campaign PR it also runs the whole campaign under the
-calibrated variable-order BDF integrator (serial and batched) and holds
-its verdicts against both the paper's 10 ns grid and a converged fixed
-reference grid: adaptive may differ from the paper grid only on the few
-faults whose coarse-grid verdict the reference refutes as a truncation
-artifact, while spending far fewer Newton solves than the reference.
+It also runs the whole campaign under the variable-order BDF integrator
+(serial and batched) and holds its verdicts against both the paper's
+10 ns grid and a converged fixed reference grid, which is the verdict
+reference: adaptive may differ from the paper grid only on the few
+faults whose coarse-grid verdict the reference refutes, while spending
+far fewer Newton solves than the reference.  The fault ids on which
+each leg leaves the reference are reported, not asserted.
 """
 
 import time
@@ -34,7 +35,6 @@ from repro.anafault import (
     FaultSimulator,
     PoolExecutor,
     ToleranceSettings,
-    calibrate_tolerance,
     coverage_plot,
     format_fault_table,
     format_overview,
@@ -57,6 +57,11 @@ def _timed_preflight(circuit, faults, settings):
     start = time.perf_counter()
     preflight_campaign(circuit, faults, settings.fault_model)
     return time.perf_counter() - start
+
+
+def _fault_ids(ids):
+    """``#15, #81`` (or ``none``) for a report line."""
+    return ", ".join(f"#{fid}" for fid in ids) or "none"
 
 
 def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
@@ -158,8 +163,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
 
     # ------------------------------------------------------------------
     # Adaptive campaign end-to-end (docs/integration.md, docs/campaigns.md):
-    # calibrate the verdict tolerance on a seeded probe subset, then run
-    # the whole campaign under LTE-controlled variable-order BDF — serial
+    # run the whole campaign under LTE-controlled variable-order BDF — serial
     # and batched — and hold it against the fixed-step campaign and a
     # converged fixed reference grid.  The paper's 10 ns print grid
     # under-resolves the VCO switching edges (fig. 3 mis-measures the
@@ -176,15 +180,10 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     # (converged) accuracy.
     adaptive_settings = replace(settings,
                                 timestep=ADAPTIVE_TIMESTEP)
-    calibration = calibrate_tolerance(circuit, faults, adaptive_settings,
-                                      probes=min(8, len(faults)))
-    assert calibration.passed, calibration.summary()
-
     adaptive_start = time.perf_counter()
     adaptive_run = FaultSimulator(circuit, faults, adaptive_settings).run(
         executor=SerialExecutor())
     adaptive_seconds = time.perf_counter() - adaptive_start
-    adaptive_run.calibration.update(calibration.to_dict())
     adaptive_batched = FaultSimulator(circuit, faults,
                                       adaptive_settings).run(
         executor=BatchedExecutor(batch_width=8))
@@ -193,6 +192,14 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     reference_settings = replace(settings, tstep=reference_tstep)
     reference = FaultSimulator(circuit, faults, reference_settings).run(
         executor=PoolExecutor(2))
+    # Where each leg's verdict leaves the converged reference (reported,
+    # not asserted: the 10 ns print grid decides some verdicts whatever
+    # integrator produced the waveforms, see docs/campaigns.md).
+    reference_divergences = {
+        leg: sorted(ref.fault.fault_id for run_record, ref
+                    in zip(run.records, reference.records)
+                    if run_record.status != ref.status)
+        for leg, run in (("fixed", result), ("adaptive", adaptive_run))}
 
     # Adaptive never invents a verdict: fault for fault it either agrees
     # with the fixed campaign, or sides with the converged reference
@@ -360,8 +367,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         f"({preflight_seconds / campaign_wall['seconds']:.2%} of the "
         f"{campaign_wall['seconds']:.1f} s campaign; asserted < 1 %)",
         "",
-        "adaptive campaign  (variable-order BDF, calibrated verdict "
-        "tolerance)",
+        "adaptive campaign  (variable-order BDF)",
         f"{'':<26}{'fixed 10ns':>14}"
         f"{'fixed %.3gns' % (reference_tstep * 1e9):>14}{'adaptive':>14}",
         "-" * 68,
@@ -371,7 +377,10 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         f"{reference.fault_coverage():>13.1%} "
         f"{adaptive_run.fault_coverage():>13.1%}",
         "-" * 68,
-        calibration.summary(),
+        f"verdicts off the converged reference: fixed 10ns "
+        f"{_fault_ids(reference_divergences['fixed'])}, adaptive "
+        f"{_fault_ids(reference_divergences['adaptive'])} (reported, "
+        "not asserted)",
         f"adaptive vs converged fixed reference: {newton_saving:.1%} "
         f"fewer Newton solves (asserted >= {solve_floor:.0%})",
         ("verdicts identical to the fixed campaign on every fault"
@@ -425,5 +434,5 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         "early_aborted": batched_run.early_aborted,
         "high_order_step_fraction": high_order_fraction,
         "order_histogram_total": order_totals,
-        "calibration": calibration.to_dict(),
+        "reference_divergences": reference_divergences,
     })

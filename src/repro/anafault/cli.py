@@ -71,7 +71,6 @@ from ..lint import lint_fault_list, lint_netlist_text
 from ..spice import TransientOptions
 from ..spice.parser import parse_netlist_file
 from ..units import parse_value
-from .calibration import calibrate_tolerance
 from .checkpoint import (CampaignCheckpoint, campaign_fingerprint,
                          header_slice, read_header)
 from .comparator import ToleranceSettings
@@ -287,24 +286,9 @@ def _print_preflight(result: CampaignResult, out) -> None:
         print("", file=out)
 
 
-def _calibrate_or_refuse(simulator: FaultSimulator, out):
-    """Run the verdict-tolerance calibration pass a ``--calibrate``
-    campaign leads with; returns the report, or ``None`` when calibration
-    failed and the campaign must be refused (the caller exits 1)."""
-    report = calibrate_tolerance(simulator.circuit, simulator.fault_list,
-                                 simulator.settings)
-    print(report.summary(), file=out)
-    if not report.passed:
-        print("calibration failed: the adaptive tolerance moves verdicts "
-              "on the probe subset; tighten --lte-reltol or run "
-              "--timestep fixed", file=out)
-        return None
-    return report
-
-
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """The flags ``run`` and ``shard`` share: how to execute (free per
-    host — records match a serial run) and the calibration gate."""
+    host — records match a serial run)."""
     execute = parser.add_argument_group("execution (see docs/batching.md)")
     execute.add_argument("--workers", type=int, default=1, metavar="N",
                          help="process-pool workers (default: in-process)")
@@ -316,40 +300,24 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                          "certain (verdicts and detection times are "
                          "unchanged; deviations and step counters cover "
                          "the simulated prefix only)")
-    parser.add_argument("--calibrate", action="store_true",
-                        help="with --timestep adaptive: bound the verdict "
-                        "sensitivity on a seeded probe subset first and "
-                        "refuse the campaign if calibration fails (see "
-                        "docs/campaigns.md)")
 
 
-def _run_campaign(args, out, **run_options) -> CampaignResult | None:
+def _run_campaign(args, out, **run_options) -> CampaignResult:
     """The body ``run`` and ``shard`` share: build the executor (a count
-    below 1 is refused before anything simulates) and the simulator, pass
-    the ``--calibrate`` gate, run and print the preflight diagnostics.
-    ``None`` means calibration refused the campaign (exit 1)."""
+    below 1 is refused before anything simulates) and the simulator, run
+    and print the preflight diagnostics."""
     executor = None  # the defaultable path REPRO_FORCE_BATCHED may batch
     if (args.workers, args.batch_width, args.early_abort) != (1, 1, False):
         executor = BatchedExecutor(batch_width=args.batch_width,
                                    early_abort=args.early_abort,
                                    workers=args.workers)
-    simulator = _load_campaign(args)
-    report = None
-    if args.calibrate:
-        report = _calibrate_or_refuse(simulator, out)
-        if report is None:
-            return None
-    result = simulator.run(executor=executor, **run_options)
-    if report is not None:
-        result.calibration.update(report.to_dict())
+    result = _load_campaign(args).run(executor=executor, **run_options)
     _print_preflight(result, out)
     return result
 
 
 def _cmd_run(args, out) -> int:
     result = _run_campaign(args, out, checkpoint=args.checkpoint)
-    if result is None:
-        return 1
     print(format_overview(result), file=out)
     return 0
 
@@ -358,8 +326,6 @@ def _cmd_shard(args, out) -> int:
     result = _run_campaign(args, out, checkpoint=args.out,
                            shard_index=args.shard_index,
                            shard_count=args.shard_count)
-    if result is None:
-        return 1
     counts = ", ".join(f"{status}={count}" for status, count
                        in sorted(result.count_by_status().items()))
     print(f"shard {args.shard_index}/{args.shard_count}: "
@@ -561,13 +527,6 @@ def _cmd_submit(args, out) -> int:
     """Submit a campaign to a daemon; by default wait for the workers to
     finish it and report exactly like ``run`` (checkpoint included)."""
     simulator = _load_campaign(args)
-    report = None
-    if args.calibrate:
-        # Calibration simulates the probe subset locally — cheap next to
-        # the campaign, and it gates the submit the same way it gates run.
-        report = _calibrate_or_refuse(simulator, out)
-        if report is None:
-            return 1
     address = parse_address(args.addr)
     if args.no_wait:
         from ..spice.writer import write_netlist
@@ -580,8 +539,6 @@ def _cmd_submit(args, out) -> int:
     executor = RemoteExecutor(address, wait_timeout=args.wait_timeout,
                               **_service_options(args))
     result = simulator.run(executor=executor, checkpoint=args.out)
-    if report is not None:
-        result.calibration.update(report.to_dict())
     _print_preflight(result, out)
     print(format_overview(result), file=out)
     service = result.service
@@ -770,10 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the daemon's bounded attempt count")
     submit.add_argument("--lease-size", type=int, default=None, metavar="K",
                         help="override the daemon's lease-slice budget")
-    submit.add_argument("--calibrate", action="store_true",
-                        help="with --timestep adaptive: calibrate the "
-                        "verdict tolerance locally on a probe subset "
-                        "before submitting (refuses on failure)")
 
     status = commands.add_parser(
         "status", help="print the daemon's status as JSON",

@@ -52,9 +52,8 @@ class DetectionResult:
     #: window-long sample runs of the run's *minimum* deviation (0 when
     #: the grid is shorter than the window).  ``detected`` is exactly
     #: ``persistent_deviation > amplitude``; unlike ``max_deviation`` it
-    #: is blind to non-persistent spikes, and
-    #: :func:`repro.anafault.calibrate_tolerance` bounds its shift across
-    #: integration grids.
+    #: is blind to non-persistent spikes, and its distance from
+    #: ``amplitude`` is the verdict's margin.
     persistent_deviation: float = 0.0
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience

@@ -128,8 +128,8 @@ class FaultSimulationRecord:
     #: for a full persistence window (see
     #: :attr:`repro.anafault.DetectionResult.persistent_deviation`); the
     #: verdict is exactly ``persistent_deviation > amplitude tolerance``,
-    #: and :func:`repro.anafault.calibrate_tolerance` bounds its shift
-    #: across integration grids.
+    #: so its distance from that tolerance is how close the fault sits to
+    #: flipping.  Checkpoints carry it with the rest of the record.
     persistent_deviation: float = 0.0
     elapsed_seconds: float = 0.0
     message: str = ""
@@ -256,11 +256,6 @@ class CampaignResult:
     #: and the per-worker throughput table (empty for local executors).
     #: See :mod:`repro.anafault.service` and ``docs/service.md``.
     service: dict = field(default_factory=dict)
-    #: Verdict-sensitivity calibration attached by
-    #: :func:`repro.anafault.calibrate_tolerance` (the
-    #: ``CalibrationReport.to_dict()`` payload; empty when the campaign
-    #: ran uncalibrated).  Surfaced verbatim in :meth:`telemetry`.
-    calibration: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._fault_index: dict[int, FaultSimulationRecord] = {}
@@ -348,7 +343,6 @@ class CampaignResult:
             "order_histogram_total": self._order_histogram_total(),
             "order_changes_nominal": int(
                 self.nominal_stats.get("order_changes", 0)),
-            "calibration": dict(self.calibration),
             "nominal_elapsed_seconds": self.nominal_elapsed_seconds,
             "total_elapsed_seconds": self.total_elapsed_seconds,
             "fault_seconds_total": sum(elapsed),

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from ..spice import Capacitor, Circuit, CurrentSource, Mosfet, Resistor, VoltageSource
 from ..spice.devices import DCShape, PulseShape
+from ..spice.netlist import SUPPLY_NETS
 from .models import VDD_NOMINAL, add_default_models
+
+#: Supply net of the cells below: the layout generator's top rail and the
+#: extracted PMOS bulk, so a generated layout passes LVS bulk and all.
+VDD_NET = SUPPLY_NETS[1]
 
 
 def build_rc_lowpass(resistance: float = 1e3, capacitance: float = 1e-9,
@@ -46,10 +51,10 @@ def build_cmos_inverter(vdd: float = VDD_NOMINAL, wn: float = 10e-6,
     """A CMOS inverter (input node ``in``, output node ``out``)."""
     circuit = Circuit("CMOS inverter")
     add_default_models(circuit)
-    circuit.add(VoltageSource("VDD", "vdd", "0", DCShape(vdd)))
+    circuit.add(VoltageSource("VDD", VDD_NET, "0", DCShape(vdd)))
     circuit.add(VoltageSource("VIN", "in", "0", DCShape(input_voltage)))
     circuit.add(Mosfet("MN", "out", "in", "0", "0", "nch", w=wn, l=length))
-    circuit.add(Mosfet("MP", "out", "in", "vdd", "vdd", "pch", w=wp, l=length))
+    circuit.add(Mosfet("MP", "out", "in", VDD_NET, VDD_NET, "pch", w=wp, l=length))
     return circuit
 
 
@@ -59,12 +64,12 @@ def build_current_mirror(reference_current: float = 20e-6,
     """A simple NMOS current mirror loaded by a resistor (output ``out``)."""
     circuit = Circuit("NMOS current mirror")
     add_default_models(circuit)
-    circuit.add(VoltageSource("VDD", "vdd", "0", DCShape(vdd)))
-    circuit.add(CurrentSource("IREF", "vdd", "bias", DCShape(reference_current)))
+    circuit.add(VoltageSource("VDD", VDD_NET, "0", DCShape(vdd)))
+    circuit.add(CurrentSource("IREF", VDD_NET, "bias", DCShape(reference_current)))
     circuit.add(Mosfet("M1", "bias", "bias", "0", "0", "nch", w=10e-6, l=2e-6))
     circuit.add(Mosfet("M2", "out", "bias", "0", "0", "nch",
                        w=10e-6 * mirror_ratio, l=2e-6))
-    circuit.add(Resistor("RL", "vdd", "out", 50e3))
+    circuit.add(Resistor("RL", VDD_NET, "out", 50e3))
     return circuit
 
 
@@ -76,16 +81,16 @@ def build_schmitt_trigger(vdd: float = VDD_NOMINAL,
     """
     circuit = Circuit("CMOS Schmitt trigger")
     add_default_models(circuit)
-    circuit.add(VoltageSource("VDD", "vdd", "0", DCShape(vdd)))
+    circuit.add(VoltageSource("VDD", VDD_NET, "0", DCShape(vdd)))
     circuit.add(VoltageSource("VIN", "in", "0", DCShape(input_voltage)))
     # PMOS stack with feedback.
-    circuit.add(Mosfet("MP1", "pm", "in", "vdd", "vdd", "pch", w=12e-6, l=2e-6))
-    circuit.add(Mosfet("MP2", "out", "in", "pm", "vdd", "pch", w=12e-6, l=2e-6))
-    circuit.add(Mosfet("MPF", "0", "out", "pm", "vdd", "pch", w=6e-6, l=2e-6))
+    circuit.add(Mosfet("MP1", "pm", "in", VDD_NET, VDD_NET, "pch", w=12e-6, l=2e-6))
+    circuit.add(Mosfet("MP2", "out", "in", "pm", VDD_NET, "pch", w=12e-6, l=2e-6))
+    circuit.add(Mosfet("MPF", "0", "out", "pm", VDD_NET, "pch", w=6e-6, l=2e-6))
     # NMOS stack with feedback.
     circuit.add(Mosfet("MN1", "nm", "in", "0", "0", "nch", w=6e-6, l=2e-6))
     circuit.add(Mosfet("MN2", "out", "in", "nm", "0", "nch", w=6e-6, l=2e-6))
-    circuit.add(Mosfet("MNF", "vdd", "out", "nm", "0", "nch", w=3e-6, l=2e-6))
+    circuit.add(Mosfet("MNF", VDD_NET, "out", "nm", "0", "nch", w=3e-6, l=2e-6))
     return circuit
 
 
@@ -97,11 +102,11 @@ def build_differential_pair(vdd: float = VDD_NOMINAL,
     """
     circuit = Circuit("NMOS differential pair")
     add_default_models(circuit)
-    circuit.add(VoltageSource("VDD", "vdd", "0", DCShape(vdd)))
+    circuit.add(VoltageSource("VDD", VDD_NET, "0", DCShape(vdd)))
     circuit.add(VoltageSource("VINP", "inp", "0", DCShape(2.5)))
     circuit.add(VoltageSource("VINN", "inn", "0", DCShape(2.5)))
-    circuit.add(Resistor("RL1", "vdd", "outn", 50e3))
-    circuit.add(Resistor("RL2", "vdd", "outp", 50e3))
+    circuit.add(Resistor("RL1", VDD_NET, "outn", 50e3))
+    circuit.add(Resistor("RL2", VDD_NET, "outp", 50e3))
     circuit.add(Mosfet("M1", "outn", "inp", "tail", "0", "nch", w=20e-6, l=2e-6))
     circuit.add(Mosfet("M2", "outp", "inn", "tail", "0", "nch", w=20e-6, l=2e-6))
     circuit.add(CurrentSource("ITAIL", "tail", "0", DCShape(tail_current)))

@@ -40,8 +40,8 @@ class LVSReport:
 
 def _mosfet_key(device: Mosfet, kind: str) -> tuple:
     drain, gate, source, bulk = device.nodes
-    # Drain and source are interchangeable at layout level.
-    return (kind, gate, frozenset((drain, source)))
+    # Drain and source are interchangeable at layout level; the bulk is not.
+    return (kind, gate, frozenset((drain, source)), bulk)
 
 
 def _capacitor_key(device: Capacitor) -> tuple:

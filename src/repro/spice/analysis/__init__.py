@@ -12,6 +12,7 @@ from .backends import (
     BACKEND_CHOICES,
     SPARSE_AUTO_THRESHOLD,
     DenseSolverBackend,
+    MNASystem,
     SolverBackend,
     SparseMNASystem,
     SparseSolverBackend,
@@ -26,7 +27,7 @@ from .dc import (
     OperatingPointAnalysis,
     solve_operating_point,
 )
-from .mna import MNABuilder, MNASystem, SimState, SimulationOptions
+from .mna import MNABuilder, SimState, SimulationOptions
 from .newton import solve_newton
 from .transient import (
     TIMESTEP_MODES,

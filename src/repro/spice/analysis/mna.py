@@ -1,10 +1,9 @@
 """Modified nodal analysis plumbing: options, state and builder.
 
-The dense reference system (:class:`MNASystem`) and the cached LU helper
-(:func:`make_lu_solver`) live in :mod:`repro.spice.analysis.backends` with
-the other system representations — device stamps must reach matrix memory
-only through the backend scatter seam — and are re-exported here for
-backward compatibility.
+The dense reference system (:class:`MNASystem`) lives in
+:mod:`repro.spice.analysis.backends` with the other system
+representations — device stamps must reach matrix memory only through
+the backend scatter seam.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from ..devices.base import CompanionCapacitorBank, Device as _Device
 from ..devices.mosfet import FusedMosfetBanks, Mosfet, MosfetBank
 from ..netlist import Circuit
 from .backends import (MNASystem, SolverBackend, StackedMNASystem,
-                       make_lu_solver, select_backend)
+                       select_backend)
 
-__all__ = ["MNABuilder", "MNASystem", "SimState", "SimulationOptions",
-           "make_lu_solver"]
+__all__ = ["MNABuilder", "SimState", "SimulationOptions"]
 
 
 #: Relative convergence tolerance on solution variables.

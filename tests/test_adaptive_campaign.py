@@ -1,4 +1,4 @@
-"""Adaptive campaigns end-to-end: calibration, checkpoints, CLI knobs.
+"""Adaptive campaigns end-to-end: decision scalar, checkpoints, CLI knobs.
 
 The adaptive-timestep *engine* is covered by ``test_adaptive_timestep``
 and ``test_bdf_order``; this module covers the campaign layer on top:
@@ -8,11 +8,9 @@ and ``test_bdf_order``; this module covers the campaign layer on top:
   oracle's through ``compare``, ``compare_many`` and the streaming
   detector, and the verdict is exactly its comparison against the
   amplitude tolerance,
-* ``calibrate_tolerance`` — refuses fixed campaigns, passes on a well
-  resolved one, and its report round-trips into campaign telemetry,
 * adaptive checkpoints — a killed campaign (torn record tail) resumes to
   verdicts identical to the uninterrupted run,
-* the CLI timestep knobs — ``--timestep/--lte-reltol/--calibrate`` on
+* the CLI timestep knobs — ``--timestep/--lte-reltol`` on
   ``run``, and the explicit refusal when an adaptive run tries to resume
   a fixed-fingerprint checkpoint.
 """
@@ -26,18 +24,15 @@ import numpy as np
 import pytest
 
 from repro.anafault import (
-    CalibrationReport,
     CampaignSettings,
     FaultSimulator,
     SerialExecutor,
     StreamingDetector,
     ToleranceSettings,
     WaveformComparator,
-    calibrate_tolerance,
 )
 from repro.anafault.cli import main as cli_main
 from repro.circuits import build_rc_lowpass
-from repro.errors import CampaignError
 from repro.lift import BridgingFault, FaultList, OpenFault
 from repro.spice import TransientOptions
 from repro.spice.waveform import Waveform
@@ -122,63 +117,14 @@ class TestPersistentDeviation:
 
 
 # ---------------------------------------------------------------------------
-# Calibration
+# Adaptive telemetry
 # ---------------------------------------------------------------------------
 
-class TestCalibration:
-
-    def test_refuses_fixed_campaigns(self):
-        circuit, faults, settings = _campaign()
-        fixed = dataclasses.replace(settings, timestep=TransientOptions())
-        with pytest.raises(CampaignError, match="adaptive"):
-            calibrate_tolerance(circuit, faults, fixed)
-
-    def test_passes_on_well_resolved_campaign(self):
-        circuit, faults, settings = _campaign()
-        report = calibrate_tolerance(circuit, faults, settings, probes=3)
-        assert isinstance(report, CalibrationReport)
-        assert report.passed
-        assert report.verdicts_identical
-        assert report.max_margin_shift <= report.margin_budget
-        assert report.max_detection_shift <= report.detection_budget
-        assert set(report.rows) == {1, 2, 3}
-        assert "PASS" in report.summary()
-
-    def test_probe_subset_is_seeded_and_deterministic(self):
-        circuit, faults, settings = _campaign()
-        first = calibrate_tolerance(circuit, faults, settings, probes=2,
-                                    seed=11)
-        again = calibrate_tolerance(circuit, faults, settings, probes=2,
-                                    seed=11)
-        assert first.probe_ids == again.probe_ids
-        assert len(first.probe_ids) == 2
-
-    def test_report_round_trips_into_telemetry(self):
-        circuit, faults, settings = _campaign()
-        report = calibrate_tolerance(circuit, faults, settings, probes=2)
-        result = FaultSimulator(circuit, faults, settings).run()
-        result.calibration.update(report.to_dict())
-        telemetry = result.telemetry()
-        assert telemetry["calibration"]["passed"] is True
-        json.dumps(telemetry["calibration"])  # wire/JSON-safe
-
-    @pytest.mark.parametrize("adaptive, phrase", [
-        (3220, "adaptive saves 50% of the 6440 fixed-grid solves"),
-        (6440, "adaptive saves 0% of the 6440 fixed-grid solves"),
-        (12300, "adaptive costs 91% more than the 6440 fixed-grid solves"),
-    ])
-    def test_summary_names_the_cost_against_the_fixed_grid(self, adaptive,
-                                                           phrase):
-        report = CalibrationReport(
-            passed=True, seed=1, probe_ids=(1, 2, 3, 4),
-            reltols=(3e-3, 1e-3, 9e-3), max_margin_shift=0.0,
-            margin_budget=0.5, max_detection_shift=5e-8,
-            detection_budget=2e-7, verdicts_identical=True,
-            newton_fixed=6440, newton_adaptive=adaptive)
-        summary = report.summary()
-        assert summary.endswith(phrase)
-        assert "saves -" not in summary and "costs -" not in summary
-        assert "reference" not in summary
+def test_adaptive_telemetry_round_trips_through_json():
+    circuit, faults, settings = _campaign()
+    telemetry = FaultSimulator(circuit, faults, settings).run().telemetry()
+    assert "calibration" not in telemetry
+    assert json.loads(json.dumps(telemetry)) == telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +199,22 @@ class TestCommandLine:
                   "--lte-reltol", "1e-3", expect=2)
         assert "--timestep adaptive" in capsys.readouterr().err
 
-    def test_adaptive_run_with_calibration(self, campaign_files, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "shard", "submit"])
+    def test_help_offers_the_timestep_knobs_and_no_calibration(
+            self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert "--timestep" in text and "--lte-reltol" in text
+        assert "--calibrate" not in text
+
+    def test_adaptive_run_prints_the_overview(self, campaign_files):
         netlist, lift = campaign_files
         out = self._cli("run", netlist, lift, *self.FLAGS,
-                        "--timestep", "adaptive", "--lte-reltol", "1e-3",
-                        "--calibrate",
-                        "--checkpoint", tmp_path / "adaptive.jsonl")
-        assert "calibration PASS" in out
+                        "--timestep", "adaptive", "--lte-reltol", "1e-3")
         assert "AnaFAULT campaign overview" in out
+        assert "calibration" not in out
 
     def test_adaptive_resume_of_fixed_checkpoint_refused(self,
                                                          campaign_files,

@@ -57,6 +57,7 @@ from repro.spice.analysis import (
     TransientAnalysis,
     TransientOptions,
 )
+from repro.spice.netlist import SUPPLY_NETS
 from repro.spice.writer import write_netlist_file
 
 from detection_oracle import oracle_detection
@@ -130,7 +131,8 @@ def _assert_identical(circuit, faults, settings, width, **kwargs):
 def _inverter_campaign(input_voltage: float = 2.5):
     faults = FaultList("inverter faults")
     faults.add(OpenFault(1, probability=1e-7, device="MN", terminal="drain"))
-    faults.add(BridgingFault(2, probability=1e-8, net_a="out", net_b="vdd"))
+    faults.add(BridgingFault(2, probability=1e-8, net_a="out",
+                             net_b=SUPPLY_NETS[1]))
     faults.add(BridgingFault(3, probability=1e-9, net_a="out", net_b="0"))
     faults.add(OpenFault(4, probability=1e-9, device="MP", terminal="gate"))
     settings = _settings(tstop=1e-4, tstep=1e-6,

@@ -7,6 +7,8 @@ from repro.circuits import (
     DIODE_CONNECTED,
     OUTPUT_NODE,
     VCOParameters,
+    build_cmos_inverter,
+    build_current_mirror,
     build_differential_pair,
     build_rc_lowpass,
     build_schmitt_trigger,
@@ -19,6 +21,8 @@ from repro.spice import (
     OperatingPointAnalysis,
     TransientAnalysis,
 )
+from repro.spice.devices import Mosfet
+from repro.spice.netlist import SUPPLY_NETS
 
 
 class TestVCOStructure:
@@ -120,3 +124,16 @@ class TestLibraryCircuits:
         circuit.device("VINP").shape = DCShape(2.8)
         op = OperatingPointAnalysis(circuit).run()
         assert op["outn"] < op["outp"]
+
+    @pytest.mark.parametrize("build", [build_cmos_inverter,
+                                       build_current_mirror,
+                                       build_schmitt_trigger,
+                                       build_differential_pair])
+    def test_cells_supply_on_the_one_supply_net(self, build):
+        circuit = build()
+        supply = SUPPLY_NETS[1]
+        assert circuit.device("VDD").nodes == [supply, "0"]
+        assert not circuit.has_node("vdd")
+        for device in circuit.devices_of_type(Mosfet):
+            if device.model_name == "pch":
+                assert device.nodes[3] == supply

@@ -8,7 +8,9 @@ Fast checks wired into the tier-1 run so the docs cannot silently rot:
   exists,
 * every backtick-quoted ``repro...`` dotted name imports,
 * ``python`` code blocks compile, and ``pycon`` (``>>>``) blocks run as
-  doctests against the live package.
+  doctests against the live package,
+* the telemetry reference table of ``docs/campaigns.md`` names exactly
+  the keys ``CampaignResult.telemetry()`` returns.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import doctest
 import importlib
 import inspect
+import itertools
 import pathlib
 import re
 
@@ -183,3 +186,42 @@ def test_pycon_blocks_run_as_doctests(doc):
     assert runner.failures == 0, (
         f"{path.name}: {runner.failures} doctest failure(s); run "
         "`python -m doctest` on the failing block for details")
+
+
+def _telemetry_table_keys(text: str) -> set[str]:
+    """Keys named in the first column of the first table under the
+    "Telemetry reference" heading.  A cell lists one key or several
+    separated by ``/``; a name starting with ``_`` swaps the last
+    ``_suffix`` of the cell's first key (``fault_seconds_total`` /
+    ``_mean`` names ``fault_seconds_mean``)."""
+    lines = text.split("## Telemetry reference", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    keys: set[str] = set()
+    # Skip the header and separator rows; the table ends at its first
+    # non-row line.
+    for line in itertools.takewhile(lambda row: row.startswith("|"),
+                                    lines[start + 2:]):
+        names = re.findall(r"`(\w+)`", line.split("|")[1])
+        for name in names:
+            keys.add(names[0].rsplit("_", 1)[0] + name
+                     if name.startswith("_") else name)
+    return keys
+
+
+def test_telemetry_reference_table_matches_telemetry():
+    """Two-way: every ``CampaignResult.telemetry()`` key is documented in
+    docs/campaigns.md's telemetry reference, and every key the table
+    names is live."""
+    from repro.anafault import CampaignResult, CampaignSettings
+    from repro.lift import FaultList
+
+    live = set(CampaignResult(CampaignSettings(),
+                              FaultList("empty", [])).telemetry())
+    documented = _telemetry_table_keys(
+        (ROOT / "docs" / "campaigns.md").read_text(encoding="utf-8"))
+    assert not live - documented, (
+        f"telemetry keys missing from docs/campaigns.md: "
+        f"{sorted(live - documented)}")
+    assert not documented - live, (
+        f"docs/campaigns.md documents dead telemetry keys: "
+        f"{sorted(documented - live)}")

@@ -199,6 +199,23 @@ class TestLVS:
     def test_lvs_summary_text(self, vco_lvs):
         assert "CLEAN" in vco_lvs.summary()
 
+    def test_inverter_round_trip_is_clean(self):
+        circuit = build_cmos_inverter()
+        extracted = extract_netlist(generate_layout(circuit)).circuit
+        report = compare(extracted, circuit)
+        assert report.is_clean, report.messages
+        assert sorted(report.device_map.values()) == ["MN", "MP"]
+
+    def test_lvs_detects_a_pmos_bulk_on_another_net(self):
+        circuit = build_cmos_inverter()
+        extracted = extract_netlist(generate_layout(circuit)).circuit
+        schematic = circuit.clone()
+        schematic.device("MP").nodes[3] = "out"  # bulk off the n-well net
+        report = compare(extracted, schematic)
+        assert not report.is_clean
+        assert report.unmatched_schematic == ["MP"]
+        assert len(report.unmatched_extracted) == 1
+
 
 class TestExtractedCircuitSimulates:
     def test_extracted_vco_oscillates(self, vco_extraction):

@@ -177,6 +177,14 @@ def test_exactly_singular_lu_raises_at_factorisation_without_a_warning():
         make_lu_solver(matrix)
 
 
+def test_mna_module_exports_no_backend_names():
+    from repro.spice import analysis
+    from repro.spice.analysis import backends, mna
+    assert mna.__all__ == ["MNABuilder", "SimState", "SimulationOptions"]
+    assert not hasattr(mna, "make_lu_solver")
+    assert analysis.MNASystem is backends.MNASystem
+
+
 class TestCampaignPlumbing:
     def _fault_list(self):
         faults = FaultList("rc faults")
